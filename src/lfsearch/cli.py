@@ -128,13 +128,13 @@ def _loss_echo(config: ExperimentConfig) -> dict:
 
 def _evaluation_report(model, head, val_set, val_pairs):
     embeddings = embed_all(model, head, val_set)
-    verification = verification_accuracy(embeddings, val_pairs)
+    sims = pair_similarities(embeddings, val_pairs)
+    verification = verification_accuracy(sims, val_pairs.same)
     split = make_gallery_probe(val_set)
     rank1, cmc = rank1_identification(embeddings[split.gallery_indices],
                                       split.gallery_labels,
                                       embeddings[split.probe_indices],
                                       split.probe_labels)
-    sims = pair_similarities(embeddings, val_pairs)
     tpr = {}
     for far in FAR_LADDER:
         try:
@@ -455,6 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

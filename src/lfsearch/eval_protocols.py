@@ -14,6 +14,8 @@ from .contracts import require
 from .datasets import LabeledDataset, PairSet
 from .embed_model import ClassifierHead, EmbeddingModel, embed, forward
 
+VERIFICATION_FOLDS = 10
+
 
 class FarUnresolvableError(Exception):
     """Too few different-identity pairs to resolve the requested FAR."""
@@ -64,73 +66,67 @@ def pair_similarities(embeddings: np.ndarray, pairs: PairSet) -> np.ndarray:
     return np.einsum("ij,ij->i", embeddings[pairs.first], embeddings[pairs.second])
 
 
-def _best_threshold(sims: np.ndarray, same: np.ndarray):
-    """Threshold maximizing accuracy of `sim > t`, scanned over midpoints of
-    adjacent sorted similarities plus sentinels beyond both ends.
+def _fold_scan(sims: np.ndarray, same: np.ndarray, folds: int):
+    """Round-robin K-fold threshold scan over one stable sort of `sims`.
 
-    Ties keep the lowest threshold, making the scan deterministic.
+    Each fold's threshold maximizes the accuracy of `sim > t` on the other
+    folds, scanned over midpoints of adjacent distinct training similarities
+    plus sentinels beyond both ends; ties keep the lowest threshold. A fold's
+    training set is a mask over the sorted arrays, which orders it exactly as
+    a stable sort of that subset would. Returns the sorted similarities and
+    flags, and the per-fold thresholds and held-out accuracies.
     """
+    require(folds >= 2, "folds must be >= 2")
+    require(sims.size >= folds, "need at least one pair per fold")
     order = np.argsort(sims, kind="stable")
-    s = sims[order]
-    flags = same[order]
-    n = s.size
-    # Cut i predicts "different" below position i and "same" at or above it.
-    diff_before = np.concatenate(([0], np.cumsum(~flags)))
-    same_after = int(flags.sum()) - np.concatenate(([0], np.cumsum(flags)))
-    correct = diff_before + same_after
-    valid = np.ones(n + 1, dtype=bool)
-    valid[1:n] = s[1:] != s[:-1]
-    best = int(np.argmax(np.where(valid, correct, -1)))
-    if best == 0:
-        threshold = s[0] - 1.0
-    elif best == n:
-        threshold = s[-1] + 1.0
-    else:
-        threshold = 0.5 * (s[best - 1] + s[best])
-    return threshold, correct[best] / n
+    s, flags = sims[order], same[order]
+    thresholds, accuracies = [], []
+    for fold in range(folds):
+        held = order % folds == fold
+        train_s, train_f = s[~held], flags[~held]
+        # Cut i predicts "same" from position i up; counted from all-"same",
+        # each pair below the cut gains one if different, loses one if same.
+        correct = int(train_f.sum()) + np.concatenate(([0], np.cumsum(np.where(train_f, -1, 1))))
+        valid = np.concatenate(([True], train_s[1:] != train_s[:-1], [True]))
+        best = int(np.argmax(np.where(valid, correct, -1)))
+        if best == 0:
+            threshold = train_s[0] - 1.0
+        elif best == train_s.size:
+            threshold = train_s[-1] + 1.0
+        else:
+            threshold = 0.5 * (train_s[best - 1] + train_s[best])
+        thresholds.append(float(threshold))
+        accuracies.append(float(np.mean((s[held] > threshold) == flags[held])))
+    return s, flags, thresholds, accuracies
 
 
-def _roc_points(sims: np.ndarray, same: np.ndarray) -> tuple:
-    """(FAR, TPR) steps swept from the highest threshold down."""
-    order = np.argsort(-sims, kind="stable")
-    flags = same[order]
+def _roc_points(sorted_sims: np.ndarray, sorted_same: np.ndarray) -> tuple:
+    """(FAR, TPR) steps swept from the highest threshold down, given the
+    similarities in ascending order."""
+    sims, flags = sorted_sims[::-1], sorted_same[::-1]
     positives = int(flags.sum())
     negatives = flags.size - positives
-    tp = np.cumsum(flags)
-    fp = np.cumsum(~flags)
-    sorted_sims = sims[order]
     keep = np.ones(flags.size, dtype=bool)
-    keep[:-1] = sorted_sims[:-1] != sorted_sims[1:]
-    points = [(0.0, 0.0)]
-    points.extend((fp[i] / negatives, tp[i] / positives) for i in np.flatnonzero(keep))
-    return tuple(points)
+    keep[:-1] = sims[:-1] != sims[1:]
+    fars = np.cumsum(~flags)[keep] / negatives
+    tprs = np.cumsum(flags)[keep] / positives
+    return ((0.0, 0.0), *zip(fars.tolist(), tprs.tolist()))
 
 
-def verification_accuracy(embeddings: np.ndarray, pairs: PairSet,
-                          folds: int = 10) -> VerificationReport:
-    """Round-robin K-fold pair verification.
+def verification_accuracy(sims: np.ndarray, same: np.ndarray,
+                          folds: int = VERIFICATION_FOLDS) -> VerificationReport:
+    """Round-robin K-fold verification of pair similarities.
 
     Each fold is scored with the threshold that maximizes accuracy on the
     remaining folds; the report carries the mean held-out accuracy along with
     ROC points computed over all pairs.
     """
-    require(folds >= 2, "folds must be >= 2")
-    require(pairs.pair_count >= folds, "need at least one pair per fold")
-    sims = pair_similarities(embeddings, pairs)
-    same = pairs.same
-    fold_of = np.arange(pairs.pair_count) % folds
-    thresholds = []
-    accuracies = []
-    for fold in range(folds):
-        held_out = fold_of == fold
-        threshold, _ = _best_threshold(sims[~held_out], same[~held_out])
-        predictions = sims[held_out] > threshold
-        thresholds.append(float(threshold))
-        accuracies.append(float(np.mean(predictions == same[held_out])))
+    require(sims.shape == same.shape, "need one same flag per similarity")
+    s, flags, thresholds, accuracies = _fold_scan(sims, same, folds)
     return VerificationReport(accuracy=float(np.mean(accuracies)),
                               fold_thresholds=tuple(thresholds),
                               fold_accuracies=tuple(accuracies),
-                              roc_points=_roc_points(sims, same))
+                              roc_points=_roc_points(s, flags))
 
 
 def make_gallery_probe(dataset: LabeledDataset) -> GalleryProbeSplit:
@@ -195,9 +191,11 @@ def classification_accuracy(model: EmbeddingModel, head: ClassifierHead,
 
 def reward(model: EmbeddingModel, head: ClassifierHead, val_set: LabeledDataset,
            val_pairs: PairSet, kind: str = "verification") -> float:
-    """Scalar validation score driving the search."""
+    """Scalar validation score driving the search; the verification score is
+    the report's accuracy from the same scan, without building the ROC."""
     if kind == "verification":
-        return verification_accuracy(embed_all(model, head, val_set), val_pairs).accuracy
+        sims = pair_similarities(embed_all(model, head, val_set), val_pairs)
+        return float(np.mean(_fold_scan(sims, val_pairs.same, VERIFICATION_FOLDS)[3]))
     if kind == "classification":
         return classification_accuracy(model, head, val_set)
     require(False, f"unknown reward kind {kind!r}")

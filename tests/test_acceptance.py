@@ -20,8 +20,8 @@ from lfsearch.datasets import (PairSet, SyntheticSpec, generate_synthetic,
                                make_pairs, split_open_set)
 from lfsearch.embed_model import backward, forward, init_model
 from lfsearch.eval_protocols import (embed_all, make_gallery_probe,
-                                     rank1_identification, reward, tpr_at_far,
-                                     verification_accuracy)
+                                     pair_similarities, rank1_identification,
+                                     reward, tpr_at_far, verification_accuracy)
 from lfsearch.margin_losses import (LogitRow, MarginSpec, batch_loss_and_grad,
                                     log_margin_probability,
                                     log_softmax_probability, margin_transform,
@@ -115,7 +115,7 @@ def _search_runs(population):
         results = []
         for seed in SEEDS:
             train, val, pairs, state = _desk_problem(seed)
-            results.append(run_search(settings, state, train, val, pairs, seed, threads=4))
+            results.append(run_search(settings, state, train, val, pairs, seed))
         _CACHE[key] = (results, time.perf_counter() - start)
     return _CACHE[key]
 
@@ -495,7 +495,8 @@ class TestProtocolOracles:
         seconds = np.arange(1, 40, 2)
         flags = np.arange(20) % 2 == 0
         pairs = PairSet(firsts, seconds, flags)
-        separable = verification_accuracy(emb, pairs).accuracy
+        separable = verification_accuracy(pair_similarities(emb, pairs),
+                                          pairs.same).accuracy
         ok = rank_exact and tpr_exact and separable == 1.0
         _report(capsys, 9, ok,
                 f"rank-1/CMC exact {rank_exact}, TPR@FAR exact {tpr_exact} "

@@ -235,6 +235,13 @@ class TestExitCodes:
         assert main(["train-fixed", "--config", config,
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_threads_below_one(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        for command, threads in (("search", "0"), ("train-fixed", "-3")):
+            assert main([command, "--config", config, "--out", str(tmp_path / "x"),
+                         "--threads", threads]) == 2
+            assert "config error: --threads must be >= 1" in capsys.readouterr().err
+
     def test_missing_data_file(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["train-fixed", "--config", config, "--out", str(tmp_path / "x"),

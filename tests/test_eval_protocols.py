@@ -38,8 +38,13 @@ def pairs_with_sims(target_sims, same_flags):
 
 
 def oracle_verification(sims, same, folds):
-    """Direct threshold scan per fold; ties keep the lowest threshold."""
+    """Direct threshold scan per fold; ties keep the lowest threshold.
+
+    Returns the per-fold thresholds, the per-fold held-out accuracies and
+    their mean.
+    """
     fold_of = np.arange(sims.size) % folds
+    thresholds = []
     accuracies = []
     for fold in range(folds):
         held = fold_of == fold
@@ -53,8 +58,25 @@ def oracle_verification(sims, same, folds):
             acc = np.mean((train_s > t) == train_f)
             if acc > best_acc:
                 best_acc, best_t = acc, t
+        thresholds.append(best_t)
         accuracies.append(np.mean((sims[held] > best_t) == same[held]))
-    return float(np.mean(accuracies))
+    return tuple(thresholds), tuple(accuracies), float(np.mean(accuracies))
+
+
+def tie_heavy_cases(seed, folds, trials):
+    """Engineered pairs whose similarities are rounded to two decimals, so
+    ties are common; the pair count is never a multiple of `folds`."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        n = int(rng.integers(20, 60))
+        if n % folds == 0:
+            n += 1
+        sims_wanted = np.round(rng.uniform(-0.9, 0.9, n), 2)
+        flags = rng.random(n) < 0.5
+        if flags.all() or not flags.any():
+            flags[0] = True
+            flags[1] = False
+        yield pairs_with_sims(sims_wanted, flags)
 
 
 def oracle_roc(sims, same):
@@ -105,24 +127,20 @@ class TestPairSimilarities:
 
 class TestVerificationAccuracy:
     def test_matches_brute_force_scan(self):
-        rng = np.random.default_rng(1)
-        for trial in range(20):
-            n = int(rng.integers(20, 60))
-            sims_wanted = np.round(rng.uniform(-0.9, 0.9, n), 2)  # rounding makes ties
-            flags = rng.random(n) < 0.5
-            if flags.all() or not flags.any():
-                flags[0] = True
-                flags[1] = False
-            emb, pairs = pairs_with_sims(sims_wanted, flags)
-            sims = pair_similarities(emb, pairs)
-            report = verification_accuracy(emb, pairs, folds=4)
-            assert report.accuracy == oracle_verification(sims, pairs.same, folds=4)
+        for folds in (2, 4, 10):
+            for emb, pairs in tie_heavy_cases(folds, folds, 20):
+                sims = pair_similarities(emb, pairs)
+                report = verification_accuracy(sims, pairs.same, folds=folds)
+                thresholds, accuracies, mean = oracle_verification(sims, pairs.same, folds)
+                assert report.fold_thresholds == thresholds
+                assert report.fold_accuracies == accuracies
+                assert report.accuracy == mean
 
     def test_separable_pairs_score_one(self):
         sims = np.concatenate([np.linspace(0.6, 0.9, 10), np.linspace(-0.5, 0.1, 10)])
         flags = np.concatenate([np.ones(10, bool), np.zeros(10, bool)])
         emb, pairs = pairs_with_sims(sims, flags)
-        report = verification_accuracy(emb, pairs, folds=5)
+        report = verification_accuracy(pair_similarities(emb, pairs), pairs.same, folds=5)
         assert report.accuracy == 1.0
 
     def test_unrelated_flags_score_near_half(self):
@@ -130,13 +148,13 @@ class TestVerificationAccuracy:
         sims = rng.uniform(-0.9, 0.9, 600)
         flags = rng.random(600) < 0.5
         emb, pairs = pairs_with_sims(sims, flags)
-        report = verification_accuracy(emb, pairs, folds=10)
+        report = verification_accuracy(pair_similarities(emb, pairs), pairs.same, folds=10)
         assert abs(report.accuracy - 0.5) < 0.07
 
     def test_report_shapes(self):
         emb, pairs = pairs_with_sims(np.linspace(-0.5, 0.5, 12),
                                      np.arange(12) % 2 == 0)
-        report = verification_accuracy(emb, pairs, folds=3)
+        report = verification_accuracy(pair_similarities(emb, pairs), pairs.same, folds=3)
         assert len(report.fold_thresholds) == 3
         assert len(report.fold_accuracies) == 3
         for acc in report.fold_accuracies:
@@ -148,13 +166,14 @@ class TestVerificationAccuracy:
         flags = rng.random(40) < 0.5
         emb, pairs = pairs_with_sims(sims_wanted, flags)
         sims = pair_similarities(emb, pairs)
-        report = verification_accuracy(emb, pairs, folds=4)
+        report = verification_accuracy(sims, pairs.same, folds=4)
         assert report.roc_points == oracle_roc(sims, pairs.same)
 
     def test_roc_endpoints_and_monotonicity(self):
         rng = np.random.default_rng(4)
         emb, pairs = pairs_with_sims(rng.uniform(-0.9, 0.9, 30), rng.random(30) < 0.5)
-        points = verification_accuracy(emb, pairs, folds=3).roc_points
+        points = verification_accuracy(pair_similarities(emb, pairs), pairs.same,
+                                       folds=3).roc_points
         assert points[0] == (0.0, 0.0)
         assert points[-1] == (1.0, 1.0)
         fars = [p[0] for p in points]
@@ -164,10 +183,13 @@ class TestVerificationAccuracy:
 
     def test_fold_validation(self):
         emb, pairs = pairs_with_sims(np.linspace(-0.5, 0.5, 6), np.arange(6) % 2 == 0)
+        sims = pair_similarities(emb, pairs)
         with pytest.raises(ContractViolation):
-            verification_accuracy(emb, pairs, folds=1)
+            verification_accuracy(sims, pairs.same, folds=1)
         with pytest.raises(ContractViolation):
-            verification_accuracy(emb, pairs, folds=7)
+            verification_accuracy(sims, pairs.same, folds=7)
+        with pytest.raises(ContractViolation):
+            verification_accuracy(sims, pairs.same[:-1], folds=2)
 
     def test_report_validation(self):
         with pytest.raises(ContractViolation):
@@ -336,9 +358,21 @@ class TestEmbedAllAndReward:
         same = np.array([True] * 5 + [False] * 5)
         pairs = PairSet(first, second, same)
         via_kind = reward(model, head, data, pairs, "verification")
-        direct = verification_accuracy(embed_all(model, head, data), pairs)
+        direct = verification_accuracy(
+            pair_similarities(embed_all(model, head, data), pairs), pairs.same)
         assert via_kind == direct.accuracy
         assert reward(model, head, data, pairs, "classification") == 1.0
+
+    def test_verification_reward_is_report_accuracy(self):
+        # An identity backbone embeds the engineered pairs unchanged, so the
+        # reward scores the same tie-heavy similarities as the report.
+        model = EmbeddingModel([np.eye(2)], [np.zeros(2)])
+        head = ClassifierHead(np.eye(2), 16.0)
+        for emb, pairs in tie_heavy_cases(10, 10, 20):
+            data = LabeledDataset(emb, np.zeros(emb.shape[0], dtype=int))
+            sims = pair_similarities(embed_all(model, head, data), pairs)
+            report = verification_accuracy(sims, pairs.same)
+            assert reward(model, head, data, pairs, "verification") == report.accuracy
 
     def test_reward_unknown_kind(self):
         model, head, data = TestClassificationAccuracy().identity_setup()
