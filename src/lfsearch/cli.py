@@ -9,6 +9,7 @@ metric stream, checkpoints, and plot-ready CSV curves. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 import traceback
@@ -100,17 +101,6 @@ def _init_state(config: ExperimentConfig, train) -> TrainState:
     return TrainState.fresh(model, head)
 
 
-def _open_run(out_dir, config: ExperimentConfig):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    resolved = config.to_dict()
-    rid = run_id(resolved)
-    (out / "config.json").write_text(dumps(resolved) + "\n", encoding="utf-8")
-    for name in ("metrics.jsonl", "timings.jsonl"):
-        (out / name).unlink(missing_ok=True)
-    return out, rid
-
-
 def _loss_echo(config: ExperimentConfig) -> dict:
     """Loss description for metric lines: the kind plus only its own knobs."""
     loss = config.loss
@@ -126,7 +116,9 @@ def _loss_echo(config: ExperimentConfig) -> dict:
     return echo
 
 
-def _evaluation_report(model, head, val_set, val_pairs):
+def _write_evaluation(out: Path, model, head, val_set, val_pairs, **extra) -> dict:
+    """Evaluate a model on the validation split and write eval.json, roc.csv
+    and cmc.csv; the extra report keys follow the evaluation's own."""
     embeddings = embed_all(model, head, val_set)
     sims = pair_similarities(embeddings, val_pairs)
     verification = verification_accuracy(sims, val_pairs.same)
@@ -147,15 +139,59 @@ def _evaluation_report(model, head, val_set, val_pairs):
         "tpr_at_far": tpr,
         "fold_accuracies": list(verification.fold_accuracies),
         "fold_thresholds": list(verification.fold_thresholds),
+        **extra,
     }
-    return report, verification.roc_points, cmc
-
-
-def _write_evaluation(out: Path, report: dict, roc_points, cmc) -> None:
     (out / "eval.json").write_text(dumps(report) + "\n", encoding="utf-8")
-    write_xy_csv(out / "roc.csv", roc_points)
+    write_xy_csv(out / "roc.csv", verification.roc_points)
     write_xy_csv(out / "cmc.csv", [(float(rank), value)
                                    for rank, value in enumerate(cmc, start=1)])
+    return report
+
+
+class _RunRecorder:
+    """One run directory: the resolved config, the metric and timing streams,
+    the epoch clock and convergence curve, then the final checkpoint and
+    evaluation. A rerun into the same directory replaces both streams."""
+
+    def __init__(self, out_dir, config: ExperimentConfig, mode: str):
+        self.out = Path(out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        resolved = config.to_dict()
+        self._run_id = run_id(resolved)
+        self._mode = mode
+        (self.out / "config.json").write_text(dumps(resolved) + "\n", encoding="utf-8")
+        for name in ("metrics.jsonl", "timings.jsonl"):
+            (self.out / name).unlink(missing_ok=True)
+        self._metrics = MetricsWriter(self.out / "metrics.jsonl")
+        self._timings = MetricsWriter(self.out / "timings.jsonl")
+        self._convergence = []
+        self._clock = time.perf_counter()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._metrics.close()
+        self._timings.close()
+        return False
+
+    def epoch(self, epoch: int, fields: dict, mean_loss: float) -> None:
+        """Record one epoch: its metric line, its wall time since the last
+        record, and the mean training loss it adds to the convergence curve."""
+        now = time.perf_counter()
+        self._metrics.write({"run_id": self._run_id, "mode": self._mode,
+                             "epoch": epoch, **fields})
+        self._timings.write({"epoch": epoch, "seconds": now - self._clock})
+        self._clock = now
+        self._convergence.append((float(epoch), mean_loss))
+
+    def finish(self, checkpoint_name: str, state: TrainState, val_set, val_pairs,
+               **extra) -> dict:
+        """Write the final model, the convergence curve and its evaluation."""
+        write_checkpoint(self.out / checkpoint_name, state.model, state.head)
+        write_xy_csv(self.out / "convergence.csv", self._convergence)
+        return _write_evaluation(self.out, state.model, state.head, val_set, val_pairs,
+                                 **extra)
 
 
 def _run_fixed(config: ExperimentConfig, out_dir) -> dict:
@@ -164,30 +200,18 @@ def _run_fixed(config: ExperimentConfig, out_dir) -> dict:
     train, val, pairs = _prepare_data(config)
     state = _init_state(config, train)
     schedule = schedule_of(config)
-    out, rid = _open_run(out_dir, config)
     loss_echo = _loss_echo(config)
     root = RngStream(config.seed, "fixed")
-    convergence = []
     final_reward = None
-    with MetricsWriter(out / "metrics.jsonl") as metrics, \
-            MetricsWriter(out / "timings.jsonl") as timings:
+    with _RunRecorder(out_dir, config, "fixed") as run:
         for epoch in range(1, config.schedule.epochs + 1):
-            started = time.perf_counter()
-            state, mean_loss = train_epoch(state, spec, train, config.sgd,
-                                           schedule.lr_at(epoch),
+            lr = schedule.lr_at(epoch)
+            state, mean_loss = train_epoch(state, spec, train, config.sgd, lr,
                                            root.child(f"epoch{epoch}"))
             final_reward = reward(state.model, state.head, val, pairs, config.reward)
-            metrics.write({"run_id": rid, "mode": "fixed", "epoch": epoch,
-                           "loss": loss_echo, "lr": schedule.lr_at(epoch),
-                           "mean_loss": mean_loss, "val_reward": final_reward})
-            timings.write({"epoch": epoch, "seconds": time.perf_counter() - started})
-            convergence.append((float(epoch), mean_loss))
-    write_checkpoint(out / "model.lfs", state.model, state.head)
-    write_xy_csv(out / "convergence.csv", convergence)
-    report, roc_points, cmc = _evaluation_report(state.model, state.head, val, pairs)
-    report["final_val_reward"] = final_reward
-    _write_evaluation(out, report, roc_points, cmc)
-    return report
+            run.epoch(epoch, {"loss": loss_echo, "lr": lr, "mean_loss": mean_loss,
+                              "val_reward": final_reward}, mean_loss)
+        return run.finish("model.lfs", state, val, pairs, final_val_reward=final_reward)
 
 
 # ---------------------------------------------------------------------------
@@ -214,49 +238,31 @@ def _cmd_search(args) -> int:
                               transform=config.search.transform)
     train, val, pairs = _prepare_data(config)
     state0 = _init_state(config, train)
-    out, rid = _open_run(args.out, config)
-    winners = out / "checkpoints"
-    winners.mkdir(exist_ok=True)
-    metrics = MetricsWriter(out / "metrics.jsonl")
-    timings = MetricsWriter(out / "timings.jsonl")
-    mu_points = []
-    convergence = []
-    clock = [time.perf_counter()]
+    with _RunRecorder(args.out, config, "search") as run:
+        winners = run.out / "checkpoints"
+        winners.mkdir(exist_ok=True)
 
-    def on_epoch(record, winner_state):
-        now = time.perf_counter()
-        metrics.write({"run_id": rid, "mode": "search", "epoch": record.epoch,
-                       "mu_before": record.mu_before, "mu_after": record.mu_after,
+        def on_epoch(record, winner_state):
+            run.epoch(record.epoch,
+                      {"mu_before": record.mu_before, "mu_after": record.mu_after,
                        "factors": list(record.factors),
                        "rewards": list(record.raw_rewards),
                        "normalized_rewards": list(record.normalized_rewards),
                        "winner": record.winner,
                        "mean_losses": list(record.mean_losses),
                        "start_digest": record.start_digest,
-                       "winner_digest": record.winner_digest})
-        timings.write({"epoch": record.epoch, "seconds": now - clock[0]})
-        clock[0] = now
-        write_checkpoint(winners / f"epoch_{record.epoch:03d}.lfs",
-                         winner_state.model, winner_state.head)
-        mu_points.append((float(record.epoch), record.mu_after))
-        convergence.append((float(record.epoch), record.mean_losses[record.winner]))
+                       "winner_digest": record.winner_digest},
+                      record.mean_losses[record.winner])
+            write_checkpoint(winners / f"epoch_{record.epoch:03d}.lfs",
+                             winner_state.model, winner_state.head)
 
-    try:
         result = run_search(settings, state0, train, val, pairs, config.seed,
-                            threads=args.threads, on_epoch=on_epoch)
-    finally:
-        metrics.close()
-        timings.close()
-    write_xy_csv(out / "mu_trajectory.csv", mu_points)
-    write_xy_csv(out / "convergence.csv", convergence)
-    best = result.best_state
-    write_checkpoint(out / "best.lfs", best.model, best.head)
-    report, roc_points, cmc = _evaluation_report(best.model, best.head, val, pairs)
-    report["best_reward"] = result.best_reward
-    report["best_epoch"] = result.best_epoch
-    report["best_candidate"] = result.best_candidate
-    report["final_mu"] = result.final_mu
-    _write_evaluation(out, report, roc_points, cmc)
+                            on_epoch=on_epoch)
+        write_xy_csv(run.out / "mu_trajectory.csv",
+                     [(float(record.epoch), record.mu_after) for record in result.history])
+        run.finish("best.lfs", result.best_state, val, pairs,
+                   best_reward=result.best_reward, best_epoch=result.best_epoch,
+                   best_candidate=result.best_candidate, final_mu=result.final_mu)
     print(f"search done: best reward {result.best_reward} at epoch "
           f"{result.best_epoch} (candidate {result.best_candidate}), "
           f"final mu {result.final_mu:.6g} -> {args.out}")
@@ -267,55 +273,40 @@ def _cmd_random_schedule(args) -> int:
     config = _resolve_config(args)
     train, val, pairs = _prepare_data(config)
     state0 = _init_state(config, train)
-    out, rid = _open_run(args.out, config)
-    metrics = MetricsWriter(out / "metrics.jsonl")
-    timings = MetricsWriter(out / "timings.jsonl")
-    convergence = []
-    clock = [time.perf_counter()]
+    with _RunRecorder(args.out, config, "random") as run:
 
-    def on_epoch(record, _state):
-        now = time.perf_counter()
-        metrics.write({"run_id": rid, "mode": "random", "epoch": record.epoch,
-                       "a": record.factor, "mean_loss": record.mean_loss,
-                       "val_reward": record.reward})
-        timings.write({"epoch": record.epoch, "seconds": now - clock[0]})
-        clock[0] = now
-        convergence.append((float(record.epoch), record.mean_loss))
+        def on_epoch(record, _state):
+            run.epoch(record.epoch, {"a": record.factor, "mean_loss": record.mean_loss,
+                                     "val_reward": record.reward}, record.mean_loss)
 
-    try:
         state, history = run_random_schedule(
             config.schedule.epochs, state0, train, val, pairs, config.sgd,
             schedule_of(config), config.seed, mag_lo=config.random.mag_lo,
             mag_hi=config.random.mag_hi, reward_kind=config.reward,
             on_epoch=on_epoch)
-    finally:
-        metrics.close()
-        timings.close()
-    write_xy_csv(out / "convergence.csv", convergence)
-    write_checkpoint(out / "model.lfs", state.model, state.head)
-    report, roc_points, cmc = _evaluation_report(state.model, state.head, val, pairs)
-    report["final_val_reward"] = history[-1].reward if history else None
-    _write_evaluation(out, report, roc_points, cmc)
+        report = run.finish("model.lfs", state, val, pairs,
+                            final_val_reward=history[-1].reward if history else None)
     print(f"random-schedule done: final reward "
           f"{report['final_val_reward']} -> {args.out}")
     return 0
 
 
-def _parse_float_list(text: str, field: str) -> list:
+def _parse_factor_list(text: str, field: str) -> list:
+    """Comma-separated modulating factors, each finite and <= 0."""
     try:
         values = [float(token) for token in text.split(",") if token.strip()]
     except ValueError:
         raise ConfigError(f"{field}: could not parse {text!r} as floats") from None
     if not values:
         raise ConfigError(f"{field}: list is empty")
+    for value in values:
+        if not math.isfinite(value) or value > 0:
+            raise ConfigError(f"{field}: {value:g} is not a finite factor <= 0")
     return values
 
 
 def _cmd_ablate_a(args) -> int:
-    factors = _parse_float_list(args.factors, "factors")
-    for value in factors:
-        if value > 0:
-            raise ConfigError(f"factors: {value:g} is positive; factors must be <= 0")
+    factors = _parse_factor_list(args.factors, "factors")
     config = _resolve_config(args)
     base = Path(args.out)
     base.mkdir(parents=True, exist_ok=True)
@@ -345,10 +336,12 @@ def _cmd_eval(args) -> int:
         raise CheckpointFormatError(f"checkpoint not found: {path}")
     model, head = read_checkpoint(path)
     _train, val, pairs = _prepare_data(config)
+    if val.feature_dim != model.layer_dims[0]:
+        raise DataFormatError(f"dataset feature dim {val.feature_dim} does not match "
+                              f"the checkpoint input dim {model.layer_dims[0]}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report, roc_points, cmc = _evaluation_report(model, head, val, pairs)
-    _write_evaluation(out, report, roc_points, cmc)
+    report = _write_evaluation(out, model, head, val, pairs)
     print(f"verification_accuracy {report['verification_accuracy']:.6f}")
     print(f"rank1 {report['rank1']:.6f}")
     for far, tpr in report["tpr_at_far"].items():
@@ -357,10 +350,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export_curves(args) -> int:
-    factors = _parse_float_list(args.a_list, "a-list")
-    for value in factors:
-        if value > 0:
-            raise ConfigError(f"a-list: {value:g} is positive; factors must be <= 0")
+    factors = _parse_factor_list(args.a_list, "a-list")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     header = ["p"]
@@ -392,21 +382,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Margin-softmax loss family with reward-guided factor search.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON settings file")
-    common.add_argument("--seed", type=int, help="override the experiment seed")
-    common.add_argument("--out", required=True, metavar="DIR", help="run directory")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for candidate training")
+    out_opts = argparse.ArgumentParser(add_help=False)
+    out_opts.add_argument("--out", required=True, metavar="DIR", help="run directory")
 
-    data_opts = argparse.ArgumentParser(add_help=False)
+    data_opts = argparse.ArgumentParser(add_help=False, parents=[out_opts])
+    data_opts.add_argument("--config", metavar="PATH", help="JSON settings file")
+    data_opts.add_argument("--seed", type=int, help="override the experiment seed")
     data_opts.add_argument("--data", metavar="PATH",
                            help="CSV dataset instead of the synthetic default")
     data_opts.add_argument("--reward", choices=REWARD_KINDS,
                            help="validation score driving rewards")
-    data_opts.add_argument("--epochs", type=int, help="override schedule.epochs")
 
-    p = sub.add_parser("train-fixed", parents=[common, data_opts],
+    train_opts = argparse.ArgumentParser(add_help=False, parents=[data_opts])
+    train_opts.add_argument("--epochs", type=int, help="override schedule.epochs")
+
+    p = sub.add_parser("train-fixed", parents=[train_opts],
                        help="train one fixed loss")
     p.add_argument("--loss", choices=list(LOSS_KINDS) + list(LOSS_ALIASES),
                    help="loss family")
@@ -416,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, help="unified modulating factor (<= 0)")
     p.set_defaults(handler=_cmd_train_fixed)
 
-    p = sub.add_parser("search", parents=[common, data_opts],
+    p = sub.add_parser("search", parents=[train_opts],
                        help="reward-guided search over the factor")
     p.add_argument("--population", type=int, help="candidates per epoch")
     p.add_argument("--mu", type=float, help="initial distribution mean")
@@ -425,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform", choices=("identity", "negexp"))
     p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser("random-schedule", parents=[common, data_opts],
+    p = sub.add_parser("random-schedule", parents=[train_opts],
                        help="resample the factor every epoch, no guidance")
     p.add_argument("--mag-lo", dest="mag_lo", type=float,
                    help="low end of the factor magnitude range")
@@ -433,18 +423,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="high end of the factor magnitude range")
     p.set_defaults(handler=_cmd_random_schedule)
 
-    p = sub.add_parser("ablate-a", parents=[common, data_opts],
+    p = sub.add_parser("ablate-a", parents=[train_opts],
                        help="train one fixed factor per listed value")
     p.add_argument("--factors", default=DEFAULT_ABLATION_FACTORS,
                    help="comma-separated factors (all <= 0)")
     p.set_defaults(handler=_cmd_ablate_a)
 
-    p = sub.add_parser("eval", parents=[common, data_opts],
+    p = sub.add_parser("eval", parents=[data_opts],
                        help="evaluate a checkpoint under the configured protocol")
     p.add_argument("--checkpoint", required=True, metavar="PATH")
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("export-curves", parents=[common],
+    p = sub.add_parser("export-curves", parents=[out_opts],
                        help="emit h(a,p) and reduced-probability curves")
     p.add_argument("--a-list", dest="a_list", default=DEFAULT_ABLATION_FACTORS,
                    help="comma-separated factors (all <= 0)")
@@ -455,8 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ field-path diagnostics and echoed back in canonical form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 from .margin_losses import MarginSpec
 from .sgd_trainer import LrSchedule, SgdConfig
@@ -45,7 +46,13 @@ def _get_float(section: dict, path: str, key: str, default):
     value = section.pop(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{path}.{key}", f"must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        _fail(f"{path}.{key}", f"must be finite, got {number!r}")
+    return number
 
 
 def _get_choice(section: dict, path: str, key: str, default, choices):
@@ -125,55 +132,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Canonical echo of the experiment-defining settings."""
-        return {
-            "seed": self.seed,
-            "reward": self.reward,
-            "dataset": {
-                "path": self.dataset.path,
-                "classes": self.dataset.classes,
-                "dim": self.dataset.dim,
-                "samples_per_class": self.dataset.samples_per_class,
-                "noise_sigma": self.dataset.noise_sigma,
-                "train_frac": self.dataset.train_frac,
-                "n_pairs": self.dataset.n_pairs,
-            },
-            "model": {
-                "hidden": list(self.model.hidden),
-                "embedding": self.model.embedding,
-                "scale": self.model.scale,
-            },
-            "sgd": {
-                "learning_rate": self.sgd.learning_rate,
-                "momentum": self.sgd.momentum,
-                "weight_decay": self.sgd.weight_decay,
-                "batch_size": self.sgd.batch_size,
-            },
-            "schedule": {
-                "epochs": self.schedule.epochs,
-                "drop_epochs": list(self.schedule.drop_epochs),
-                "drop_factor": self.schedule.drop_factor,
-            },
-            "loss": {
-                "kind": self.loss.kind,
-                "m1": self.loss.m1,
-                "m2": self.loss.m2,
-                "m3": self.loss.m3,
-                "a": self.loss.a,
-            },
-            "search": {
-                "mu": self.search.mu,
-                "sigma": self.search.sigma,
-                "eta": self.search.eta,
-                "population": self.search.population,
-                "score_grad": self.search.score_grad,
-                "outer": self.search.outer,
-                "transform": self.search.transform,
-            },
-            "random": {
-                "mag_lo": self.random.mag_lo,
-                "mag_hi": self.random.mag_hi,
-            },
-        }
+        return asdict(self)
 
 
 def from_dict(data: dict) -> ExperimentConfig:

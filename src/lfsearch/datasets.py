@@ -4,6 +4,7 @@ identity-disjoint splits, and verification-pair sampling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,10 +135,13 @@ def load_flat_file(path) -> LabeledDataset:
                 raise DataFormatError(
                     f"{path}: line {lineno}: expected {width} columns, got {len(parts)}")
             try:
-                rows.append([float(cell) for cell in parts[:-1]])
+                row = [float(cell) for cell in parts[:-1]]
                 raw_labels.append(int(parts[-1]))
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+            if not all(map(math.isfinite, row)):
+                raise DataFormatError(f"{path}: line {lineno}: non-finite feature value")
+            rows.append(row)
     if not rows:
         raise DataFormatError(f"{path}: file contains no samples")
     remap: dict = {}

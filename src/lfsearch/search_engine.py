@@ -178,7 +178,7 @@ class _AdamState:
 
 def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledDataset,
                val_set: LabeledDataset, val_pairs: PairSet, seed: int,
-               threads: int = 1, on_epoch=None) -> SearchResult:
+               on_epoch=None) -> SearchResult:
     """Reward-guided search over the modulating factor.
 
     Per epoch: sample factors, train one candidate per factor from the current
@@ -205,27 +205,28 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
     for epoch in range(1, settings.epochs + 1):
         epoch_stream = root.child(f"epoch{epoch}")
         start_digest = param_digest(state.model, state.head)
+        current = replace(dist, mu=mu)
         if settings.transform == "negexp":
             drawn = sample_gaussian(epoch_stream.child("factors"), mu, dist.sigma,
                                     dist.population)
             factors = -np.exp(drawn)
         else:
-            drawn = sample_factors(replace(dist, mu=mu), epoch_stream.child("factors"))
+            drawn = sample_factors(current, epoch_stream.child("factors"))
             factors = drawn
         lr = settings.schedule.lr_at(epoch)
         outcomes = train_candidates(state, factors, train_set, settings.sgd, lr,
-                                    epoch_stream, threads=threads)
+                                    epoch_stream)
         raw = np.array([reward(candidate.model, candidate.head, val_set, val_pairs,
                                settings.reward_kind)
                         for candidate, _ in outcomes])
         normalized = normalize_rewards(raw)
-        gradient = mu_gradient(mu, dist.sigma, drawn, normalized)
-        if settings.score_grad == "a":
-            gradient = -gradient
+        # score_grad "a" is the opposite sign convention. Negating the rewards
+        # negates the step exactly, since IEEE negation does not round.
+        signed = -normalized if settings.score_grad == "a" else normalized
         if settings.outer == "adam":
-            mu_after = adam.step(mu, gradient, dist.eta)
+            mu_after = adam.step(mu, mu_gradient(mu, dist.sigma, drawn, signed), dist.eta)
         else:
-            mu_after = mu + dist.eta * gradient
+            mu_after = reinforce_update(current, drawn, signed)
         winner = select_best(raw)
         candidates = tuple(
             CandidateRecord(index=i, factor=float(factors[i]),

@@ -1,11 +1,10 @@
 """Inner-loop optimization: momentum SGD with weight decay, one-epoch
-training passes, and parallel training of factor candidates.
+training passes, and training of factor candidates.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -148,26 +147,17 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
 
 
 def train_candidates(state: TrainState, factors, data: LabeledDataset,
-                     config: SgdConfig, lr: float, epoch_stream: RngStream,
-                     threads: int = 1):
+                     config: SgdConfig, lr: float, epoch_stream: RngStream):
     """Train one epoch per factor, all from the same snapshot and shuffle.
 
     Every candidate trains a private copy of `state` under the unified loss
     with its own factor, consuming the identical shuffle order derived from
-    epoch_stream, so candidates differ only in the factor. Results are ordered
-    by input index regardless of execution order.
+    epoch_stream, so candidates differ only in the factor. Results follow the
+    order of `factors`.
     """
     factors = [float(a) for a in factors]
     require(len(factors) >= 1, "need at least one candidate factor")
     for a in factors:
         require(a <= 0, f"candidate factor {a} is positive; the search space is a <= 0")
-    require(threads >= 1, "threads must be >= 1")
-
-    def run_one(index: int):
-        spec = MarginSpec.unified(factors[index])
-        return train_epoch(state.copy(), spec, data, config, lr, epoch_stream)
-
-    if threads == 1 or len(factors) == 1:
-        return [run_one(i) for i in range(len(factors))]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_one, range(len(factors))))
+    return [train_epoch(state.copy(), MarginSpec.unified(a), data, config, lr, epoch_stream)
+            for a in factors]

@@ -37,6 +37,25 @@ def read_jsonl(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
+def read_xy(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "x,y"
+    return [tuple(float(cell) for cell in line.split(",")) for line in lines[1:]]
+
+
+def check_epoch_files(out, loss_of, epochs=2):
+    """convergence.csv follows the per-epoch loss in metrics.jsonl, and
+    timings.jsonl has one line per epoch."""
+    records = read_jsonl(out / "metrics.jsonl")
+    assert [r["epoch"] for r in records] == list(range(1, epochs + 1))
+    assert read_xy(out / "convergence.csv") == [(float(r["epoch"]), loss_of(r))
+                                                for r in records]
+    timings = read_jsonl(out / "timings.jsonl")
+    assert [t["epoch"] for t in timings] == list(range(1, epochs + 1))
+    assert all(t["seconds"] >= 0.0 for t in timings)
+    return records
+
+
 class TestTrainFixed:
     def test_produces_run_directory(self, tmp_path):
         config = write_config(tmp_path)
@@ -66,6 +85,12 @@ class TestTrainFixed:
         for name in ("config.json", "metrics.jsonl", "model.lfs", "eval.json"):
             assert (out_plain / name).read_bytes() == (out_unified / name).read_bytes()
 
+    def test_curves_follow_metric_stream(self, tmp_path):
+        config = write_config(tmp_path, schedule={"epochs": 3, "drop_epochs": []})
+        out = tmp_path / "run"
+        assert main(["train-fixed", "--config", config, "--out", str(out)]) == 0
+        check_epoch_files(out, lambda r: r["mean_loss"], epochs=3)
+
     def test_rerun_replaces_metrics(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -92,13 +117,11 @@ class TestTrainFixed:
 
 
 class TestSearchCommand:
-    def test_reruns_and_thread_counts_are_byte_identical(self, tmp_path):
+    def test_reruns_are_byte_identical(self, tmp_path):
         config = write_config(tmp_path)
         outs = [tmp_path / name for name in ("a", "b", "c")]
-        assert main(["search", "--config", config, "--out", str(outs[0])]) == 0
-        assert main(["search", "--config", config, "--out", str(outs[1])]) == 0
-        assert main(["search", "--config", config, "--out", str(outs[2]),
-                     "--threads", "4"]) == 0
+        for out in outs:
+            assert main(["search", "--config", config, "--out", str(out)]) == 0
         for name in ("config.json", "metrics.jsonl", "best.lfs", "eval.json",
                      "mu_trajectory.csv", "convergence.csv"):
             blobs = [(out / name).read_bytes() for out in outs]
@@ -119,6 +142,19 @@ class TestSearchCommand:
         for record in records:
             assert record["rewards"][record["winner"]] == max(record["rewards"])
             assert all(a <= 0.0 for a in record["factors"])
+
+    def test_curves_follow_metric_stream(self, tmp_path):
+        # The wide sigma spreads the rewards, so mu moves and a candidate
+        # other than 0 wins at least once.
+        config = write_config(tmp_path, schedule={"epochs": 3, "drop_epochs": []},
+                              search={"population": 2, "sigma": 4.0})
+        out = tmp_path / "run"
+        assert main(["search", "--config", config, "--out", str(out)]) == 0
+        records = check_epoch_files(out, lambda r: r["mean_losses"][r["winner"]], epochs=3)
+        assert any(r["winner"] != 0 for r in records)
+        assert any(r["mu_after"] != r["mu_before"] for r in records)
+        assert read_xy(out / "mu_trajectory.csv") == [(float(r["epoch"]), r["mu_after"])
+                                                      for r in records]
 
     def test_report_carries_search_outcome(self, tmp_path):
         config = write_config(tmp_path)
@@ -141,6 +177,12 @@ class TestRandomSchedule:
             assert record["mode"] == "random"
             assert -10000.0 <= record["a"] <= -1.0
         assert (out / "model.lfs").exists()
+
+    def test_curves_follow_metric_stream(self, tmp_path):
+        config = write_config(tmp_path, schedule={"epochs": 3, "drop_epochs": []})
+        out = tmp_path / "run"
+        assert main(["random-schedule", "--config", config, "--out", str(out)]) == 0
+        check_epoch_files(out, lambda r: r["mean_loss"], epochs=3)
 
     def test_collapsed_range_pins_factor_to_zero(self, tmp_path):
         config = write_config(tmp_path)
@@ -207,10 +249,21 @@ class TestEvalCommand:
         out = tmp_path / "run"
         assert main(["train-fixed", "--config", config, "--out", str(out)]) == 0
         bad = tmp_path / "bad.csv"
-        bad.write_text("1.0,oops\n", encoding="utf-8")
-        assert main(["eval", "--config", config, "--out", str(tmp_path / "x"),
-                     "--checkpoint", str(out / "model.lfs"),
-                     "--data", str(bad)]) == 3
+        for body in ("1.0,oops\n", "1.0,0\nnan,1\n", "inf,0\n"):
+            bad.write_text(body, encoding="utf-8")
+            assert main(["eval", "--config", config, "--out", str(tmp_path / "x"),
+                         "--checkpoint", str(out / "model.lfs"),
+                         "--data", str(bad)]) == 3
+
+    def test_input_dim_mismatch_is_a_data_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train-fixed", "--config", config, "--out", str(out)]) == 0
+        wider = write_config(tmp_path, "wider.json", dataset={"dim": 12})
+        assert main(["eval", "--config", wider, "--out", str(tmp_path / "x"),
+                     "--checkpoint", str(out / "model.lfs")]) == 3
+        assert "feature dim 12 does not match the checkpoint input dim 8" \
+            in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -235,12 +288,22 @@ class TestExitCodes:
         assert main(["train-fixed", "--config", config,
                      "--out", str(tmp_path / "x")]) == 2
 
-    def test_threads_below_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["train-fixed", "--loss", "unified", "--a", "nan"],
+        ["train-fixed", "--loss", "unified", "--a=-inf"],
+        ["search", "--mu", "nan"],
+        ["ablate-a", "--factors", "0,nan"],
+        ["ablate-a", "--factors=-inf"],
+    ])
+    def test_non_finite_flag(self, tmp_path, capsys, argv):
         config = write_config(tmp_path)
-        for command, threads in (("search", "0"), ("train-fixed", "-3")):
-            assert main([command, "--config", config, "--out", str(tmp_path / "x"),
-                         "--threads", threads]) == 2
-            assert "config error: --threads must be >= 1" in capsys.readouterr().err
+        assert main(argv + ["--config", config, "--out", str(tmp_path / "x")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_non_finite_config_value(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"search": {"mu": NaN}}', encoding="utf-8")
+        assert main(["search", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
 
     def test_missing_data_file(self, tmp_path):
         config = write_config(tmp_path)
@@ -276,3 +339,20 @@ class TestExportCurves:
     def test_empty_list_rejected(self, tmp_path):
         assert main(["export-curves", "--out", str(tmp_path / "x"),
                      "--a-list", ","]) == 2
+
+    def test_non_finite_factor_rejected(self, tmp_path):
+        assert main(["export-curves", "--out", str(tmp_path / "x"),
+                     "--a-list", "0,nan"]) == 2
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["export-curves", "--config", "does-not-exist.json"],
+        ["export-curves", "--seed", "3"],
+        ["eval", "--checkpoint", "model.lfs", "--epochs", "3"],
+        ["search", "--threads", "2"],
+    ])
+    def test_rejects_flags_the_command_does_not_read(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2

@@ -105,6 +105,13 @@ class TestRejection:
             {"search": {"score_grad": "nope"}},
             {"random": {"mag_lo": 0.0, "mag_hi": 5.0}},
             {"random": {"mag_lo": 5.0, "mag_hi": 2.0}},
+            {"search": {"mu": float("nan")}},
+            {"search": {"eta": float("inf")}},
+            {"loss": {"kind": "unified", "a": float("nan")}},
+            {"loss": {"kind": "unified", "a": float("-inf")}},
+            {"sgd": {"learning_rate": float("nan")}},
+            {"random": {"mag_hi": float("inf")}},
+            {"search": {"mu": -10 ** 400}},
         ]
         for tree in bad:
             with pytest.raises(ConfigError):

@@ -135,9 +135,10 @@ class TestFlatFile:
 
     def test_non_numeric_cell_reports_line(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("1.0,0\nfoo,1\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="line 2"):
-            load_flat_file(path)
+        for cell in ("foo", "nan", "inf", "-inf"):
+            path.write_text(f"1.0,0\n{cell},1\n", encoding="utf-8")
+            with pytest.raises(DataFormatError, match="line 2"):
+                load_flat_file(path)
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "data.csv"

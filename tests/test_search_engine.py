@@ -188,16 +188,6 @@ class TestRunSearch:
         assert param_digest(a.best_state.model, a.best_state.head) == \
             param_digest(b.best_state.model, b.best_state.head)
 
-    def test_thread_count_does_not_change_results(self):
-        train, val, pairs, state = search_fixture(seed=1)
-        settings = default_settings(distribution=SearchDistribution(
-            mu=-10.0, sigma=0.2, eta=0.05, population=4))
-        serial = run_search(settings, state, train, val, pairs, seed=8, threads=1)
-        threaded = run_search(settings, state, train, val, pairs, seed=8, threads=4)
-        assert serial.history == threaded.history
-        assert param_digest(serial.best_state.model, serial.best_state.head) == \
-            param_digest(threaded.best_state.model, threaded.best_state.head)
-
     def test_winner_broadcast_chains_digests(self):
         train, val, pairs, state = search_fixture(seed=2)
         result = run_search(default_settings(), state, train, val, pairs, seed=9)

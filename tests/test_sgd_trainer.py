@@ -199,25 +199,12 @@ class TestTrainCandidates:
         assert param_digest(cand_state.model, cand_state.head) == \
             param_digest(direct_state.model, direct_state.head)
 
-    def test_thread_count_does_not_change_bytes(self):
-        data, state = small_problem(seed=8)
-        config = SgdConfig(batch_size=8)
-        factors = [0.0, -1.0, -10.0, -100.0]
-        serial = train_candidates(state, factors, data, config, 0.05,
-                                  RngStream(10, "epoch"), threads=1)
-        threaded = train_candidates(state, factors, data, config, 0.05,
-                                    RngStream(10, "epoch"), threads=4)
-        for (s_state, s_loss), (t_state, t_loss) in zip(serial, threaded):
-            assert s_loss == t_loss
-            assert param_digest(s_state.model, s_state.head) == \
-                param_digest(t_state.model, t_state.head)
-
     def test_results_follow_input_order(self):
         data, state = small_problem(seed=9)
         config = SgdConfig(batch_size=8)
         factors = [0.0, -50.0]
         both = train_candidates(state, factors, data, config, 0.05,
-                                RngStream(11, "epoch"), threads=2)
+                                RngStream(11, "epoch"))
         solo = [train_candidates(state, [a], data, config, 0.05,
                                  RngStream(11, "epoch"))[0] for a in factors]
         for (got_state, got_loss), (want_state, want_loss) in zip(both, solo):
@@ -229,7 +216,7 @@ class TestTrainCandidates:
         data, state = small_problem(seed=10)
         before = param_digest(state.model, state.head)
         train_candidates(state, [-1.0, -2.0], data, SgdConfig(batch_size=8),
-                         0.05, RngStream(12, "epoch"), threads=2)
+                         0.05, RngStream(12, "epoch"))
         assert param_digest(state.model, state.head) == before
 
     def test_validation(self):
@@ -239,6 +226,3 @@ class TestTrainCandidates:
             train_candidates(state, [], data, config, 0.05, RngStream(13, "epoch"))
         with pytest.raises(ContractViolation):
             train_candidates(state, [0.5], data, config, 0.05, RngStream(13, "epoch"))
-        with pytest.raises(ContractViolation):
-            train_candidates(state, [-1.0], data, config, 0.05,
-                             RngStream(13, "epoch"), threads=0)
