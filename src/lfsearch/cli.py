@@ -307,16 +307,23 @@ def _parse_factor_list(text: str, field: str) -> list:
 
 def _cmd_ablate_a(args) -> int:
     factors = _parse_factor_list(args.factors, "factors")
+    run_dirs = {}
+    for value in factors:
+        name = f"a_{value:g}"
+        if name in run_dirs:
+            raise ConfigError(f"factors: {run_dirs[name]!r} and {value!r} "
+                              f"would share the run directory {name}")
+        run_dirs[name] = value
     config = _resolve_config(args)
     base = Path(args.out)
     base.mkdir(parents=True, exist_ok=True)
     summary = []
-    for value in factors:
+    for name, value in run_dirs.items():
         tree = config.to_dict()
         tree["loss"]["kind"] = "unified"
         tree["loss"]["a"] = value
         sub_config = from_dict(tree)
-        report = _run_fixed(sub_config, base / f"a_{value:g}")
+        report = _run_fixed(sub_config, base / name)
         summary.append({"a": value,
                         "verification_accuracy": report["verification_accuracy"],
                         "rank1": report["rank1"],

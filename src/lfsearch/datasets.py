@@ -187,6 +187,12 @@ def split_open_set(dataset: LabeledDataset, train_frac: float, seed: int):
     return train, held_out
 
 
+def _label_groups(labels: np.ndarray):
+    """Sample indices ordered by label, ascending within each identity (a
+    stable sort), plus the sample count of every identity."""
+    return np.argsort(labels, kind="stable"), np.bincount(labels)
+
+
 def split_closed_set(dataset: LabeledDataset, train_frac: float, seed: int):
     """Partition samples within every identity; both sides keep all identities.
 
@@ -195,10 +201,10 @@ def split_closed_set(dataset: LabeledDataset, train_frac: float, seed: int):
     """
     require(0.0 < train_frac < 1.0, "train_frac must lie in (0, 1)")
     gen = RngStream(seed, "closed-split").generator()
+    by_label, counts = _label_groups(dataset.labels)
     train_parts = []
     eval_parts = []
-    for identity in range(dataset.identity_count):
-        members = np.flatnonzero(dataset.labels == identity)
+    for identity, members in enumerate(np.split(by_label, np.cumsum(counts)[:-1])):
         n_train = int(members.size * train_frac)
         require(n_train >= 1 and members.size - n_train >= 1,
                 f"identity {identity} has {members.size} samples, too few to split")
@@ -214,24 +220,40 @@ def split_closed_set(dataset: LabeledDataset, train_frac: float, seed: int):
 def make_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairSet:
     """Sample n_pairs/2 same-identity and n_pairs/2 different-identity pairs.
 
-    Pairs are drawn without replacement from the full enumeration of index
-    pairs, so a request larger than either pool is refused.
+    The draws are defined over the enumeration of index pairs (i, j), i < j,
+    in row-major (`np.triu_indices`) order: each pool is that enumeration's
+    same- or different-identity subsequence, and a seeded permutation of the
+    pool picks its pairs without replacement, so a request larger than either
+    pool is refused. The enumeration is not materialised: only the
+    same-identity positions are listed, and a different-identity rank maps to
+    its position by counting the same-identity positions below it.
     """
     require(n_pairs >= 2 and n_pairs % 2 == 0, "n_pairs must be even and >= 2")
     half = n_pairs // 2
     n = dataset.sample_count
     require(n >= 2, "need at least two samples to form pairs")
-    left, right = np.triu_indices(n, k=1)
-    same_mask = dataset.labels[left] == dataset.labels[right]
-    pools = {"same": np.flatnonzero(same_mask), "diff": np.flatnonzero(~same_mask)}
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * n - rows * (rows + 1) // 2  # position of pair (i, i+1)
+    # Each sample in label order pairs with the later members of its identity.
+    order, counts = _label_groups(dataset.labels)
+    partners = np.repeat(np.cumsum(counts), counts) - rows - 1
+    low = np.repeat(rows, partners)
+    run_start = np.repeat(np.cumsum(partners) - partners, partners)
+    high = low + 1 + np.arange(low.size) - run_start
+    i, j = order[low], order[high]
+    same_lin = np.sort(row_start[i] + (j - i - 1))
+    sizes = {"same": same_lin.size, "diff": n * (n - 1) // 2 - same_lin.size}
     stream = RngStream(seed, "pairs")
-    chosen = {}
-    for name, pool in pools.items():
-        require(pool.size >= half,
-                f"requested {half} {name} pairs but only {pool.size} exist")
-        order = stream.child(name).generator().permutation(pool.size)
-        chosen[name] = pool[order[:half]]
-    picks = np.concatenate([chosen["same"], chosen["diff"]])
+    ranks = {}
+    for name, size in sizes.items():
+        require(size >= half, f"requested {half} {name} pairs but only {size} exist")
+        ranks[name] = stream.child(name).generator().permutation(size)[:half]
+    # The r-th different pair sits after every same pair s_k with s_k - k <= r.
+    diff_lin = ranks["diff"] + np.searchsorted(
+        same_lin - np.arange(same_lin.size), ranks["diff"], side="right")
+    picks = np.concatenate([same_lin[ranks["same"]], diff_lin])
+    first = np.searchsorted(row_start, picks, side="right") - 1
+    second = picks - row_start[first] + first + 1
     flags = np.zeros(n_pairs, dtype=bool)
     flags[:half] = True
-    return PairSet(left[picks], right[picks], flags)
+    return PairSet(first, second, flags)

@@ -148,16 +148,25 @@ def rank1_identification(gallery_embeddings: np.ndarray, gallery_labels: np.ndar
     """Rank-1 accuracy plus the full CMC curve.
 
     Gallery entries are ranked by cosine similarity per probe; similarity ties
-    keep gallery order, so results are deterministic.
+    keep gallery order and NaN similarities rank last, so results are
+    deterministic. A probe's hit rank is counted, not sorted: the entries
+    ranked ahead of its own identity's entry.
     """
     gallery_labels = np.asarray(gallery_labels, dtype=np.int64)
     probe_labels = np.asarray(probe_labels, dtype=np.int64)
-    sims = probe_embeddings @ gallery_embeddings.T
-    ranked = gallery_labels[np.argsort(-sims, axis=1, kind="stable")]
-    hits = ranked == probe_labels[:, None]
+    require(np.unique(gallery_labels).size == gallery_labels.size,
+            "gallery labels must be unique")
+    hits = probe_labels[:, None] == gallery_labels
     require(bool(hits.any(axis=1).all()), "every probe label must appear in the gallery")
-    first_hit = np.argmax(hits, axis=1)
-    counts = np.bincount(first_hit, minlength=gallery_labels.size)
+    target = np.argmax(hits, axis=1)
+    sims = probe_embeddings @ gallery_embeddings.T
+    own = sims[np.arange(probe_labels.size), target][:, None]
+    earlier = np.arange(gallery_labels.size) < target[:, None]
+    ahead = (sims > own) | ((sims == own) & earlier)
+    nan_own = np.isnan(own[:, 0])
+    if nan_own.any():  # NaN ranks behind every number and every earlier NaN
+        ahead[nan_own] = ~np.isnan(sims[nan_own]) | earlier[nan_own]
+    counts = np.bincount(ahead.sum(axis=1), minlength=gallery_labels.size)
     cmc = np.cumsum(counts) / probe_labels.size
     return float(cmc[0]), tuple(float(v) for v in cmc)
 

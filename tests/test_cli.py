@@ -213,6 +213,20 @@ class TestAblate:
         assert main(["ablate-a", "--config", config, "--out", str(tmp_path / "x"),
                      "--factors", "0,5"]) == 2
 
+    @pytest.mark.parametrize("factors, named", [
+        ("-1e-7,-1.0000001e-7", "-1e-07 and -1.0000001e-07"),
+        ("0,-10,-10", "-10.0 and -10.0"),
+    ])
+    def test_factors_sharing_a_run_directory(self, tmp_path, capsys, factors, named):
+        # "a_{value:g}" prints both factors alike; the later run would
+        # overwrite the earlier one while summary.json listed both.
+        config = write_config(tmp_path)
+        out = tmp_path / "x"
+        assert main(["ablate-a", "--config", config, "--out", str(out),
+                     f"--factors={factors}"]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_reproduces_training_evaluation(self, tmp_path):

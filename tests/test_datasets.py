@@ -2,6 +2,8 @@
 flat-file round-trips, identity splits, and pair sampling.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from lfsearch.datasets import (
     split_closed_set,
     split_open_set,
 )
+from lfsearch.numerics import RngStream
 
 
 def small_synthetic(seed=0, classes=8, dim=16, spc=10, noise=0.2):
@@ -249,7 +252,78 @@ class TestSplitClosedSet:
             split_closed_set(data, 0.5, seed=0)
 
 
+def oracle_make_pairs(dataset, n_pairs, seed):
+    """The sampler's definition, materialised: enumerate every index pair in
+    np.triu_indices order, split the enumeration into same/different pools,
+    and take the first half of a seeded permutation of each pool."""
+    half = n_pairs // 2
+    left, right = np.triu_indices(dataset.sample_count, k=1)
+    same_mask = dataset.labels[left] == dataset.labels[right]
+    pools = {"same": np.flatnonzero(same_mask), "diff": np.flatnonzero(~same_mask)}
+    stream = RngStream(seed, "pairs")
+    chosen = {}
+    for name, pool in pools.items():
+        if pool.size < half:
+            return name
+        order = stream.child(name).generator().permutation(pool.size)
+        chosen[name] = pool[order[:half]]
+    picks = np.concatenate([chosen["same"], chosen["diff"]])
+    return left[picks], right[picks], np.arange(n_pairs) < half
+
+
+def random_label_layouts(rng, trials):
+    """Dense label arrays: mixed sizes, all singletons but one pair, one
+    large identity among singletons, and n = 2."""
+    yield np.array([0, 0])
+    yield np.array([0, 1, 1])
+    for trial in range(trials):
+        n = int(rng.integers(3, 80))
+        kind = trial % 3
+        if kind == 0:
+            raw = rng.integers(0, int(rng.integers(1, 10)), n)
+        elif kind == 1:
+            raw = np.arange(n)
+            raw[rng.choice(n, 2, replace=False)] = -1
+        else:
+            raw = np.where(rng.random(n) < 0.6, -1, np.arange(n))
+        yield np.unique(raw, return_inverse=True)[1]
+
+
 class TestMakePairs:
+    def test_matches_the_enumeration(self):
+        rng = np.random.default_rng(7)
+        for trial, labels in enumerate(random_label_layouts(rng, trials=150)):
+            data = LabeledDataset(np.zeros((labels.size, 1)), labels)
+            same = int(sum(c * (c - 1) // 2 for c in np.bincount(labels)))
+            smaller = min(same, labels.size * (labels.size - 1) // 2 - same)
+            # Alternate a request of exactly the smaller pool with a random one
+            # that may exceed it.
+            half = smaller if trial % 2 == 0 else int(rng.integers(1, smaller + 3))
+            n_pairs = 2 * max(half, 1)
+            expected = oracle_make_pairs(data, n_pairs, seed=trial)
+            if isinstance(expected, str):
+                with pytest.raises(ContractViolation, match=expected):
+                    make_pairs(data, n_pairs, seed=trial)
+                continue
+            pairs = make_pairs(data, n_pairs, seed=trial)
+            assert np.array_equal(pairs.first, expected[0])
+            assert np.array_equal(pairs.second, expected[1])
+            assert np.array_equal(pairs.same, expected[2])
+
+    def test_peak_memory_stays_below_the_enumeration(self):
+        # 2,000 samples: 1,999,000 index pairs. The enumeration holds about
+        # 66 MB at its peak; the sampler holds the 8 B/pair permutation of
+        # the different pool, about 16 MB.
+        labels = np.arange(2000) % 250
+        data = LabeledDataset(np.zeros((labels.size, 1)), labels)
+        tracemalloc.start()
+        try:
+            make_pairs(data, 2000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
     def test_half_same_half_different(self):
         data = traceable_dataset()
         pairs = make_pairs(data, 40, seed=0)

@@ -98,6 +98,17 @@ def oracle_rank1(gallery_emb, gallery_labels, probe_emb, probe_labels):
     return hits / probe_emb.shape[0]
 
 
+def oracle_cmc(gallery_emb, gallery_labels, probe_emb, probe_labels):
+    """Rank-1 and CMC from a full stable sort of every probe's gallery row
+    (NaN similarities sort last)."""
+    sims = probe_emb @ gallery_emb.T
+    ranked = gallery_labels[np.argsort(-sims, axis=1, kind="stable")]
+    hits = ranked == probe_labels[:, None]
+    counts = np.bincount(np.argmax(hits, axis=1), minlength=gallery_labels.size)
+    cmc = np.cumsum(counts) / probe_labels.size
+    return float(cmc[0]), tuple(float(v) for v in cmc)
+
+
 def oracle_tpr_at_far(positives, negatives, far):
     """Exhaustive scan: max TPR over thresholds keeping FA fraction <= far."""
     best = -1.0
@@ -242,6 +253,24 @@ class TestRank1Identification:
             assert rank1 == oracle_rank1(g_emb, g_lab, p_emb, p_lab)
             assert cmc[0] == rank1
 
+    @pytest.mark.parametrize("kind", ["plain", "tie-heavy", "nan"])
+    def test_cmc_matches_stable_sort(self, kind):
+        rng = np.random.default_rng({"plain": 11, "tie-heavy": 12, "nan": 13}[kind])
+        for trial in range(60):
+            n_gallery = int(rng.integers(1, 30))
+            n_probes = int(rng.integers(1, 50))
+            g_emb = l2_normalize_rows(rng.normal(0.0, 1.0, (n_gallery, 3)))
+            p_emb = l2_normalize_rows(rng.normal(0.0, 1.0, (n_probes, 3)))
+            if kind == "tie-heavy":
+                g_emb, p_emb = np.round(g_emb), np.round(p_emb)
+            elif kind == "nan":
+                g_emb[rng.random(g_emb.shape) < 0.05] = np.nan
+                p_emb[rng.random(p_emb.shape) < 0.05] = np.nan
+            g_lab = rng.permutation(3 * n_gallery)[:n_gallery]
+            p_lab = g_lab[rng.integers(0, n_gallery, n_probes)]
+            assert (rank1_identification(g_emb, g_lab, p_emb, p_lab)
+                    == oracle_cmc(g_emb, g_lab, p_emb, p_lab))
+
     def test_cmc_is_monotone_and_ends_at_one(self):
         rng = np.random.default_rng(6)
         g_emb = l2_normalize_rows(rng.normal(0.0, 1.0, (6, 4)))
@@ -270,6 +299,10 @@ class TestRank1Identification:
         g_emb = np.eye(2)
         with pytest.raises(ContractViolation):
             rank1_identification(g_emb, np.array([0, 1]), np.eye(2), np.array([0, 5]))
+
+    def test_gallery_labels_must_be_unique(self):
+        with pytest.raises(ContractViolation, match="unique"):
+            rank1_identification(np.eye(2), np.array([1, 1]), np.eye(2), np.array([1, 1]))
 
 
 class TestTprAtFar:
