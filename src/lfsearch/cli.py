@@ -3,7 +3,8 @@
 Subcommands: train-fixed, search, random-schedule, ablate-a, eval,
 export-curves. Every run directory gets the resolved config, an append-only
 metric stream, checkpoints, and plot-ready CSV curves. Exit codes: 0 success,
-2 config error, 3 data/format error, 1 internal error.
+1 internal error, 2 config error, 3 data/format error, 4 training went
+non-finite (metrics.jsonl keeps the epochs that completed).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .margin_losses import modulating_function
 from .numerics import RngStream
 from .runio import MetricsWriter, dumps, format_float, run_id, write_xy_csv
 from .search_engine import SearchSettings, run_random_schedule, run_search
-from .sgd_trainer import TrainState, train_epoch
+from .sgd_trainer import NonFiniteTrainingError, TrainState, train_epoch
 
 DEFAULT_ABLATION_FACTORS = "0,-1,-10,-100,-1000,-10000"
 FAR_LADDER = (0.1, 0.01, 0.001, 0.0001, 1e-05, 1e-06)
@@ -459,6 +460,9 @@ def main(argv=None) -> int:
     except (DataFormatError, CheckpointFormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except NonFiniteTrainingError as exc:
+        print(f"training error: {exc}", file=sys.stderr)
+        return 4
     except ContractViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

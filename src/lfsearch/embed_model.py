@@ -27,9 +27,6 @@ class EmbeddingModel:
     def layer_dims(self):
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
-    def copy(self) -> "EmbeddingModel":
-        return EmbeddingModel([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 @dataclass
 class ClassifierHead:
@@ -38,15 +35,38 @@ class ClassifierHead:
     class_weights: np.ndarray
     scale: float
 
-    def copy(self) -> "ClassifierHead":
-        return ClassifierHead(self.class_weights.copy(), self.scale)
+
+def _map_parameters(fn, model: EmbeddingModel, head: ClassifierHead):
+    """Model and head built from fn applied to each parameter array.
+
+    This is the one statement of the parameter layout: fn sees the arrays in
+    LFS1 checkpoint order, w0, b0, w1, b1, ..., then the head rows.
+    """
+    weights, biases = [], []
+    for w, b in zip(model.weights, model.biases):
+        weights.append(fn(w))
+        biases.append(fn(b))
+    return EmbeddingModel(weights, biases), ClassifierHead(fn(head.class_weights), head.scale)
 
 
-@dataclass
-class Gradients:
-    weights: list
-    biases: list
-    class_weights: np.ndarray
+def flatten(model: EmbeddingModel, head: ClassifierHead) -> np.ndarray:
+    """Every parameter in one new float64 vector, in the layout order."""
+    parts = []
+    _map_parameters(lambda a: parts.append(a.ravel()), model, head)
+    return np.concatenate(parts, dtype=np.float64)
+
+
+def unflatten(flat: np.ndarray, model: EmbeddingModel, head: ClassifierHead):
+    """A model and head shaped like the given ones whose arrays are views of
+    flat, so writing through either side changes the other."""
+    offset = 0
+
+    def view(a):
+        nonlocal offset
+        offset += a.size
+        return flat[offset - a.size:offset].reshape(a.shape)
+
+    return _map_parameters(view, model, head)
 
 
 @dataclass
@@ -123,8 +143,9 @@ def _normalize_backward(d_unit, unit, raw_norms):
     return np.where(safe[:, None], d_raw, d_unit / NORM_EPSILON)
 
 
-def backward(cache: ForwardCache, d_cosines: np.ndarray) -> Gradients:
-    """Exact parameter gradients given d loss / d cosines from the matching forward."""
+def backward(cache: ForwardCache, d_cosines: np.ndarray) -> np.ndarray:
+    """Exact parameter gradients given d loss / d cosines from the matching
+    forward, as one flat vector in the flatten() layout."""
     dcos = np.asarray(d_cosines, dtype=np.float64)
     require(dcos.shape == cache.cosines.shape, "backward: upstream gradient shape mismatch")
     d_emb_unit = dcos @ cache.head_unit
@@ -143,4 +164,4 @@ def backward(cache: ForwardCache, d_cosines: np.ndarray) -> Gradients:
         grads_b[l] = dpre.sum(axis=0)
         if l > 0:
             d_out = dpre @ model.weights[l]
-    return Gradients(grads_w, grads_b, d_head)
+    return flatten(EmbeddingModel(grads_w, grads_b), ClassifierHead(d_head, cache.head.scale))

@@ -194,10 +194,10 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
     dist = settings.distribution
     mu = dist.mu
     root = RngStream(seed, "search")
-    state = state0.copy()
+    state = state0
     adam = _AdamState()
     history = []
-    best_state = state0.copy()
+    best_state = state0
     best_reward: float | None = None
     best_epoch = 0
     best_candidate: int | None = None
@@ -249,7 +249,7 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
             best_reward = float(raw[winner])
             best_epoch = epoch
             best_candidate = winner
-            best_state = state.copy()
+            best_state = state
         mu = mu_after
         if on_epoch is not None:
             on_epoch(record, state)
@@ -275,7 +275,7 @@ def run_random_schedule(epochs: int, state0: TrainState, train_set: LabeledDatas
     require(collapsed or 0.0 < mag_lo <= mag_hi,
             "factor magnitude range must satisfy 0 < mag_lo <= mag_hi, or be {0}")
     root = RngStream(seed, "random")
-    state = state0.copy()
+    state = state0
     history = []
     for epoch in range(1, epochs + 1):
         epoch_stream = root.child(f"epoch{epoch}")

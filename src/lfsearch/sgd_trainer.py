@@ -5,13 +5,14 @@ training passes, and training of factor candidates.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .contracts import require
 from .datasets import LabeledDataset
-from .embed_model import ClassifierHead, EmbeddingModel, Gradients, backward, forward
+from .embed_model import ClassifierHead, EmbeddingModel, backward, flatten, forward, unflatten
 from .margin_losses import MarginKind, MarginSpec, batch_loss_and_grad, margin_transform_batch
 from .numerics import RngStream
 
@@ -20,6 +21,10 @@ logger = logging.getLogger(__name__)
 # Margin kinds that pass through arccos and can overshoot the target cosine
 # at large angles, turning the implied modulating factor positive.
 _ANGULAR_KINDS = (MarginKind.ANGULAR, MarginKind.ADDITIVE_ANGULAR, MarginKind.COMBINED)
+
+
+class NonFiniteTrainingError(Exception):
+    """A training epoch left a non-finite parameter or mean loss."""
 
 
 @dataclass(frozen=True)
@@ -62,67 +67,47 @@ class LrSchedule:
 
 @dataclass(frozen=True)
 class TrainState:
-    """Model parameters plus momentum buffers and the epoch counter."""
+    """All parameters as one flat vector, with model and head as views of it,
+    the momentum vector in the same layout, and the epoch counter."""
 
+    params: np.ndarray
+    velocity: np.ndarray
     model: EmbeddingModel
     head: ClassifierHead
-    velocity_weights: list
-    velocity_biases: list
-    velocity_head: np.ndarray
     epoch: int = 0
 
     @classmethod
     def fresh(cls, model: EmbeddingModel, head: ClassifierHead) -> "TrainState":
-        return cls(model=model, head=head,
-                   velocity_weights=[np.zeros_like(w) for w in model.weights],
-                   velocity_biases=[np.zeros_like(b) for b in model.biases],
-                   velocity_head=np.zeros_like(head.class_weights),
-                   epoch=0)
+        params = flatten(model, head)
+        return cls(params, np.zeros_like(params), *unflatten(params, model, head))
 
     def copy(self) -> "TrainState":
-        return TrainState(model=self.model.copy(), head=self.head.copy(),
-                          velocity_weights=[v.copy() for v in self.velocity_weights],
-                          velocity_biases=[v.copy() for v in self.velocity_biases],
-                          velocity_head=self.velocity_head.copy(),
-                          epoch=self.epoch)
+        params = self.params.copy()
+        return TrainState(params, self.velocity.copy(),
+                          *unflatten(params, self.model, self.head), self.epoch)
 
 
-def _step_array(param, velocity, grad, config: SgdConfig, lr: float):
-    require(param.shape == grad.shape, "gradient shape does not match parameter shape")
-    new_velocity = config.momentum * velocity + (grad + config.weight_decay * param)
-    return param - lr * new_velocity, new_velocity
-
-
-def sgd_step(state: TrainState, grads: Gradients, config: SgdConfig, lr: float) -> TrainState:
-    """One momentum-SGD update with the L2 term folded into the gradient."""
-    require(len(grads.weights) == len(state.model.weights),
-            "gradient layer count does not match the model")
-    new_weights, new_vw = [], []
-    for w, v, g in zip(state.model.weights, state.velocity_weights, grads.weights):
-        stepped, vel = _step_array(w, v, g, config, lr)
-        new_weights.append(stepped)
-        new_vw.append(vel)
-    new_biases, new_vb = [], []
-    for b, v, g in zip(state.model.biases, state.velocity_biases, grads.biases):
-        stepped, vel = _step_array(b, v, g, config, lr)
-        new_biases.append(stepped)
-        new_vb.append(vel)
-    head_w, head_v = _step_array(state.head.class_weights, state.velocity_head,
-                                 grads.class_weights, config, lr)
-    return TrainState(model=EmbeddingModel(new_weights, new_biases),
-                      head=ClassifierHead(head_w, state.head.scale),
-                      velocity_weights=new_vw, velocity_biases=new_vb,
-                      velocity_head=head_v, epoch=state.epoch)
+def sgd_step(state: TrainState, grads: np.ndarray, config: SgdConfig, lr: float) -> TrainState:
+    """One momentum-SGD update, in place, with the L2 term folded into the
+    gradient: v = momentum * v + (g + weight_decay * w), then w = w - lr * v."""
+    require(grads.shape == state.params.shape, "gradient size does not match the parameters")
+    w, v = state.params, state.velocity
+    v *= config.momentum
+    v += grads + config.weight_decay * w
+    w -= lr * v
+    return state
 
 
 def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
                 config: SgdConfig, lr: float, stream: RngStream):
-    """One shuffled pass over the dataset.
+    """One shuffled pass over the dataset, on a copy of the input state.
 
     Returns the updated state and the mean per-sample loss, each sample's loss
-    taken at the moment its batch was processed.
+    taken at the moment its batch was processed. Raises
+    NonFiniteTrainingError when a parameter or the mean loss ends non-finite.
     """
     require(data.sample_count >= 1, "dataset must be non-empty")
+    state = state.copy()
     order = stream.child("shuffle").generator().permutation(data.sample_count)
     total_loss = 0.0
     warned = False
@@ -140,10 +125,14 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
                     "the implied modulating factor is positive there", overshoot)
                 warned = True
         losses, d_cosines = batch_loss_and_grad(loss, cosines, labels, state.head.scale)
-        grads = backward(cache, d_cosines / batch_idx.size)
-        state = sgd_step(state, grads, config, lr)
+        sgd_step(state, backward(cache, d_cosines / batch_idx.size), config, lr)
         total_loss += float(losses.sum())
-    return replace(state, epoch=state.epoch + 1), total_loss / data.sample_count
+    mean_loss = total_loss / data.sample_count
+    if not (np.isfinite(state.params).all() and math.isfinite(mean_loss)):
+        factor = f" at a={loss.a:g}" if loss.kind is MarginKind.UNIFIED else ""
+        raise NonFiniteTrainingError(f"training went non-finite in epoch {state.epoch + 1}"
+                                     f"{factor}: mean loss {mean_loss}")
+    return replace(state, epoch=state.epoch + 1), mean_loss
 
 
 def train_candidates(state: TrainState, factors, data: LabeledDataset,
@@ -159,5 +148,5 @@ def train_candidates(state: TrainState, factors, data: LabeledDataset,
     require(len(factors) >= 1, "need at least one candidate factor")
     for a in factors:
         require(a <= 0, f"candidate factor {a} is positive; the search space is a <= 0")
-    return [train_epoch(state.copy(), MarginSpec.unified(a), data, config, lr, epoch_stream)
+    return [train_epoch(state, MarginSpec.unified(a), data, config, lr, epoch_stream)
             for a in factors]

@@ -5,6 +5,7 @@ with the measured quantities.  The directional training comparisons
 (criteria 6-8) share their expensive runs through a module-level cache.
 """
 
+import copy
 import json
 import math
 import statistics
@@ -18,7 +19,7 @@ from lfsearch.checkpoint import (CheckpointFormatError, param_digest,
 from lfsearch.cli import main
 from lfsearch.datasets import (PairSet, SyntheticSpec, generate_synthetic,
                                make_pairs, split_open_set)
-from lfsearch.embed_model import backward, forward, init_model
+from lfsearch.embed_model import backward, forward, init_model, unflatten
 from lfsearch.eval_protocols import (embed_all, make_gallery_probe,
                                      pair_similarities, rank1_identification,
                                      reward, tpr_at_far, verification_accuracy)
@@ -264,35 +265,35 @@ class TestGradients:
 
             cos, cache = forward(model, head, inputs)
             _, dcos = batch_loss_and_grad(spec, cos, labels, scale)
-            grads = backward(cache, dcos / batch)
+            grad_model, grad_head = unflatten(backward(cache, dcos / batch), model, head)
             analytic = []
             numeric = []
             for layer, w in enumerate(model.weights):
                 for idx in np.ndindex(w.shape):
-                    probe = model.copy()
+                    probe = copy.deepcopy(model)
                     probe.weights[layer][idx] += eps
                     up = objective(probe, head)
                     probe.weights[layer][idx] -= 2 * eps
                     down = objective(probe, head)
                     numeric.append((up - down) / (2 * eps))
-                    analytic.append(grads.weights[layer][idx])
+                    analytic.append(grad_model.weights[layer][idx])
             for layer, b in enumerate(model.biases):
                 for idx in np.ndindex(b.shape):
-                    probe = model.copy()
+                    probe = copy.deepcopy(model)
                     probe.biases[layer][idx] += eps
                     up = objective(probe, head)
                     probe.biases[layer][idx] -= 2 * eps
                     down = objective(probe, head)
                     numeric.append((up - down) / (2 * eps))
-                    analytic.append(grads.biases[layer][idx])
+                    analytic.append(grad_model.biases[layer][idx])
             for idx in np.ndindex(head.class_weights.shape):
-                probe = head.copy()
+                probe = copy.deepcopy(head)
                 probe.class_weights[idx] += eps
                 up = objective(model, probe)
                 probe.class_weights[idx] -= 2 * eps
                 down = objective(model, probe)
                 numeric.append((up - down) / (2 * eps))
-                analytic.append(grads.class_weights[idx])
+                analytic.append(grad_head.class_weights[idx])
             analytic = np.asarray(analytic)
             numeric = np.asarray(numeric)
             err = np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(numeric)), 1e-10)

@@ -2,6 +2,8 @@
 stability, and rejection of malformed payloads.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -70,10 +72,10 @@ class TestDeterminism:
     def test_digest_changes_on_any_parameter(self):
         model, head = make_pair(seed=5)
         base = param_digest(model, head)
-        bumped = model.copy()
+        bumped = copy.deepcopy(model)
         bumped.weights[1][0, 0] = np.nextafter(bumped.weights[1][0, 0], np.inf)
         assert param_digest(bumped, head) != base
-        bumped_head = head.copy()
+        bumped_head = copy.deepcopy(head)
         bumped_head.class_weights[0, 0] = np.nextafter(bumped_head.class_weights[0, 0], np.inf)
         assert param_digest(model, bumped_head) != base
 

@@ -324,6 +324,21 @@ class TestExitCodes:
         assert main(["train-fixed", "--config", config, "--out", str(tmp_path / "x"),
                      "--data", str(tmp_path / "absent.csv")]) == 2
 
+    @pytest.mark.parametrize("command", ["train-fixed", "search"])
+    @pytest.mark.parametrize("learning_rate, failed_epoch", [(1e300, 1), (1e50, 2)])
+    def test_non_finite_training(self, tmp_path, capsys, command, learning_rate,
+                                 failed_epoch):
+        config = write_config(tmp_path, sgd={"learning_rate": learning_rate})
+        out = tmp_path / "x"
+        with np.errstate(all="ignore"):
+            code = main([command, "--config", config, "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"training error: training went non-finite in epoch {failed_epoch}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        records = read_jsonl(out / "metrics.jsonl")
+        assert [r["epoch"] for r in records] == list(range(1, failed_epoch))
+
 
 class TestExportCurves:
     def test_curve_table_values(self, tmp_path):

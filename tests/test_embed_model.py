@@ -2,16 +2,21 @@
 pass, and exact backpropagation checked against central differences.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
+from lfsearch.checkpoint import serialize_model
 from lfsearch.contracts import ContractViolation
 from lfsearch.embed_model import (
     ClassifierHead,
     backward,
     embed,
+    flatten,
     forward,
     init_model,
+    unflatten,
 )
 from lfsearch.numerics import RngStream
 
@@ -128,19 +133,19 @@ class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         model, head, batch = tiny_setup()
         cosines, cache = forward(model, head, batch)
-        grads = backward(cache, np.zeros_like(cosines))
-        for g in grads.weights + grads.biases + [grads.class_weights]:
+        grads, grad_head = unflatten(backward(cache, np.zeros_like(cosines)), model, head)
+        for g in grads.weights + grads.biases + [grad_head.class_weights]:
             assert np.array_equal(g, np.zeros_like(g))
 
     def test_shapes_match_parameters(self):
         model, head, batch = tiny_setup()
         cosines, cache = forward(model, head, batch)
-        grads = backward(cache, np.ones_like(cosines))
+        grads, grad_head = unflatten(backward(cache, np.ones_like(cosines)), model, head)
         for g, w in zip(grads.weights, model.weights):
             assert g.shape == w.shape
         for g, b in zip(grads.biases, model.biases):
             assert g.shape == b.shape
-        assert grads.class_weights.shape == head.class_weights.shape
+        assert grad_head.class_weights.shape == head.class_weights.shape
 
     def test_upstream_shape_validation(self):
         model, head, batch = tiny_setup()
@@ -160,7 +165,7 @@ class TestBackward:
                 return float((r * c).sum())
 
             _, cache = forward(model, head, batch)
-            grads = backward(cache, r)
+            grads, grad_head = unflatten(backward(cache, r), model, head)
             eps = 1e-6
 
             def check(analytic, array, setter):
@@ -178,21 +183,46 @@ class TestBackward:
             for l in range(len(model.weights)):
                 check(grads.weights[l], model.weights[l], None)
                 check(grads.biases[l], model.biases[l], None)
-            check(grads.class_weights, head.class_weights, None)
+            check(grad_head.class_weights, head.class_weights, None)
 
 
-class TestCopy:
-    def test_model_copy_is_deep(self):
-        model, _, _ = tiny_setup()
-        dup = model.copy()
-        dup.weights[0][0, 0] += 1.0
-        dup.biases[1][0] += 1.0
-        assert model.weights[0][0, 0] != dup.weights[0][0, 0]
-        assert model.biases[1][0] != dup.biases[1][0]
+def lfs1_payloads(blob):
+    """The f64 payloads of an LFS1 checkpoint, in file order, parsed here
+    from the documented byte layout rather than through embed_model."""
+    pos = 8
+    (n_layers,) = struct.unpack_from("<I", blob, 4)
+    payloads = []
+    for _ in range(n_layers):
+        rows, cols = struct.unpack_from("<II", blob, pos)
+        pos += 8
+        size = 8 * (rows * cols + rows)
+        payloads.append(blob[pos:pos + size])
+        pos += size
+    k, d, _scale = struct.unpack_from("<IId", blob, pos)
+    payloads.append(blob[pos + 16:])
+    assert len(payloads[-1]) == 8 * k * d
+    return b"".join(payloads)
 
-    def test_head_copy_is_deep(self):
-        _, head, _ = tiny_setup()
-        dup = head.copy()
-        dup.class_weights[0, 0] += 1.0
-        assert head.class_weights[0, 0] != dup.class_weights[0, 0]
-        assert dup.scale == head.scale
+
+class TestLayout:
+    @pytest.mark.parametrize("dims", [(5, 3), (5, 6, 3), (2, 7, 1, 4)])
+    def test_flatten_follows_the_checkpoint_payload(self, dims):
+        model, head, _ = tiny_setup(seed=len(dims), dims=dims, n_classes=3)
+        flat = flatten(model, head)
+        assert flat.dtype == np.float64 and flat.ndim == 1
+        assert flat.astype("<f8").tobytes() == lfs1_payloads(serialize_model(model, head))
+
+    def test_unflatten_views_share_memory_both_ways(self):
+        model, head, _ = tiny_setup()
+        flat = flatten(model, head)
+        view_model, view_head = unflatten(flat, model, head)
+        assert view_head.scale == head.scale
+        assert flatten(view_model, view_head).tobytes() == flat.tobytes()
+        view_model.biases[1][2] = 7.0
+        view_head.class_weights[-1, -1] = -3.0
+        n_backbone = sum(a.size for a in model.weights + model.biases)
+        assert flat[n_backbone - 1] == 7.0
+        assert flat[-1] == -3.0
+        flat[0] = 11.0
+        assert view_model.weights[0][0, 0] == 11.0
+        assert model.weights[0][0, 0] != 11.0

@@ -1,5 +1,6 @@
-"""Tests for the inner training loop: the step schedule, momentum SGD
-arithmetic, single-epoch passes, and parallel candidate training.
+"""Tests for the inner training loop: the step schedule, the flat training
+state, momentum SGD arithmetic, single-epoch passes, and candidate training
+from a shared snapshot.
 """
 
 import logging
@@ -10,11 +11,13 @@ import pytest
 from lfsearch.checkpoint import param_digest
 from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import LabeledDataset, SyntheticSpec, generate_synthetic
-from lfsearch.embed_model import ClassifierHead, EmbeddingModel, Gradients, forward, init_model
+from lfsearch.embed_model import (ClassifierHead, EmbeddingModel, flatten, forward, init_model,
+                                  unflatten)
 from lfsearch.margin_losses import MarginSpec, batch_loss_and_grad
 from lfsearch.numerics import RngStream
 from lfsearch.sgd_trainer import (
     LrSchedule,
+    NonFiniteTrainingError,
     SgdConfig,
     TrainState,
     sgd_step,
@@ -36,7 +39,22 @@ def scalar_state(w=1.0):
 
 
 def scalar_grads(g):
-    return Gradients([np.array([[g]])], [np.array([0.0])], np.zeros((2, 1)))
+    return flatten(EmbeddingModel([np.array([[g]])], [np.array([0.0])]),
+                   ClassifierHead(np.zeros((2, 1)), 8.0))
+
+
+def velocity_model(state):
+    return unflatten(state.velocity, state.model, state.head)[0]
+
+
+def per_array_step(arrays, velocities, grads, config, lr):
+    """The per-array momentum step the flat sgd_step replaced, kept as the oracle."""
+    stepped, new_velocities = [], []
+    for param, velocity, grad in zip(arrays, velocities, grads):
+        new_velocity = config.momentum * velocity + (grad + config.weight_decay * param)
+        stepped.append(param - lr * new_velocity)
+        new_velocities.append(new_velocity)
+    return stepped, new_velocities
 
 
 class TestSgdConfig:
@@ -85,11 +103,11 @@ class TestSgdStep:
         state = sgd_step(state, scalar_grads(0.1), config, 0.1)
         # v1 = 0.1, w1 = 1 - 0.1*0.1 = 0.99
         assert abs(state.model.weights[0][0, 0] - 0.99) < 1e-15
-        assert abs(state.velocity_weights[0][0, 0] - 0.1) < 1e-15
+        assert abs(velocity_model(state).weights[0][0, 0] - 0.1) < 1e-15
         state = sgd_step(state, scalar_grads(0.1), config, 0.1)
         # v2 = 0.9*0.1 + 0.1 = 0.19, w2 = 0.99 - 0.019 = 0.971
         assert abs(state.model.weights[0][0, 0] - 0.971) < 1e-15
-        assert abs(state.velocity_weights[0][0, 0] - 0.19) < 1e-15
+        assert abs(velocity_model(state).weights[0][0, 0] - 0.19) < 1e-15
 
     def test_weight_decay_folds_into_gradient(self):
         config = SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.01)
@@ -105,9 +123,56 @@ class TestSgdStep:
         assert stepped.head.scale == state.head.scale
 
     def test_shape_mismatch_rejected(self):
-        bad = Gradients([np.zeros((2, 2))], [np.zeros(1)], np.zeros((2, 1)))
+        bad = flatten(EmbeddingModel([np.zeros((2, 2))], [np.zeros(1)]),
+                      ClassifierHead(np.zeros((2, 1)), 8.0))
         with pytest.raises(ContractViolation):
             sgd_step(scalar_state(), bad, SgdConfig(), 0.1)
+
+    def test_matches_the_per_array_formula_bit_for_bit(self):
+        gen = np.random.default_rng(0)
+        for trial in range(20):
+            dims = [int(d) for d in gen.integers(1, 9, size=int(gen.integers(2, 5)))]
+            model, head = init_model(dims, int(gen.integers(2, 6)), 16.0,
+                                     RngStream(trial, "init"))
+            config = SgdConfig(momentum=float(gen.uniform(0.0, 0.99)),
+                               weight_decay=float(gen.uniform(0.0, 0.01)))
+            state = TrainState.fresh(model, head)
+            arrays = [a.copy() for a in [*model.weights, *model.biases, head.class_weights]]
+            velocities = [np.zeros_like(a) for a in arrays]
+            for _ in range(5):
+                lr = float(gen.uniform(0.001, 0.5))
+                grad_arrays = [gen.normal(0.0, 1.0, a.shape) for a in arrays]
+                n_layers = len(model.weights)
+                grads = flatten(EmbeddingModel(grad_arrays[:n_layers], grad_arrays[n_layers:-1]),
+                                ClassifierHead(grad_arrays[-1], head.scale))
+                state = sgd_step(state, grads, config, lr)
+                arrays, velocities = per_array_step(arrays, velocities, grad_arrays, config, lr)
+                got = [*state.model.weights, *state.model.biases, state.head.class_weights]
+                vel, vel_head = unflatten(state.velocity, state.model, state.head)
+                got_vel = [*vel.weights, *vel.biases, vel_head.class_weights]
+                for want, have in zip(arrays + velocities, got + got_vel):
+                    assert want.tobytes() == have.tobytes()
+
+
+class TestTrainState:
+    def test_model_and_head_are_views_of_params(self):
+        _, state = small_problem()
+        state.model.weights[0][1, 2] = 4.0
+        state.head.class_weights[0, 0] = -2.0
+        assert flatten(state.model, state.head).tobytes() == state.params.tobytes()
+        assert state.velocity.shape == state.params.shape
+
+    def test_copy_is_deep(self):
+        _, state = small_problem()
+        dup = state.copy()
+        dup.model.weights[0][0, 0] += 1.0
+        dup.head.class_weights[0, 0] += 1.0
+        dup.velocity[0] += 1.0
+        assert state.model.weights[0][0, 0] != dup.model.weights[0][0, 0]
+        assert state.head.class_weights[0, 0] != dup.head.class_weights[0, 0]
+        assert state.velocity[0] == 0.0
+        assert dup.head.scale == state.head.scale
+        assert dup.params[0] == dup.model.weights[0][0, 0]
 
 
 class TestTrainEpoch:
@@ -176,6 +241,22 @@ class TestTrainEpoch:
             train_epoch(state, MarginSpec.additive(0.35), data, SgdConfig(batch_size=8),
                         0.05, RngStream(7, "epoch"))
         assert not caplog.records
+
+    def test_non_finite_epoch_raises_a_named_error(self):
+        data, state = small_problem(seed=6)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteTrainingError,
+                                                      match=r"epoch 1 at a=-5: mean loss nan"):
+            train_candidates(state, [-5.0], data, SgdConfig(batch_size=8), 1e300,
+                             RngStream(8, "epoch"))
+
+    def test_non_finite_parameters_raise_behind_a_finite_loss(self):
+        # One batch: the reported loss is taken before the step that breaks
+        # the parameters, so only the parameter check can catch it.
+        data, state = small_problem(seed=6)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteTrainingError,
+                                                      match=r"epoch 1: mean loss \d"):
+            train_epoch(state, MarginSpec.plain(), data, SgdConfig(batch_size=1000),
+                        float("inf"), RngStream(8, "epoch"))
 
 
 class TestTrainCandidates:
