@@ -204,6 +204,28 @@ def lfs1_payloads(blob):
     return b"".join(payloads)
 
 
+def flat_copy(model, head):
+    """Model and head rebuilt from flatten(), the one way parameters are copied."""
+    return unflatten(flatten(model, head), model, head)
+
+
+class TestCopy:
+    def test_model_copy_is_deep(self):
+        model, head, _ = tiny_setup()
+        dup, _ = flat_copy(model, head)
+        dup.weights[0][0, 0] += 1.0
+        dup.biases[1][0] += 1.0
+        assert model.weights[0][0, 0] != dup.weights[0][0, 0]
+        assert model.biases[1][0] != dup.biases[1][0]
+
+    def test_head_copy_is_deep(self):
+        model, head, _ = tiny_setup()
+        _, dup = flat_copy(model, head)
+        dup.class_weights[0, 0] += 1.0
+        assert head.class_weights[0, 0] != dup.class_weights[0, 0]
+        assert dup.scale == head.scale
+
+
 class TestLayout:
     @pytest.mark.parametrize("dims", [(5, 3), (5, 6, 3), (2, 7, 1, 4)])
     def test_flatten_follows_the_checkpoint_payload(self, dims):
