@@ -16,6 +16,8 @@ import time
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import CheckpointFormatError, read_checkpoint, write_checkpoint
 from .config import (ConfigError, ExperimentConfig, LOSS_ALIASES, LOSS_KINDS,
                      REWARD_KINDS, distribution_of, from_dict, load_config_file,
@@ -119,8 +121,12 @@ def _loss_echo(config: ExperimentConfig) -> dict:
 
 def _write_evaluation(out: Path, model, head, val_set, val_pairs, **extra) -> dict:
     """Evaluate a model on the validation split and write eval.json, roc.csv
-    and cmc.csv; the extra report keys follow the evaluation's own."""
+    and cmc.csv; the extra report keys follow the evaluation's own. Raises
+    NonFiniteTrainingError, writing nothing, when an embedding is non-finite."""
     embeddings = embed_all(model, head, val_set)
+    if not np.isfinite(embeddings).all():
+        raise NonFiniteTrainingError("validation embeddings are non-finite: the parameters "
+                                     "overflow the forward pass")
     sims = pair_similarities(embeddings, val_pairs)
     verification = verification_accuracy(sims, val_pairs.same)
     split = make_gallery_probe(val_set)

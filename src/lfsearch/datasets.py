@@ -14,6 +14,11 @@ from .contracts import require
 from .numerics import RngStream, l2_normalize_rows
 
 
+# float() and int() strip only ASCII whitespace around a number; numpy also
+# strips these information separators.
+_SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
 class DataFormatError(Exception):
     """A data file exists but could not be parsed."""
 
@@ -117,6 +122,41 @@ def load_flat_file(path) -> LabeledDataset:
 
     Labels are re-indexed densely in order of first appearance.
     """
+    try:
+        features, raw_labels = _parse_columns(path)
+    except ValueError:
+        features = None
+    if features is None or not np.isfinite(features).all():
+        # The line loop accepts whatever float() and int() accept and names
+        # the first bad line otherwise.
+        return _load_lines(path)
+    _, first, inverse = np.unique(raw_labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return LabeledDataset(features, rank[inverse])
+
+
+def _parse_columns(path):
+    """Feature matrix and int64 labels in one streamed numpy parse, which is
+    stricter than float() and int(); raises ValueError on anything it does
+    not take, including an empty file or one column."""
+    with open(path, "rb") as raw:
+        for chunk in iter(lambda: raw.read(1 << 20), b""):
+            if any(sep in chunk for sep in _SEPARATOR_BYTES):
+                raise ValueError("information separator byte")
+    with open(path, "r", encoding="utf-8") as handle:
+        first = next((line for line in handle if line.strip()), "")
+        width = first.count(",") + 1
+        if width < 2:
+            raise ValueError("need at least one feature column and a label")
+        handle.seek(0)
+        table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=1,
+                           dtype=[("x", np.float64, (width - 1,)), ("y", np.int64)])
+    return table["x"], table["y"]
+
+
+def _load_lines(path) -> LabeledDataset:
+    """The per-line reader: float() for each feature cell, int() for each label."""
     rows = []
     raw_labels = []
     width = None

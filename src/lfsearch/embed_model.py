@@ -124,23 +124,29 @@ def forward(model: EmbeddingModel, head: ClassifierHead, batch: np.ndarray):
     require(head.class_weights.shape[1] == model.weights[-1].shape[0], "forward: head dim must match the embedding dim")
     acts, preacts = _backbone(model, x)
     raw = acts[-1]
-    emb_norms = np.linalg.norm(raw, axis=1)
+    # The sums np.linalg.norm(axis=1) takes for real input, minus its wrapper.
+    emb_norms = np.sqrt(np.add.reduce(raw * raw, axis=1))
     emb_unit = raw / np.maximum(emb_norms, NORM_EPSILON)[:, None]
-    head_norms = np.linalg.norm(head.class_weights, axis=1)
+    head_norms = np.sqrt(np.add.reduce(head.class_weights * head.class_weights, axis=1))
     head_unit = head.class_weights / np.maximum(head_norms, NORM_EPSILON)[:, None]
-    cosines = np.clip(emb_unit @ head_unit.T, -1.0, 1.0)
+    cosines = emb_unit @ head_unit.T
+    np.clip(cosines, -1.0, 1.0, out=cosines)
     cache = ForwardCache(model, head, acts, preacts, emb_norms, emb_unit, head_norms, head_unit, cosines)
     return cosines, cache
 
 
-def _normalize_backward(d_unit, unit, raw_norms):
-    """Jacobian of v -> v / max(||v||, eps), applied row-wise to d_unit."""
-    safe = raw_norms >= NORM_EPSILON
+def _normalize_backward(d_unit, unit, raw_norms, out):
+    """Jacobian of v -> v / max(||v||, eps), applied row-wise to d_unit and
+    written to out, which must not overlap d_unit."""
     inner = (unit * d_unit).sum(axis=1, keepdims=True)
-    denom = np.where(safe, raw_norms, NORM_EPSILON)[:, None]
-    d_raw = (d_unit - unit * inner) / denom
-    # Below the guard the map is v / eps, a plain linear scaling.
-    return np.where(safe[:, None], d_raw, d_unit / NORM_EPSILON)
+    np.multiply(unit, inner, out=out)
+    np.subtract(d_unit, out, out=out)
+    safe = raw_norms >= NORM_EPSILON
+    out /= np.where(safe, raw_norms, NORM_EPSILON)[:, None]
+    if not safe.all():
+        # Below the guard the map is v / eps, a plain linear scaling.
+        out[~safe] = d_unit[~safe] / NORM_EPSILON
+    return out
 
 
 def backward(cache: ForwardCache, d_cosines: np.ndarray) -> np.ndarray:
@@ -148,20 +154,20 @@ def backward(cache: ForwardCache, d_cosines: np.ndarray) -> np.ndarray:
     forward, as one flat vector in the flatten() layout."""
     dcos = np.asarray(d_cosines, dtype=np.float64)
     require(dcos.shape == cache.cosines.shape, "backward: upstream gradient shape mismatch")
-    d_emb_unit = dcos @ cache.head_unit
-    d_head_unit = dcos.T @ cache.emb_unit
-    d_raw_emb = _normalize_backward(d_emb_unit, cache.emb_unit, cache.emb_norms)
-    d_head = _normalize_backward(d_head_unit, cache.head_unit, cache.head_norms)
-
     model = cache.model
+    flat = np.empty(sum(w.size + b.size for w, b in zip(model.weights, model.biases))
+                    + cache.head.class_weights.size)
+    grads, grad_head = unflatten(flat, model, cache.head)
+    _normalize_backward(dcos.T @ cache.emb_unit, cache.head_unit, cache.head_norms,
+                        grad_head.class_weights)
+    d_emb_unit = dcos @ cache.head_unit
+    d_out = _normalize_backward(d_emb_unit, cache.emb_unit, cache.emb_norms,
+                                np.empty_like(d_emb_unit))
     n_layers = len(model.weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
-    d_out = d_raw_emb
     for l in range(n_layers - 1, -1, -1):
         dpre = d_out if l == n_layers - 1 else d_out * (cache.preacts[l] > 0)
-        grads_w[l] = dpre.T @ cache.activations[l]
-        grads_b[l] = dpre.sum(axis=0)
+        np.matmul(dpre.T, cache.activations[l], out=grads.weights[l])
+        np.add.reduce(dpre, axis=0, out=grads.biases[l])
         if l > 0:
             d_out = dpre @ model.weights[l]
-    return flatten(EmbeddingModel(grads_w, grads_b), ClassifierHead(d_head, cache.head.scale))
+    return flat

@@ -260,18 +260,23 @@ def _row_softmax_stats(z: np.ndarray, y: np.ndarray):
     Rows are shifted by the target logit, which keeps log p and 1 - p at
     relative precision when the target dominates; a max shift only bounds
     the absolute error.  Rows whose spread could overflow under the target
-    shift fall back to the max-shift form.
+    shift fall back to the max-shift form.  z is overwritten: it becomes the
+    returned off-target probabilities.
     """
     idx = np.arange(z.shape[0])
-    shifted = z - z[idx, y][:, None]
-    wide = shifted.max(axis=1) >= 500.0
-    e = np.exp(np.minimum(shifted, 500.0))
-    e[idx, y] = 0.0
-    others = e.sum(axis=1)
+    target = z[idx, y]
+    # Rounding is monotone, so this is the max of the target-shifted row.
+    wide = z.max(axis=1) - target >= 500.0
+    zw = z[wide]
+    q = z
+    np.subtract(q, target[:, None], out=q)
+    np.minimum(q, 500.0, out=q)
+    np.exp(q, out=q)
+    q[idx, y] = 0.0
+    others = q.sum(axis=1)
     log_p = -np.log1p(others)
-    q = e / (1.0 + others)[:, None]
+    q /= (1.0 + others)[:, None]
     if wide.any():
-        zw = z[wide]
         yw = y[wide]
         iw = np.arange(zw.shape[0])
         lse = log_sum_exp_rows(zw)
@@ -300,9 +305,10 @@ def batch_loss_and_grad(spec: MarginSpec, cosines: np.ndarray, labels: np.ndarra
         log_p, one_minus_p, q = _row_softmax_stats(scale * c, y)
         losses = -log_p + np.log1p(-a * one_minus_p)
         factor = (1.0 - a) / (1.0 - a * one_minus_p)
-        dcos = scale * q * factor[:, None]
-        dcos[idx, y] = -scale * one_minus_p * factor
-        return losses, dcos
+        q *= scale
+        q *= factor[:, None]
+        q[idx, y] = -scale * one_minus_p * factor
+        return losses, q
 
     cos_y = c[idx, y]
     f = margin_transform_batch(spec, cos_y)
@@ -311,6 +317,6 @@ def batch_loss_and_grad(spec: MarginSpec, cosines: np.ndarray, labels: np.ndarra
     z[idx, y] = scale * f
     log_p, one_minus_p, q = _row_softmax_stats(z, y)
     losses = -log_p
-    dcos = scale * q
-    dcos[idx, y] = -scale * one_minus_p * slope
-    return losses, dcos
+    q *= scale
+    q[idx, y] = -scale * one_minus_p * slope
+    return losses, q

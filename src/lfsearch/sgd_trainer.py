@@ -92,9 +92,12 @@ def sgd_step(state: TrainState, grads: np.ndarray, config: SgdConfig, lr: float)
     gradient: v = momentum * v + (g + weight_decay * w), then w = w - lr * v."""
     require(grads.shape == state.params.shape, "gradient size does not match the parameters")
     w, v = state.params, state.velocity
+    scratch = np.multiply(config.weight_decay, w)
+    scratch += grads
     v *= config.momentum
-    v += grads + config.weight_decay * w
-    w -= lr * v
+    v += scratch
+    np.multiply(lr, v, out=scratch)
+    w -= scratch
     return state
 
 
@@ -125,7 +128,8 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
                     "the implied modulating factor is positive there", overshoot)
                 warned = True
         losses, d_cosines = batch_loss_and_grad(loss, cosines, labels, state.head.scale)
-        sgd_step(state, backward(cache, d_cosines / batch_idx.size), config, lr)
+        d_cosines /= batch_idx.size
+        sgd_step(state, backward(cache, d_cosines), config, lr)
         total_loss += float(losses.sum())
     mean_loss = total_loss / data.sample_count
     if not (np.isfinite(state.params).all() and math.isfinite(mean_loss)):

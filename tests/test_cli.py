@@ -339,6 +339,21 @@ class TestExitCodes:
         records = read_jsonl(out / "metrics.jsonl")
         assert [r["epoch"] for r in records] == list(range(1, failed_epoch))
 
+    def test_non_finite_evaluation(self, tmp_path, capsys):
+        # Parameters near 1e153 stay finite through training, but the row
+        # norms of the final embeddings overflow.
+        config = write_config(tmp_path, sgd={"learning_rate": 1e20},
+                              schedule={"epochs": 3})
+        out = tmp_path / "x"
+        with np.errstate(all="ignore"):
+            code = main(["train-fixed", "--config", config, "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("training error: validation embeddings are non-finite")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert [r["epoch"] for r in read_jsonl(out / "metrics.jsonl")] == [1, 2, 3]
+        assert not (out / "eval.json").exists()
+
 
 class TestExportCurves:
     def test_curve_table_values(self, tmp_path):

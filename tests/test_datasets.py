@@ -2,11 +2,13 @@
 flat-file round-trips, identity splits, and pair sampling.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from lfsearch import datasets
 from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import (
     DataFormatError,
@@ -110,7 +112,116 @@ class TestGenerateSynthetic:
             SyntheticSpec(8, 0, 10, 0.2, 0)
 
 
+def line_loop_load(path):
+    """The per-cell float()/int() reader load_flat_file replaced, kept as the
+    oracle for what the file means and for every error message."""
+    rows = []
+    raw_labels = []
+    width = None
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            parts = text.split(",")
+            if width is None:
+                width = len(parts)
+                if width < 2:
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: need at least one feature column and a label")
+            elif len(parts) != width:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: expected {width} columns, got {len(parts)}")
+            try:
+                row = [float(cell) for cell in parts[:-1]]
+                raw_labels.append(int(parts[-1]))
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+            if not all(map(math.isfinite, row)):
+                raise DataFormatError(f"{path}: line {lineno}: non-finite feature value")
+            rows.append(row)
+    if not rows:
+        raise DataFormatError(f"{path}: file contains no samples")
+    remap: dict = {}
+    dense = [remap.setdefault(label, len(remap)) for label in raw_labels]
+    return LabeledDataset(np.array(rows, dtype=np.float64), np.array(dense, dtype=np.int64))
+
+
+def load_outcome(load, path):
+    """Feature bytes and labels, or the error type and message."""
+    try:
+        data = load(path)
+    except DataFormatError as exc:
+        return "DataFormatError", str(exc)
+    return data.features.tobytes(), data.labels.tolist()
+
+
+# Files the one-pass parse reads.
+PARSED_BODIES = (
+    "1e-320,0\n5e-324,1\n-0,0\n2.4703282292062328e-324,2\n",
+    "0.12345678901234567,3\n-1.7976931348623157e+308,3\n9007199254740993,4\n",
+    " 1.5 , 7 \n\t-2.5e-3\t,+7\n+.5,007\n5.,-0\n1E+2,-3\n",
+    "1.0,7\n2.0,3\n3.0,7\n\n4.0,3\n\n",
+    "1.0,0\r\n2.0,1\r\n",
+    "0.5,4\n",
+)
+# Files only the line loop reads or names the bad line of.
+LOOP_BODIES = (
+    "1.0,0\n   \n2.0,1\n",
+    "1_0.5,0\n2.0,1_0\n",
+    "1.5,99999999999999999999\n2.5,3\n",
+    "\u0661.5,\u0667\n",
+    "1.5,7\x1c\n\x1f2.5,3\n",
+    "1.5\x1c,7\n",
+    "1.5,\x1d7\n",
+    "1.0,0\n2.0,3.0\n",
+    "1.0,0\n2.0,1e3\n",
+    "1.0,0\nnan,1\n",
+    "1.0,0\n1e400,1\n",
+    "1.0,0\n2.0\n",
+    "1.0,0,\n",
+    "1.0,#0\n",
+    "",
+    "\n \n",
+    "0\n1\n",
+)
+
+
+def without_line_loop(monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"{path} fell back to the line loop")
+    monkeypatch.setattr(datasets, "_load_lines", refuse)
+
+
 class TestFlatFile:
+    @pytest.mark.parametrize("body", PARSED_BODIES + LOOP_BODIES)
+    def test_agrees_with_the_line_loop(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_text(body, encoding="utf-8")
+        assert load_outcome(load_flat_file, path) == load_outcome(line_loop_load, path)
+
+    @pytest.mark.parametrize("body", PARSED_BODIES)
+    def test_parses_in_one_pass(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "data.csv"
+        path.write_text(body, encoding="utf-8")
+        expected = load_outcome(line_loop_load, path)
+        without_line_loop(monkeypatch)
+        assert load_outcome(load_flat_file, path) == expected
+
+    def test_agrees_with_the_line_loop_on_20000_rows(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        features = rng.normal(0.0, 1.0, (20000, 8)) * 10.0 ** rng.integers(-300, 300, (20000, 8))
+        labels = rng.integers(0, 500, 20000)
+        lines = [",".join([*(format(v, ".17g") for v in row), str(label)])
+                 for row, label in zip(features, labels)]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = load_outcome(line_loop_load, path)
+        assert expected[0] == features.tobytes()
+        without_line_loop(monkeypatch)
+        assert load_outcome(load_flat_file, path) == expected
+
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(6)
         features = rng.normal(0.0, 1.0, (20, 5))

@@ -3,6 +3,7 @@ pass, and exact backpropagation checked against central differences.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lfsearch.checkpoint import serialize_model
 from lfsearch.contracts import ContractViolation
 from lfsearch.embed_model import (
     ClassifierHead,
+    EmbeddingModel,
     backward,
     embed,
     flatten,
@@ -18,13 +20,77 @@ from lfsearch.embed_model import (
     init_model,
     unflatten,
 )
-from lfsearch.numerics import RngStream
+from lfsearch.numerics import NORM_EPSILON, RngStream
 
 
 def tiny_setup(seed=0, dims=(5, 6, 3), n_classes=4, scale=16.0, n=3):
     stream = RngStream(seed, "init")
     model, head = init_model(list(dims), n_classes, scale, stream)
     batch = RngStream(seed, "data").generator().normal(0.0, 1.0, (n, dims[0]))
+    return model, head, batch
+
+
+def allocating_forward(model, head, batch):
+    """The allocating forward body, kept as the oracle: (cosines, the cache
+    fields backward reads)."""
+    x = np.asarray(batch, dtype=np.float64)
+    acts, preacts = [x], []
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w.T + b
+        preacts.append(z)
+        acts.append(z if l == len(model.weights) - 1 else np.maximum(z, 0.0))
+    raw = acts[-1]
+    emb_norms = np.linalg.norm(raw, axis=1)
+    emb_unit = raw / np.maximum(emb_norms, NORM_EPSILON)[:, None]
+    head_norms = np.linalg.norm(head.class_weights, axis=1)
+    head_unit = head.class_weights / np.maximum(head_norms, NORM_EPSILON)[:, None]
+    cosines = np.clip(emb_unit @ head_unit.T, -1.0, 1.0)
+    return cosines, (acts, preacts, emb_norms, emb_unit, head_norms, head_unit)
+
+
+def allocating_normalize_backward(d_unit, unit, raw_norms):
+    safe = raw_norms >= NORM_EPSILON
+    inner = (unit * d_unit).sum(axis=1, keepdims=True)
+    denom = np.where(safe, raw_norms, NORM_EPSILON)[:, None]
+    d_raw = (d_unit - unit * inner) / denom
+    return np.where(safe[:, None], d_raw, d_unit / NORM_EPSILON)
+
+
+def allocating_backward(cache, d_cosines):
+    """The allocating backward body, kept as the oracle."""
+    dcos = np.asarray(d_cosines, dtype=np.float64)
+    d_emb_unit = dcos @ cache.head_unit
+    d_head_unit = dcos.T @ cache.emb_unit
+    d_raw_emb = allocating_normalize_backward(d_emb_unit, cache.emb_unit, cache.emb_norms)
+    d_head = allocating_normalize_backward(d_head_unit, cache.head_unit, cache.head_norms)
+    model = cache.model
+    n_layers = len(model.weights)
+    grads_w = [None] * n_layers
+    grads_b = [None] * n_layers
+    d_out = d_raw_emb
+    for l in range(n_layers - 1, -1, -1):
+        dpre = d_out if l == n_layers - 1 else d_out * (cache.preacts[l] > 0)
+        grads_w[l] = dpre.T @ cache.activations[l]
+        grads_b[l] = dpre.sum(axis=0)
+        if l > 0:
+            d_out = dpre @ model.weights[l]
+    return flatten(EmbeddingModel(grads_w, grads_b), ClassifierHead(d_head, cache.head.scale))
+
+
+def freeze(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+
+
+def bench_setup(n_classes, n=128, dims=(32, 128, 64)):
+    """The benchmark's layer sizes, with an input row and a head row whose
+    norms fall below NORM_EPSILON, so both normalisations take their guard
+    branch (the biases start at zero, so the embedding scales with the input)."""
+    model, head, batch = tiny_setup(seed=n_classes, dims=dims, n_classes=n_classes,
+                                    scale=32.0, n=n)
+    batch[3] *= 1e-14
+    head.class_weights[1] *= 1e-14
+    freeze(batch, head.class_weights, *model.weights, *model.biases)
     return model, head, batch
 
 
@@ -184,6 +250,34 @@ class TestBackward:
                 check(grads.weights[l], model.weights[l], None)
                 check(grads.biases[l], model.biases[l], None)
             check(grad_head.class_weights, head.class_weights, None)
+
+
+class TestInPlaceOracle:
+    @pytest.mark.parametrize("n_classes", [2, 40, 500])
+    def test_forward_and_backward_match_the_allocating_form(self, n_classes):
+        model, head, batch = bench_setup(n_classes)
+        cosines, cache = forward(model, head, batch)
+        assert 0 < cache.emb_norms[3] < NORM_EPSILON and 0 < cache.head_norms[1] < NORM_EPSILON
+        expected, (acts, preacts, *normalised) = allocating_forward(model, head, batch)
+        assert cosines.tobytes() == expected.tobytes()
+        got = [*cache.activations, *cache.preacts, cache.emb_norms, cache.emb_unit,
+               cache.head_norms, cache.head_unit]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in [*acts, *preacts, *normalised]]
+        upstream = RngStream(n_classes, "up").generator().normal(0.0, 1.0, cosines.shape)
+        freeze(upstream, cache.cosines, cache.emb_norms, cache.emb_unit, cache.head_norms,
+               cache.head_unit, *cache.activations, *cache.preacts)
+        assert backward(cache, upstream).tobytes() == allocating_backward(cache, upstream).tobytes()
+
+    def test_forward_peak_allocation(self):
+        model, head, batch = bench_setup(500)
+        forward(model, head, batch)
+        tracemalloc.start()
+        try:
+            forward(model, head, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 128 * 500 * 8
 
 
 def lfs1_payloads(blob):

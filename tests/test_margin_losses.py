@@ -4,6 +4,7 @@ and the analytic gradients.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from lfsearch.margin_losses import (
     softmax_probability,
     unified_loss,
     unified_loss_gradient,
+    _margin_slope,
 )
+from lfsearch.numerics import log_sum_exp_rows
 
 ALL_MARGINS = (
     MarginSpec.plain(),
@@ -33,6 +36,63 @@ ALL_MARGINS = (
     MarginSpec.additive(0.35),
     MarginSpec.combined(2, 0.3, 0.2),
 )
+
+
+SIX_KINDS = ALL_MARGINS + (MarginSpec.unified(-10.0),)
+
+
+def read_only(array):
+    array = np.array(array)
+    array.flags.writeable = False
+    return array
+
+
+def allocating_row_softmax_stats(z, y):
+    """The allocating _row_softmax_stats the in-place one replaced, kept as
+    the oracle."""
+    idx = np.arange(z.shape[0])
+    shifted = z - z[idx, y][:, None]
+    wide = shifted.max(axis=1) >= 500.0
+    e = np.exp(np.minimum(shifted, 500.0))
+    e[idx, y] = 0.0
+    others = e.sum(axis=1)
+    log_p = -np.log1p(others)
+    q = e / (1.0 + others)[:, None]
+    if wide.any():
+        zw = z[wide]
+        yw = y[wide]
+        iw = np.arange(zw.shape[0])
+        lse = log_sum_exp_rows(zw)
+        log_p[wide] = zw[iw, yw] - lse
+        qw = np.exp(zw - lse[:, None])
+        qw[iw, yw] = 0.0
+        q[wide] = qw
+    return log_p, -np.expm1(log_p), q
+
+
+def allocating_loss_and_grad(spec, cosines, labels, scale):
+    """The allocating batch_loss_and_grad body, kept as the oracle."""
+    c = np.asarray(cosines, dtype=np.float64)
+    y = np.asarray(labels)
+    idx = np.arange(c.shape[0])
+    if spec.kind in (MarginKind.UNIFIED, MarginKind.PLAIN):
+        a = spec.a if spec.kind is MarginKind.UNIFIED else 0.0
+        log_p, one_minus_p, q = allocating_row_softmax_stats(scale * c, y)
+        losses = -log_p + np.log1p(-a * one_minus_p)
+        factor = (1.0 - a) / (1.0 - a * one_minus_p)
+        dcos = scale * q * factor[:, None]
+        dcos[idx, y] = -scale * one_minus_p * factor
+        return losses, dcos
+    cos_y = c[idx, y]
+    f = margin_transform_batch(spec, cos_y)
+    slope = _margin_slope(spec, cos_y)
+    z = scale * c
+    z[idx, y] = scale * f
+    log_p, one_minus_p, q = allocating_row_softmax_stats(z, y)
+    losses = -log_p
+    dcos = scale * q
+    dcos[idx, y] = -scale * one_minus_p * slope
+    return losses, dcos
 
 
 def random_row(rng, k, scale=32.0):
@@ -396,3 +456,36 @@ class TestBatchLossAndGrad:
                     ld, _ = batch_loss_and_grad(spec, down, labels, 32.0)
                     fd = (lu[i] - ld[i]) / (2.0 * eps)
                     assert abs(grads[i, j] - fd) <= 1e-5 * abs(fd) + 1e-7
+
+    @pytest.mark.parametrize("k", [2, 40, 500])
+    @pytest.mark.parametrize("spec", SIX_KINDS, ids=lambda spec: spec.kind.value)
+    def test_matches_the_allocating_form_bit_for_bit(self, spec, k):
+        rng = np.random.default_rng(k)
+        n = 128
+        cosines = read_only(rng.uniform(-1.0, 1.0, (n, k)))
+        labels = read_only(rng.integers(0, k, n))
+        spread = cosines.max(axis=1) - cosines[np.arange(n), labels]
+        # At s = 400 a cosine spread >= 1.25 takes the max-shift fallback.
+        assert 0 < int((spread >= 1.25).sum()) < n
+        for scale in (32.0, 400.0):
+            losses, grads = batch_loss_and_grad(spec, cosines, labels, scale)
+            expected_losses, expected_grads = allocating_loss_and_grad(spec, cosines, labels,
+                                                                       scale)
+            assert losses.tobytes() == expected_losses.tobytes()
+            assert grads.tobytes() == expected_grads.tobytes()
+
+    @pytest.mark.parametrize("spec", [MarginSpec.unified(-10.0), MarginSpec.additive(0.35)],
+                             ids=lambda spec: spec.kind.value)
+    def test_peak_allocation_stays_near_one_batch_matrix(self, spec):
+        n, k = 128, 500
+        rng = np.random.default_rng(23)
+        cosines = rng.uniform(-1.0, 1.0, (n, k))
+        labels = rng.integers(0, k, n)
+        batch_loss_and_grad(spec, cosines, labels, 32.0)
+        tracemalloc.start()
+        try:
+            batch_loss_and_grad(spec, cosines, labels, 32.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * k * 8
