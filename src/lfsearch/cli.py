@@ -14,6 +14,7 @@ import math
 import sys
 import time
 import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,10 +202,11 @@ class _RunRecorder:
                                  **extra)
 
 
-def _run_fixed(config: ExperimentConfig, out_dir) -> dict:
-    """Train one fixed loss end to end; shared by train-fixed and ablate-a."""
+def _run_fixed(config: ExperimentConfig, out_dir, data) -> dict:
+    """Train one fixed loss end to end on the prepared (train, val, pairs);
+    shared by train-fixed and ablate-a."""
     spec = margin_spec(config.loss)
-    train, val, pairs = _prepare_data(config)
+    train, val, pairs = data
     state = _init_state(config, train)
     schedule = schedule_of(config)
     loss_echo = _loss_echo(config)
@@ -227,7 +229,7 @@ def _run_fixed(config: ExperimentConfig, out_dir) -> dict:
 
 def _cmd_train_fixed(args) -> int:
     config = _resolve_config(args)
-    report = _run_fixed(config, args.out)
+    report = _run_fixed(config, args.out, _prepare_data(config))
     print(f"train-fixed done: loss={config.loss.kind} "
           f"verification={report['verification_accuracy']:.4f} "
           f"rank1={report['rank1']:.4f} -> {args.out}")
@@ -322,6 +324,8 @@ def _cmd_ablate_a(args) -> int:
                               f"would share the run directory {name}")
         run_dirs[name] = value
     config = _resolve_config(args)
+    # Every factor trains on the same data: the loss is all that differs.
+    data = _prepare_data(config)
     base = Path(args.out)
     base.mkdir(parents=True, exist_ok=True)
     summary = []
@@ -330,7 +334,7 @@ def _cmd_ablate_a(args) -> int:
         tree["loss"]["kind"] = "unified"
         tree["loss"]["a"] = value
         sub_config = from_dict(tree)
-        report = _run_fixed(sub_config, base / name)
+        report = _run_fixed(sub_config, base / name, data)
         summary.append({"a": value,
                         "verification_accuracy": report["verification_accuracy"],
                         "rank1": report["rank1"],
@@ -456,25 +460,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_failure(exc: Exception) -> int:
+    """Print a failed command's stderr line, or its traceback when the error
+    is unexpected, and return its exit code."""
+    for kinds, label, code in ((ConfigError, "config error", 2),
+                               ((DataFormatError, CheckpointFormatError), "data error", 3),
+                               (ContractViolation, "internal error", 1)):
+        if isinstance(exc, kinds):
+            print(f"{label}: {exc}", file=sys.stderr)
+            return code
+    traceback.print_exception(exc)
+    return 1
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DataFormatError, CheckpointFormatError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NonFiniteTrainingError as exc:
-        print(f"training error: {exc}", file=sys.stderr)
+    failure = None
+    # Warnings are held back so that a run which goes non-finite reports on
+    # one stderr line; every other outcome shows them unchanged at its end.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.handler(args)
+        except BaseException as exc:
+            failure = exc
+    if isinstance(failure, NonFiniteTrainingError):
+        first = f" (first warning: {caught[0].message})" if caught else ""
+        print(f"training error: {failure}{first}", file=sys.stderr)
         return 4
-    except ContractViolation as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
-    except Exception:
-        traceback.print_exc()
-        return 1
+    for record in caught:
+        warnings.warn_explicit(record.message, record.category, record.filename,
+                               record.lineno, source=record.source)
+    if failure is None:
+        return code
+    if not isinstance(failure, Exception):
+        raise failure
+    return _report_failure(failure)
 
 
 if __name__ == "__main__":

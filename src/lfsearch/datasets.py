@@ -257,6 +257,19 @@ def split_closed_set(dataset: LabeledDataset, train_frac: float, seed: int):
             LabeledDataset(dataset.features[eval_idx], dataset.labels[eval_idx]))
 
 
+def _draw_ranks(generator, size: int, count: int) -> np.ndarray:
+    """The first count entries of generator.permutation(size), as int64.
+
+    permutation(size) shuffles arange(size), and shuffle draws the same swaps
+    whatever the item type, so the pool is held in the narrowest unsigned
+    type that fits it and is released on return.
+    """
+    pool = np.arange(size, dtype=np.min_scalar_type(size - 1))
+    generator.shuffle(pool)
+    # Widen before any arithmetic: uint64 with int64 promotes to float64.
+    return pool[:count].astype(np.int64)
+
+
 def make_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairSet:
     """Sample n_pairs/2 same-identity and n_pairs/2 different-identity pairs.
 
@@ -266,7 +279,10 @@ def make_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairSet:
     pool picks its pairs without replacement, so a request larger than either
     pool is refused. The enumeration is not materialised: only the
     same-identity positions are listed, and a different-identity rank maps to
-    its position by counting the same-identity positions below it.
+    its position by counting the same-identity positions below it. Each
+    permutation is held in the narrowest unsigned type that fits its pool:
+    4 B per pair up to 92,682 samples (a pool of at most 2**32 pairs), 8 B
+    above.
     """
     require(n_pairs >= 2 and n_pairs % 2 == 0, "n_pairs must be even and >= 2")
     half = n_pairs // 2
@@ -287,7 +303,7 @@ def make_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairSet:
     ranks = {}
     for name, size in sizes.items():
         require(size >= half, f"requested {half} {name} pairs but only {size} exist")
-        ranks[name] = stream.child(name).generator().permutation(size)[:half]
+        ranks[name] = _draw_ranks(stream.child(name).generator(), size, half)
     # The r-th different pair sits after every same pair s_k with s_k - k <= r.
     diff_lin = ranks["diff"] + np.searchsorted(
         same_lin - np.arange(same_lin.size), ranks["diff"], side="right")

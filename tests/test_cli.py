@@ -1,15 +1,25 @@
 """End-to-end tests of the command-line harness, run in process against
-small synthetic problems.
+small synthetic problems (in a fresh interpreter where stderr itself is
+checked).
 """
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lfsearch
 from lfsearch.cli import main
+from lfsearch.contracts import ContractViolation
+from lfsearch.datasets import make_pairs
 from lfsearch.runio import run_id
+
+SRC = str(Path(lfsearch.__file__).resolve().parents[1])
 
 BASE = {
     "dataset": {"classes": 8, "dim": 8, "samples_per_class": 8,
@@ -31,6 +41,15 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(tree), encoding="utf-8")
     return str(path)
+
+
+def run_cli(argv):
+    """Run the command line in a fresh interpreter, so that warnings reach
+    stderr as they would outside the test runner."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "lfsearch.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def read_jsonl(path):
@@ -227,6 +246,19 @@ class TestAblate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_prepares_the_data_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return make_pairs(*args, **kwargs)
+
+        monkeypatch.setattr("lfsearch.cli.make_pairs", counted)
+        config = write_config(tmp_path, schedule={"epochs": 1})
+        assert main(["ablate-a", "--config", config, "--out", str(tmp_path / "x"),
+                     "--factors", "0,-1,-10"]) == 0
+        assert len(calls) == 1
+
 
 class TestEvalCommand:
     def test_reproduces_training_evaluation(self, tmp_path):
@@ -354,6 +386,47 @@ class TestExitCodes:
         assert [r["epoch"] for r in read_jsonl(out / "metrics.jsonl")] == [1, 2, 3]
         assert not (out / "eval.json").exists()
 
+    @pytest.mark.parametrize("command", ["train-fixed", "search", "random-schedule"])
+    def test_non_finite_training_prints_one_line(self, tmp_path, command):
+        # No np.errstate: the numpy warnings raised on the way to the failure
+        # end the one stderr line instead of preceding it.
+        config = write_config(tmp_path, sgd={"learning_rate": 1e300})
+        proc = run_cli([command, "--config", config, "--out", str(tmp_path / "x")])
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("training error: training went non-finite in epoch 1")
+        assert proc.stderr.count("\n") == 1 and "(first warning: " in proc.stderr
+
+    @pytest.mark.parametrize("error, first_line", [
+        (ContractViolation("broken invariant"), "internal error: broken invariant\n"),
+        (RuntimeError("boom"), "Traceback (most recent call last):\n"),
+    ])
+    def test_internal_error(self, tmp_path, capsys, monkeypatch, error, first_line):
+        def fail(config):
+            raise error
+
+        monkeypatch.setattr("lfsearch.cli._prepare_data", fail)
+        config = write_config(tmp_path)
+        assert main(["train-fixed", "--config", config, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(first_line)
+        assert err.endswith(first_line if "internal" in first_line else "RuntimeError: boom\n")
+
+    def test_interrupt_propagates(self, tmp_path, monkeypatch):
+        def interrupt(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("lfsearch.cli._prepare_data", interrupt)
+        config = write_config(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            main(["train-fixed", "--config", config, "--out", str(tmp_path / "x")])
+
+    def test_warnings_of_a_finished_run_still_show(self, tmp_path):
+        # Huge but finite parameters overflow the row norms, yet the run ends.
+        config = write_config(tmp_path, sgd={"learning_rate": 1e15},
+                              schedule={"epochs": 3})
+        proc = run_cli(["train-fixed", "--config", config, "--out", str(tmp_path / "x")])
+        assert proc.returncode == 0
+        assert "RuntimeWarning: overflow encountered" in proc.stderr
 
 class TestExportCurves:
     def test_curve_table_values(self, tmp_path):

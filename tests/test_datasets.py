@@ -423,8 +423,8 @@ class TestMakePairs:
 
     def test_peak_memory_stays_below_the_enumeration(self):
         # 2,000 samples: 1,999,000 index pairs. The enumeration holds about
-        # 66 MB at its peak; the sampler holds the 8 B/pair permutation of
-        # the different pool, about 16 MB.
+        # 66 MB at its peak; the sampler holds the 4 B/pair permutation of
+        # the different pool, about 8 MB.
         labels = np.arange(2000) % 250
         data = LabeledDataset(np.zeros((labels.size, 1)), labels)
         tracemalloc.start()
@@ -434,6 +434,34 @@ class TestMakePairs:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    def test_peak_memory_at_the_benchmark_validation_shape(self):
+        # 500 identities x 8 samples: 7,984,000 different pairs, whose
+        # permutation takes about 32 MB as uint32 and 64 MB as int64.
+        labels = np.repeat(np.arange(500), 8)
+        data = LabeledDataset(np.zeros((labels.size, 1)), labels)
+        tracemalloc.start()
+        try:
+            make_pairs(data, 20000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    # 256/257 and 65,536/65,537 are where the pool type widens from uint8 to
+    # uint16 and from uint16 to uint32.
+    @pytest.mark.parametrize("size", [
+        1, 256, 257, 65_536, 65_537,
+        int(np.random.default_rng(9).integers(1 << 16, 1 << 20)),
+    ])
+    def test_narrow_pool_draws_the_permutation(self, size):
+        for seed in range(4):
+            expected = RngStream(seed, "pairs").child("diff").generator().permutation(size)
+            for count in sorted({1, (size + 1) // 2, size}):
+                generator = RngStream(seed, "pairs").child("diff").generator()
+                ranks = datasets._draw_ranks(generator, size, count)
+                assert ranks.dtype == np.int64
+                assert np.array_equal(ranks, expected[:count])
 
     def test_half_same_half_different(self):
         data = traceable_dataset()
