@@ -92,6 +92,9 @@ def _prepare_data(config: ExperimentConfig):
     split = split_closed_set if config.reward == "classification" else split_open_set
     try:
         train, val = split(full, config.dataset.train_frac, config.seed)
+        # The splits copy their rows. Dropping the full set here frees it (and
+        # a CSV's parsed table, which its features view) before the pair draws.
+        del full
         pairs = make_pairs(val, config.dataset.n_pairs, config.seed)
     except ContractViolation as exc:
         raise ConfigError(f"dataset: {exc}") from None

@@ -15,6 +15,8 @@ from .datasets import LabeledDataset, PairSet
 from .embed_model import ClassifierHead, EmbeddingModel, embed, forward
 
 VERIFICATION_FOLDS = 10
+# Float64 bytes a row block of one evaluation pass may span, per array.
+BLOCK_BYTES = 4 << 20
 
 
 class FarUnresolvableError(Exception):
@@ -50,20 +52,47 @@ class VerificationReport:
         require(0.0 <= self.accuracy <= 1.0, "accuracy must lie in [0, 1]")
 
 
+def _row_blocks(rows: int, width: int) -> list:
+    """Slices that cut range(rows) into near-equal blocks of at most
+    BLOCK_BYTES per `width` float64 values a row.
+
+    The passes run the same numpy calls on each block's rows, so only their
+    memory changes. A block holds at least three rows, so balancing never
+    leaves a one-row block where the input had more: a one-row matrix
+    product runs as a BLAS vector product, whose sums round differently.
+    OpenBLAS may still round a few entries in the last rows of a call apart
+    from the same rows inside a longer call (seen with 500 columns). The
+    products by the head and the gallery feed only argmax and rank counts,
+    which such a last-bit change moves only at an exact tie.
+    """
+    step = max(3, BLOCK_BYTES // (8 * max(width, 1)))
+    count = max(1, -(-rows // step))
+    bounds = [rows * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def embed_all(model: EmbeddingModel, head: ClassifierHead, dataset: LabeledDataset) -> np.ndarray:
-    """L2-normalized embeddings for every sample."""
+    """L2-normalized embeddings for every sample, one row block at a time."""
     require(head.class_weights.shape[1] == model.layer_dims[-1],
             "head width does not match the embedding dim")
     require(dataset.feature_dim == model.layer_dims[0],
             "dataset feature dim does not match the model input dim")
-    return embed(model, dataset.features)
+    out = np.empty((dataset.sample_count, model.layer_dims[-1]))
+    for rows in _row_blocks(dataset.sample_count, max(model.layer_dims)):
+        out[rows] = embed(model, dataset.features[rows])
+    return out
 
 
 def pair_similarities(embeddings: np.ndarray, pairs: PairSet) -> np.ndarray:
-    """Cosine similarity of each pair (embeddings are unit rows)."""
+    """Cosine similarity of each pair (embeddings are unit rows), gathered
+    one block of pairs at a time."""
     require(int(max(pairs.first.max(), pairs.second.max())) < embeddings.shape[0],
             "pair indices exceed the embedding count")
-    return np.einsum("ij,ij->i", embeddings[pairs.first], embeddings[pairs.second])
+    out = np.empty(pairs.pair_count)
+    for rows in _row_blocks(pairs.pair_count, 2 * embeddings.shape[1]):
+        np.einsum("ij,ij->i", embeddings[pairs.first[rows]], embeddings[pairs.second[rows]],
+                  out=out[rows])
+    return out
 
 
 def _fold_scan(sims: np.ndarray, same: np.ndarray, folds: int):
@@ -143,6 +172,18 @@ def make_gallery_probe(dataset: LabeledDataset) -> GalleryProbeSplit:
                              probe_labels=dataset.labels[probes])
 
 
+def _ranked_ahead(sims: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per probe row of `sims`, the gallery entries ranked ahead of entry
+    `target`: higher similarity, or equal and earlier in the gallery."""
+    own = sims[np.arange(target.size), target][:, None]
+    earlier = np.arange(sims.shape[1]) < target[:, None]
+    ahead = (sims > own) | ((sims == own) & earlier)
+    nan_own = np.isnan(own[:, 0])
+    if nan_own.any():  # NaN ranks behind every number and every earlier NaN
+        ahead[nan_own] = ~np.isnan(sims[nan_own]) | earlier[nan_own]
+    return ahead.sum(axis=1)
+
+
 def rank1_identification(gallery_embeddings: np.ndarray, gallery_labels: np.ndarray,
                          probe_embeddings: np.ndarray, probe_labels: np.ndarray):
     """Rank-1 accuracy plus the full CMC curve.
@@ -150,23 +191,22 @@ def rank1_identification(gallery_embeddings: np.ndarray, gallery_labels: np.ndar
     Gallery entries are ranked by cosine similarity per probe; similarity ties
     keep gallery order and NaN similarities rank last, so results are
     deterministic. A probe's hit rank is counted, not sorted: the entries
-    ranked ahead of its own identity's entry.
+    ranked ahead of its own identity's entry, one block of probes at a time.
     """
     gallery_labels = np.asarray(gallery_labels, dtype=np.int64)
     probe_labels = np.asarray(probe_labels, dtype=np.int64)
     require(np.unique(gallery_labels).size == gallery_labels.size,
             "gallery labels must be unique")
-    hits = probe_labels[:, None] == gallery_labels
-    require(bool(hits.any(axis=1).all()), "every probe label must appear in the gallery")
-    target = np.argmax(hits, axis=1)
-    sims = probe_embeddings @ gallery_embeddings.T
-    own = sims[np.arange(probe_labels.size), target][:, None]
-    earlier = np.arange(gallery_labels.size) < target[:, None]
-    ahead = (sims > own) | ((sims == own) & earlier)
-    nan_own = np.isnan(own[:, 0])
-    if nan_own.any():  # NaN ranks behind every number and every earlier NaN
-        ahead[nan_own] = ~np.isnan(sims[nan_own]) | earlier[nan_own]
-    counts = np.bincount(ahead.sum(axis=1), minlength=gallery_labels.size)
+    require(bool(np.isin(probe_labels, gallery_labels).all()),
+            "every probe label must appear in the gallery")
+    by_label = np.argsort(gallery_labels)
+    targets = by_label[np.searchsorted(gallery_labels, probe_labels, sorter=by_label)]
+    counts = np.zeros(gallery_labels.size, dtype=np.int64)
+    # A block's similarities die with its _ranked_ahead call.
+    for rows in _row_blocks(probe_labels.size, gallery_labels.size):
+        counts += np.bincount(_ranked_ahead(probe_embeddings[rows] @ gallery_embeddings.T,
+                                            targets[rows]),
+                              minlength=gallery_labels.size)
     cmc = np.cumsum(counts) / probe_labels.size
     return float(cmc[0]), tuple(float(v) for v in cmc)
 
@@ -191,11 +231,18 @@ def tpr_at_far(similarities: np.ndarray, same_flags: np.ndarray, far: float) -> 
 
 def classification_accuracy(model: EmbeddingModel, head: ClassifierHead,
                             dataset: LabeledDataset) -> float:
-    """Closed-set accuracy: argmax cosine against the head's identities."""
+    """Closed-set accuracy: argmax cosine against the head's identities,
+    counted one row block at a time."""
     require(dataset.identity_count <= head.class_weights.shape[0],
             "dataset identities exceed the head's class count")
-    cosines, _ = forward(model, head, dataset.features)
-    return float(np.mean(np.argmax(cosines, axis=1) == dataset.labels))
+    width = max(head.class_weights.shape[0], *model.layer_dims)
+    # A block's cosines die within its term of the sum, before the next
+    # block's forward pass allocates its own.
+    hits = sum(int(np.count_nonzero(
+                   np.argmax(forward(model, head, dataset.features[rows])[0], axis=1)
+                   == dataset.labels[rows]))
+               for rows in _row_blocks(dataset.sample_count, width))
+    return hits / dataset.sample_count
 
 
 def reward(model: EmbeddingModel, head: ClassifierHead, val_set: LabeledDataset,

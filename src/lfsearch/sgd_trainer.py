@@ -68,13 +68,15 @@ class LrSchedule:
 @dataclass(frozen=True)
 class TrainState:
     """All parameters as one flat vector, with model and head as views of it,
-    the momentum vector in the same layout, and the epoch counter."""
+    the momentum vector in the same layout, the epoch counter, and whether
+    the angular-overshoot warning has fired, so that it fires once a run."""
 
     params: np.ndarray
     velocity: np.ndarray
     model: EmbeddingModel
     head: ClassifierHead
     epoch: int = 0
+    overshoot_warned: bool = False
 
     @classmethod
     def fresh(cls, model: EmbeddingModel, head: ClassifierHead) -> "TrainState":
@@ -84,7 +86,8 @@ class TrainState:
     def copy(self) -> "TrainState":
         params = self.params.copy()
         return TrainState(params, self.velocity.copy(),
-                          *unflatten(params, self.model, self.head), self.epoch)
+                          *unflatten(params, self.model, self.head), self.epoch,
+                          self.overshoot_warned)
 
 
 def sgd_step(state: TrainState, grads: np.ndarray, config: SgdConfig, lr: float) -> TrainState:
@@ -106,14 +109,16 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
     """One shuffled pass over the dataset, on a copy of the input state.
 
     Returns the updated state and the mean per-sample loss, each sample's loss
-    taken at the moment its batch was processed. Raises
+    taken at the moment its batch was processed. An angular margin that
+    overshoots the target cosine is logged once per run: the check stops
+    once the state records the warning. Raises
     NonFiniteTrainingError when a parameter or the mean loss ends non-finite.
     """
     require(data.sample_count >= 1, "dataset must be non-empty")
     state = state.copy()
     order = stream.child("shuffle").generator().permutation(data.sample_count)
     total_loss = 0.0
-    warned = False
+    warned = state.overshoot_warned
     for start in range(0, data.sample_count, config.batch_size):
         batch_idx = order[start:start + config.batch_size]
         features = data.features[batch_idx]
@@ -136,7 +141,7 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
         factor = f" at a={loss.a:g}" if loss.kind is MarginKind.UNIFIED else ""
         raise NonFiniteTrainingError(f"training went non-finite in epoch {state.epoch + 1}"
                                      f"{factor}: mean loss {mean_loss}")
-    return replace(state, epoch=state.epoch + 1), mean_loss
+    return replace(state, epoch=state.epoch + 1, overshoot_warned=warned), mean_loss
 
 
 def train_candidates(state: TrainState, factors, data: LabeledDataset,

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ import pytest
 import lfsearch
 from lfsearch.cli import main
 from lfsearch.contracts import ContractViolation
-from lfsearch.datasets import make_pairs
+from lfsearch.datasets import (SyntheticSpec, generate_synthetic, load_flat_file, make_pairs,
+                               save_flat_file)
 from lfsearch.runio import run_id
 
 SRC = str(Path(lfsearch.__file__).resolve().parents[1])
@@ -133,6 +135,50 @@ class TestTrainFixed:
         assert main(["train-fixed", "--config", config, "--out", str(out_b)]) == 0
         assert (out_a / "model.lfs").read_bytes() == (out_b / "model.lfs").read_bytes()
         assert (out_a / "metrics.jsonl").read_bytes() == (out_b / "metrics.jsonl").read_bytes()
+
+
+    def test_angular_overshoot_warns_once_per_run(self, tmp_path):
+        # Overshoot happens in each of the three epochs; the warning does not
+        # repeat.
+        config = write_config(tmp_path)
+        proc = run_cli(["train-fixed", "--config", config, "--loss", "angular",
+                        "--epochs", "3", "--out", str(tmp_path / "x")])
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("margin transform exceeds the target cosine on ")
+
+    @pytest.mark.parametrize("source", ["csv", "synthetic"])
+    def test_full_dataset_is_released_before_the_pair_draws(self, tmp_path, monkeypatch,
+                                                            source):
+        refs, alive = [], []
+
+        def tracked(load):
+            def wrapper(*args, **kwargs):
+                full = load(*args, **kwargs)
+                refs.append(weakref.ref(full))
+                if source == "csv":  # the features view the parsed table
+                    assert full.features.base is not None
+                    refs.append(weakref.ref(full.features.base))
+                return full
+            return wrapper
+
+        def pairs(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return make_pairs(*args, **kwargs)
+
+        monkeypatch.setattr("lfsearch.cli.load_flat_file", tracked(load_flat_file))
+        monkeypatch.setattr("lfsearch.cli.generate_synthetic", tracked(generate_synthetic))
+        monkeypatch.setattr("lfsearch.cli.make_pairs", pairs)
+        argv = ["train-fixed", "--config", write_config(tmp_path), "--epochs", "1",
+                "--out", str(tmp_path / "x")]
+        if source == "csv":
+            csv = tmp_path / "data.csv"
+            save_flat_file(csv, generate_synthetic(SyntheticSpec(8, 8, 8, 0.3, 0)))
+            argv += ["--data", str(csv)]
+        assert main(argv) == 0
+        assert len(refs) == (2 if source == "csv" else 1)
+        assert alive == [[False] * len(refs)]
 
 
 class TestSearchCommand:

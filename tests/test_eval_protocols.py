@@ -2,12 +2,15 @@
 brute-force oracle written independently of the library code.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lfsearch import eval_protocols
 from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import LabeledDataset, PairSet, SyntheticSpec, generate_synthetic
-from lfsearch.embed_model import ClassifierHead, EmbeddingModel
+from lfsearch.embed_model import ClassifierHead, EmbeddingModel, embed, forward, init_model
 from lfsearch.eval_protocols import (
     FarUnresolvableError,
     GalleryProbeSplit,
@@ -21,7 +24,7 @@ from lfsearch.eval_protocols import (
     tpr_at_far,
     verification_accuracy,
 )
-from lfsearch.numerics import l2_normalize_rows
+from lfsearch.numerics import RngStream, l2_normalize_rows
 
 
 def pairs_with_sims(target_sims, same_flags):
@@ -412,3 +415,194 @@ class TestEmbedAllAndReward:
         pairs = PairSet(np.array([0, 0]), np.array([1, 8]), np.array([True, False]))
         with pytest.raises(ContractViolation):
             reward(model, head, data, pairs, "nope")
+
+
+# The bodies of the evaluation passes before they were cut into row blocks,
+# kept as oracles: the blocked passes must return the same bits.
+
+def whole_embed_all(model, dataset):
+    return embed(model, dataset.features)
+
+
+def whole_pair_similarities(embeddings, pairs):
+    return np.einsum("ij,ij->i", embeddings[pairs.first], embeddings[pairs.second])
+
+
+def whole_classification_accuracy(model, head, dataset):
+    cosines, _ = forward(model, head, dataset.features)
+    return float(np.mean(np.argmax(cosines, axis=1) == dataset.labels))
+
+
+def whole_rank1_identification(gallery_embeddings, gallery_labels, probe_embeddings,
+                               probe_labels):
+    gallery_labels = np.asarray(gallery_labels, dtype=np.int64)
+    probe_labels = np.asarray(probe_labels, dtype=np.int64)
+    hits = probe_labels[:, None] == gallery_labels
+    target = np.argmax(hits, axis=1)
+    sims = probe_embeddings @ gallery_embeddings.T
+    own = sims[np.arange(probe_labels.size), target][:, None]
+    earlier = np.arange(gallery_labels.size) < target[:, None]
+    ahead = (sims > own) | ((sims == own) & earlier)
+    nan_own = np.isnan(own[:, 0])
+    if nan_own.any():
+        ahead[nan_own] = ~np.isnan(sims[nan_own]) | earlier[nan_own]
+    counts = np.bincount(ahead.sum(axis=1), minlength=gallery_labels.size)
+    cmc = np.cumsum(counts) / probe_labels.size
+    return float(cmc[0]), tuple(float(v) for v in cmc)
+
+
+def block_rows(width):
+    """Rows of one full block for a pass whose rows are `width` floats."""
+    return eval_protocols.BLOCK_BYTES // (8 * width)
+
+
+def boundary_sizes(width):
+    """One row, one block and its neighbours, and two blocks and a bit; the
+    blocked passes cut them into 1, 1, 1, 2 and 3 blocks."""
+    block = block_rows(width)
+    sizes = [1, block - 1, block, block + 1, 2 * block + 7]
+    assert [len(eval_protocols._row_blocks(n, width)) for n in sizes] == [1, 1, 1, 2, 3]
+    return sizes
+
+
+def he_model(dims, classes, seed):
+    return init_model(dims, classes, 32.0, RngStream(seed, "blocks"))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("width", [1, 7, 500, 1 << 19, 1 << 30])
+    def test_blocks_tile_the_rows(self, width):
+        step = max(3, block_rows(width))
+        for rows in [0, 1, 2, 3, 4, step - 1, step, step + 1, 2 * step + 7, 5 * step + 3]:
+            blocks = eval_protocols._row_blocks(rows, width)
+            bounds = [(b.start, b.stop) for b in blocks]
+            assert bounds[0][0] == 0 and bounds[-1][1] == rows
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            sizes = [hi - lo for lo, hi in bounds]
+            assert max(sizes) <= step
+            if rows >= 2:
+                assert min(sizes) >= 2
+
+
+class TestBlockedPassesMatchTheWholePass:
+    @pytest.mark.parametrize("dims", [[32, 128, 64], [8, 16, 8]])
+    def test_embed_all(self, dims):
+        model, head = he_model(dims, 2, 1)
+        rng = np.random.default_rng(2)
+        for n in boundary_sizes(max(dims)):
+            data = LabeledDataset(rng.normal(0.0, 1.0, (n, dims[0])), np.zeros(n, dtype=int))
+            got = embed_all(model, head, data)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == whole_embed_all(model, data).tobytes()
+
+    def test_pair_similarities(self):
+        rng = np.random.default_rng(3)
+        emb = l2_normalize_rows(rng.normal(0.0, 1.0, (300, 64)))
+        # A pair set holds one same and one different pair at least.
+        for n in [max(2, n) for n in boundary_sizes(2 * 64)]:
+            flags = np.arange(n) % 2 == 0
+            pairs = PairSet(rng.integers(0, 300, n), rng.integers(0, 300, n), flags)
+            got = pair_similarities(emb, pairs)
+            assert got.tobytes() == whole_pair_similarities(emb, pairs).tobytes()
+
+    @pytest.mark.parametrize("classes", [500, 40])
+    def test_classification_accuracy(self, classes):
+        dims = [32, 128, 64]
+        model, _ = he_model(dims, classes, 4)
+        rng = np.random.default_rng(5)
+        for n in boundary_sizes(max(classes, *dims)):
+            features = rng.normal(0.0, 1.0, (n, dims[0]))
+            labels = np.arange(n) % min(n, classes)
+            # Each identity's first sample is its head row, so about
+            # min(n, K) of the n samples hit.
+            rows = embed(model, features[:min(n, classes)])
+            weights = np.vstack([rows, rng.normal(0.0, 1.0, (classes - rows.shape[0], 64))])
+            head = ClassifierHead(weights, 32.0)
+            data = LabeledDataset(features, labels)
+            got = classification_accuracy(model, head, data)
+            assert type(got) is float and got > 0.0
+            assert got == whole_classification_accuracy(model, head, data)
+
+    @pytest.mark.parametrize("kind", ["plain", "tie-heavy", "nan"])
+    @pytest.mark.parametrize("gallery", [500, 64])
+    def test_rank1_identification(self, kind, gallery):
+        rng = np.random.default_rng({"plain": 6, "tie-heavy": 7, "nan": 8}[kind])
+        g_lab = rng.permutation(3 * gallery)[:gallery]
+        for n in boundary_sizes(gallery):
+            if kind == "tie-heavy":  # small integers: every dot product is exact
+                g_emb = rng.integers(-1, 2, (gallery, 4)).astype(float)
+                p_emb = rng.integers(-1, 2, (n, 4)).astype(float)
+            else:
+                g_emb = l2_normalize_rows(rng.normal(0.0, 1.0, (gallery, 16)))
+                p_emb = l2_normalize_rows(rng.normal(0.0, 1.0, (n, 16)))
+            if kind == "nan":
+                g_emb[rng.random(gallery) < 0.05] = np.nan
+                p_emb[rng.random(n) < 0.05] = np.nan
+            p_lab = g_lab[rng.integers(0, gallery, n)]
+            got = rank1_identification(g_emb, g_lab, p_emb, p_lab)
+            assert got == whole_rank1_identification(g_emb, g_lab, p_emb, p_lab)
+
+    def test_rank1_messages_are_kept(self):
+        with pytest.raises(ContractViolation, match="^gallery labels must be unique$"):
+            rank1_identification(np.eye(2), np.array([1, 1]), np.eye(2), np.array([1, 1]))
+        with pytest.raises(ContractViolation,
+                           match="^every probe label must appear in the gallery$"):
+            rank1_identification(np.eye(2), np.array([0, 1]), np.eye(2), np.array([0, 5]))
+        with pytest.raises(ContractViolation,
+                           match="^every probe label must appear in the gallery$"):
+            rank1_identification(np.zeros((0, 2)), np.array([], dtype=int), np.eye(2),
+                                 np.array([0, 1]))
+
+
+class TestEvaluationMemoryStaysInBlocks:
+    """About ten times the benchmark's evaluation shape: 20,000 samples,
+    1,000 classes or gallery entries, 100,000 pairs. A whole-matrix pass
+    needs 160 MB for the cosines alone; a blocked one a few blocks."""
+
+    SAMPLES, CLASSES, PAIRS = 20_000, 1_000, 100_000
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(9)
+        model, head = he_model([32, 128, 64], self.CLASSES, 9)
+        data = LabeledDataset(rng.normal(0.0, 1.0, (self.SAMPLES, 32)),
+                              np.arange(self.SAMPLES) % self.CLASSES)
+        emb = l2_normalize_rows(rng.normal(0.0, 1.0, (self.SAMPLES, 64)))
+        return model, head, data, emb
+
+    def test_classification_accuracy(self, problem):
+        model, head, data, _ = problem
+        peak = self.traced_peak(lambda: classification_accuracy(model, head, data))
+        assert peak < 2 * eval_protocols.BLOCK_BYTES
+
+    def test_embed_all(self, problem):
+        model, head, data, _ = problem
+        output = self.SAMPLES * 64 * 8
+        peak = self.traced_peak(lambda: embed_all(model, head, data))
+        assert peak < output + 4 * eval_protocols.BLOCK_BYTES
+
+    def test_pair_similarities(self, problem):
+        *_, emb = problem
+        rng = np.random.default_rng(10)
+        pairs = PairSet(rng.integers(0, self.SAMPLES, self.PAIRS),
+                        rng.integers(0, self.SAMPLES, self.PAIRS),
+                        np.arange(self.PAIRS) % 2 == 0)
+        peak = self.traced_peak(lambda: pair_similarities(emb, pairs))
+        assert peak < 2 * eval_protocols.BLOCK_BYTES
+
+    def test_rank1_identification(self, problem):
+        *_, emb = problem
+        gallery = np.arange(self.CLASSES)
+        probes = np.arange(self.CLASSES, self.SAMPLES) % self.CLASSES
+        g_emb, p_emb = emb[:self.CLASSES], emb[self.CLASSES:]
+        peak = self.traced_peak(lambda: rank1_identification(g_emb, gallery, p_emb, probes))
+        assert peak < 2 * eval_protocols.BLOCK_BYTES

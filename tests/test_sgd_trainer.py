@@ -13,7 +13,7 @@ from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import LabeledDataset, SyntheticSpec, generate_synthetic
 from lfsearch.embed_model import (ClassifierHead, EmbeddingModel, flatten, forward, init_model,
                                   unflatten)
-from lfsearch.margin_losses import MarginSpec, batch_loss_and_grad
+from lfsearch.margin_losses import MarginSpec, batch_loss_and_grad, margin_transform_batch
 from lfsearch.numerics import RngStream
 from lfsearch.sgd_trainer import (
     LrSchedule,
@@ -234,6 +234,33 @@ class TestTrainEpoch:
                         0.01, RngStream(6, "epoch"))
         hits = [r for r in caplog.records if "factor is positive" in r.message]
         assert len(hits) == 1
+
+    def test_angular_overshoot_warns_once_per_run(self, caplog, monkeypatch):
+        # The same overshooting problem over three epochs: one warning, and no
+        # margin check once the state has recorded it.
+        model = EmbeddingModel([np.eye(2)], [np.zeros(2)])
+        head = ClassifierHead(np.array([[-1.0, 0.0], [0.0, 1.0]]), 8.0)
+        data = LabeledDataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
+        state = TrainState.fresh(model, head)
+        checks = []
+
+        def counted(spec, cos_y):
+            checks.append(cos_y.size)
+            return margin_transform_batch(spec, cos_y)
+
+        monkeypatch.setattr("lfsearch.sgd_trainer.margin_transform_batch", counted)
+        with caplog.at_level(logging.WARNING, logger="lfsearch.sgd_trainer"):
+            for epoch in range(3):
+                state, _ = train_epoch(state, MarginSpec.angular(2), data,
+                                       SgdConfig(batch_size=1), 0.01,
+                                       RngStream(6, f"epoch{epoch}"))
+                assert state.overshoot_warned
+                if epoch == 0:
+                    first_epoch_checks = len(checks)
+        hits = [r for r in caplog.records if "factor is positive" in r.message]
+        assert len(hits) == 1
+        assert len(checks) == first_epoch_checks
+        assert state.copy().overshoot_warned
 
     def test_no_warning_for_well_posed_margin(self, caplog):
         data, state = small_problem(seed=5)
