@@ -6,9 +6,7 @@ __version__ = "0.1.0"
 
 from .contracts import ContractViolation
 from .datasets import LabeledDataset, PairSet, SyntheticSpec, generate_synthetic
-from .margin_losses import (LogitRow, MarginKind, MarginSpec, margin_loss,
-                            margin_probability, modulating_factor,
-                            modulating_function, softmax_probability, unified_loss)
+from .margin_losses import MarginKind, MarginSpec, modulating_function
 from .numerics import RngStream
 from .search_engine import (SearchDistribution, SearchSettings, run_random_schedule,
                             run_search)
@@ -17,7 +15,6 @@ from .sgd_trainer import LrSchedule, SgdConfig, TrainState, train_epoch
 __all__ = [
     "ContractViolation",
     "LabeledDataset",
-    "LogitRow",
     "LrSchedule",
     "MarginKind",
     "MarginSpec",
@@ -29,14 +26,9 @@ __all__ = [
     "SyntheticSpec",
     "TrainState",
     "generate_synthetic",
-    "margin_loss",
-    "margin_probability",
-    "modulating_factor",
     "modulating_function",
     "run_random_schedule",
     "run_search",
-    "softmax_probability",
     "train_epoch",
-    "unified_loss",
     "__version__",
 ]

@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointFormatError, read_checkpoint, write_checkpoint
-from .config import (ConfigError, ExperimentConfig, LOSS_ALIASES, LOSS_KINDS,
-                     REWARD_KINDS, distribution_of, from_dict, load_config_file,
-                     margin_spec, schedule_of, set_path)
+from .config import (FACTOR_TRANSFORMS, LOSS_ALIASES, LOSS_KINDS, LOSS_KNOBS,
+                     OUTER_OPTIMIZERS, REWARD_KINDS, SCORE_GRAD_MODES, ConfigError,
+                     ExperimentConfig, from_dict, load_config_file, margin_spec,
+                     schedule_of, search_settings, set_path)
 from .contracts import ContractViolation
 from .datasets import (DataFormatError, SyntheticSpec, generate_synthetic,
                        load_flat_file, make_pairs, split_closed_set, split_open_set)
@@ -30,10 +31,10 @@ from .embed_model import init_model
 from .eval_protocols import (FarUnresolvableError, embed_all, make_gallery_probe,
                              pair_similarities, rank1_identification, reward,
                              tpr_at_far, verification_accuracy)
-from .margin_losses import modulating_function
+from .margin_losses import MarginKind, modulating_function
 from .numerics import RngStream
 from .runio import MetricsWriter, dumps, format_float, run_id, write_xy_csv
-from .search_engine import SearchSettings, run_random_schedule, run_search
+from .search_engine import run_random_schedule, run_search
 from .sgd_trainer import NonFiniteTrainingError, TrainState, train_epoch
 
 DEFAULT_ABLATION_FACTORS = "0,-1,-10,-100,-1000,-10000"
@@ -44,43 +45,29 @@ FAR_LADDER = (0.1, 0.01, 0.001, 0.0001, 1e-05, 1e-06)
 # run assembly
 
 
+# (argparse dest, dotted config path): every flag that overrides a setting.
+_OVERRIDES = (("seed", "seed"), ("data", "dataset.path"), ("reward", "reward"),
+              ("epochs", "schedule.epochs"), ("loss", "loss.kind"), ("m1", "loss.m1"),
+              ("m2", "loss.m2"), ("m3", "loss.m3"), ("a", "loss.a"),
+              ("population", "search.population"), ("mu", "search.mu"),
+              ("score_grad", "search.score_grad"), ("outer", "search.outer"),
+              ("transform", "search.transform"), ("mag_lo", "random.mag_lo"),
+              ("mag_hi", "random.mag_hi"))
+
+
 def _resolve_config(args) -> ExperimentConfig:
     tree = load_config_file(args.config) if args.config else {}
-    if getattr(args, "seed", None) is not None:
-        set_path(tree, "seed", args.seed)
-    if getattr(args, "data", None):
-        set_path(tree, "dataset.path", args.data)
-    if getattr(args, "reward", None):
-        set_path(tree, "reward", args.reward)
-    if getattr(args, "epochs", None) is not None:
-        set_path(tree, "schedule.epochs", args.epochs)
-    if getattr(args, "loss", None):
-        set_path(tree, "loss.kind", args.loss)
-    for key in ("m1", "m2", "m3", "a"):
-        value = getattr(args, key, None)
+    for dest, path in _OVERRIDES:
+        value = getattr(args, dest, None)
         if value is not None:
-            set_path(tree, f"loss.{key}", value)
-    if getattr(args, "population", None) is not None:
-        set_path(tree, "search.population", args.population)
-    if getattr(args, "mu", None) is not None:
-        set_path(tree, "search.mu", args.mu)
-    if getattr(args, "score_grad", None):
-        set_path(tree, "search.score_grad", args.score_grad)
-    if getattr(args, "outer", None):
-        set_path(tree, "search.outer", args.outer)
-    if getattr(args, "transform", None):
-        set_path(tree, "search.transform", args.transform)
-    if getattr(args, "mag_lo", None) is not None:
-        set_path(tree, "random.mag_lo", args.mag_lo)
-    if getattr(args, "mag_hi", None) is not None:
-        set_path(tree, "random.mag_hi", args.mag_hi)
+            set_path(tree, path, value)
     return from_dict(tree)
 
 
 def _prepare_data(config: ExperimentConfig):
     if config.dataset.path is not None:
         path = Path(config.dataset.path)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"dataset.path: file not found: {path}")
         full = load_flat_file(path)
     else:
@@ -111,16 +98,8 @@ def _init_state(config: ExperimentConfig, train) -> TrainState:
 def _loss_echo(config: ExperimentConfig) -> dict:
     """Loss description for metric lines: the kind plus only its own knobs."""
     loss = config.loss
-    echo = {"kind": loss.kind}
-    if loss.kind in ("angular", "combined"):
-        echo["m1"] = loss.m1
-    if loss.kind in ("additive-angular", "combined"):
-        echo["m2"] = loss.m2
-    if loss.kind in ("additive", "combined"):
-        echo["m3"] = loss.m3
-    if loss.kind == "unified":
-        echo["a"] = loss.a
-    return echo
+    return {"kind": loss.kind,
+            **{knob: getattr(loss, knob) for knob in LOSS_KNOBS[MarginKind(loss.kind)]}}
 
 
 def _write_evaluation(out: Path, model, head, val_set, val_pairs, **extra) -> dict:
@@ -241,13 +220,7 @@ def _cmd_train_fixed(args) -> int:
 
 def _cmd_search(args) -> int:
     config = _resolve_config(args)
-    settings = SearchSettings(distribution=distribution_of(config),
-                              epochs=config.schedule.epochs,
-                              sgd=config.sgd, schedule=schedule_of(config),
-                              reward_kind=config.reward,
-                              score_grad=config.search.score_grad,
-                              outer=config.search.outer,
-                              transform=config.search.transform)
+    settings = search_settings(config)
     train, val, pairs = _prepare_data(config)
     state0 = _init_state(config, train)
     with _RunRecorder(args.out, config, "search") as run:
@@ -431,9 +404,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="reward-guided search over the factor")
     p.add_argument("--population", type=int, help="candidates per epoch")
     p.add_argument("--mu", type=float, help="initial distribution mean")
-    p.add_argument("--score-grad", dest="score_grad", choices=("mu", "a"))
-    p.add_argument("--outer", choices=("sgd", "adam"))
-    p.add_argument("--transform", choices=("identity", "negexp"))
+    p.add_argument("--score-grad", dest="score_grad", choices=SCORE_GRAD_MODES)
+    p.add_argument("--outer", choices=OUTER_OPTIMIZERS)
+    p.add_argument("--transform", choices=FACTOR_TRANSFORMS)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("random-schedule", parents=[train_opts],

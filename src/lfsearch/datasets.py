@@ -6,13 +6,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .contracts import require
 from .numerics import RngStream, l2_normalize_rows
 
+# Largest pair pool make_pairs draws from: its permutation is held as uint32.
+# The different-identity pool passes it above about 92,682 samples.
+MAX_PAIR_POOL = 2 ** 32
 
 # float() and int() strip only ASCII whitespace around a number; numpy also
 # strips these information separators.
@@ -189,16 +191,6 @@ def _load_lines(path) -> LabeledDataset:
     return LabeledDataset(np.array(rows, dtype=np.float64), np.array(dense, dtype=np.int64))
 
 
-def save_flat_file(path, dataset: LabeledDataset) -> None:
-    """Write the CSV format load_flat_file reads, floats at full precision."""
-    lines = []
-    for row, label in zip(dataset.features, dataset.labels):
-        cells = [format(value, ".17g") for value in row]
-        cells.append(str(int(label)))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _dense_subset(dataset: LabeledDataset, indices: np.ndarray) -> LabeledDataset:
     # Relabel keeps the ascending order of the original identity ids.
     labels = dataset.labels[indices]
@@ -280,9 +272,8 @@ def make_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairSet:
     pool is refused. The enumeration is not materialised: only the
     same-identity positions are listed, and a different-identity rank maps to
     its position by counting the same-identity positions below it. Each
-    permutation is held in the narrowest unsigned type that fits its pool:
-    4 B per pair up to 92,682 samples (a pool of at most 2**32 pairs), 8 B
-    above.
+    permutation is held in the narrowest unsigned type that fits its pool, at
+    most 4 B per pair: a pool above MAX_PAIR_POOL is refused before any draw.
     """
     require(n_pairs >= 2 and n_pairs % 2 == 0, "n_pairs must be even and >= 2")
     half = n_pairs // 2
@@ -299,11 +290,14 @@ def make_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairSet:
     i, j = order[low], order[high]
     same_lin = np.sort(row_start[i] + (j - i - 1))
     sizes = {"same": same_lin.size, "diff": n * (n - 1) // 2 - same_lin.size}
-    stream = RngStream(seed, "pairs")
-    ranks = {}
     for name, size in sizes.items():
         require(size >= half, f"requested {half} {name} pairs but only {size} exist")
-        ranks[name] = _draw_ranks(stream.child(name).generator(), size, half)
+        require(size <= MAX_PAIR_POOL,
+                f"{n} samples give a pool of {size} {name} pairs, above the 2**32 "
+                f"({MAX_PAIR_POOL}) limit of one pair draw")
+    stream = RngStream(seed, "pairs")
+    ranks = {name: _draw_ranks(stream.child(name).generator(), size, half)
+             for name, size in sizes.items()}
     # The r-th different pair sits after every same pair s_k with s_k - k <= r.
     diff_lin = ranks["diff"] + np.searchsorted(
         same_lin - np.arange(same_lin.size), ranks["diff"], side="right")

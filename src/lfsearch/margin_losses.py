@@ -19,13 +19,12 @@ cannot overflow, and gradients are exact closed forms.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contracts import require
-from .numerics import log_sum_exp, log_sum_exp_rows
+from .numerics import log_sum_exp_rows
 
 # arccos inputs are clamped away from +-1 where the derivative blows up.
 ARCCOS_GUARD = 1e-7
@@ -94,54 +93,15 @@ class MarginSpec:
         return cls(MarginKind.UNIFIED, a=a)
 
 
-@dataclass(frozen=True)
-class LogitRow:
-    """Cosine logits for one sample: cos(theta) per class, label, and scale."""
-
-    cosines: np.ndarray
-    label: int
-    scale: float
-
-    def __post_init__(self):
-        c = np.asarray(self.cosines, dtype=np.float64)
-        require(c.ndim == 1 and c.size >= 1, "LogitRow: cosines must be a non-empty vector")
-        require(bool((np.abs(c) <= 1.0).all()), "LogitRow: cosines must lie in [-1, 1]")
-        require(0 <= self.label < c.size, "LogitRow: label out of range")
-        require(self.scale > 0, "LogitRow: scale must be positive")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "cosines", c)
-
-
-def _theta(cos_y):
-    return np.arccos(np.clip(cos_y, -1.0 + ARCCOS_GUARD, 1.0 - ARCCOS_GUARD))
-
-
-def margin_transform(spec: MarginSpec, cos_y: float) -> float:
-    """The margin value f that replaces the target cosine."""
-    require(-1.0 <= cos_y <= 1.0, "margin_transform: cos_y must lie in [-1, 1]")
-    require(spec.kind is not MarginKind.UNIFIED, "margin_transform: unified spec has no margin function")
-    if spec.kind is MarginKind.PLAIN:
-        return float(cos_y)
-    if spec.kind is MarginKind.ADDITIVE:
-        return float(cos_y - spec.m3)
-    theta = float(_theta(cos_y))
-    if spec.kind is MarginKind.ANGULAR:
-        return math.cos(spec.m1 * theta)
-    if spec.kind is MarginKind.ADDITIVE_ANGULAR:
-        return math.cos(theta + spec.m2)
-    return math.cos(spec.m1 * theta + spec.m2) - spec.m3
-
-
 def margin_transform_batch(spec: MarginSpec, cos_y: np.ndarray) -> np.ndarray:
-    """Vectorized margin_transform over a vector of target cosines."""
+    """The margin value f that replaces each target cosine."""
     require(spec.kind is not MarginKind.UNIFIED, "margin_transform_batch: unified spec has no margin function")
     c = np.asarray(cos_y, dtype=np.float64)
     if spec.kind is MarginKind.PLAIN:
         return c.copy()
     if spec.kind is MarginKind.ADDITIVE:
         return c - spec.m3
-    theta = _theta(c)
+    theta = np.arccos(np.clip(c, -1.0 + ARCCOS_GUARD, 1.0 - ARCCOS_GUARD))
     if spec.kind is MarginKind.ANGULAR:
         return np.cos(spec.m1 * theta)
     if spec.kind is MarginKind.ADDITIVE_ANGULAR:
@@ -164,94 +124,12 @@ def _margin_slope(spec: MarginSpec, cos_y: np.ndarray) -> np.ndarray:
     return spec.m1 * np.sin(spec.m1 * theta + spec.m2) / sin_theta
 
 
-def _log_target_probability(z: np.ndarray, label: int) -> float:
-    """log of softmax(z)[label], shifted by the target logit.
-
-    The target shift keeps log p (and therefore 1 - p) at relative
-    precision when p approaches 1; a max shift only bounds the absolute
-    error.  Falls back to the max shift when the spread could overflow.
-    """
-    shifted = z - z[label]
-    if shifted.max() < 500.0:
-        others = np.delete(shifted, label)
-        return float(-np.log1p(np.exp(others).sum()))
-    return float(z[label] - log_sum_exp(z))
-
-
-def log_softmax_probability(row: LogitRow) -> float:
-    """log p for the target class under scaled cosine logits."""
-    z = row.scale * row.cosines
-    return _log_target_probability(z, row.label)
-
-
-def softmax_probability(row: LogitRow) -> float:
-    """Target-class softmax probability p, in (0, 1]."""
-    return math.exp(log_softmax_probability(row))
-
-
-def log_margin_probability(spec: MarginSpec, row: LogitRow) -> float:
-    """log p_m with the target logit replaced by the margin value."""
-    require(spec.kind is not MarginKind.UNIFIED, "margin_probability: unified spec bypasses the margin function")
-    z = row.scale * row.cosines
-    z = z.copy()
-    z[row.label] = row.scale * margin_transform(spec, float(row.cosines[row.label]))
-    return _log_target_probability(z, row.label)
-
-
-def margin_probability(spec: MarginSpec, row: LogitRow) -> float:
-    """Target-class probability after the margin transform, in (0, 1]."""
-    return math.exp(log_margin_probability(spec, row))
-
-
-def modulating_factor(spec: MarginSpec, cos_y: float, s: float) -> float:
-    """a = 1 - exp(s * (cos_y - f)).
-
-    Zero for the plain margin, negative for any margin that lowers the
-    target logit.  Angular margins can produce a positive value at large
-    angles; it is returned as computed.
-    """
-    f = margin_transform(spec, cos_y)
-    return 1.0 - math.exp(s * (cos_y - f))
-
-
 def modulating_function(a: float, p: float) -> float:
     """h(a, p) = 1 / (a*p + (1 - a)); in (0, 1] for a <= 0, p in (0, 1]."""
     require(a <= 0, "modulating_function: factor a must be <= 0")
     # Grouped as 1 - a*(1 - p): a*p + (1 - a) cancels to 0.0 at p == 1
     # once |a| exceeds 2**53.
     return 1.0 / (1.0 - a * (1.0 - p))
-
-
-def unified_loss(a: float, row: LogitRow) -> float:
-    """-log(h(a, p) * p); equals the plain cross-entropy at a = 0."""
-    require(a <= 0, "unified_loss: factor a must be <= 0")
-    log_p = log_softmax_probability(row)
-    # 1 - p via expm1: the linear-domain subtraction loses the a-term
-    # entirely once p rounds to 1.
-    one_minus_p = -math.expm1(log_p)
-    return -log_p + math.log1p(-a * one_minus_p)
-
-
-def unified_loss_gradient(a: float, row: LogitRow) -> np.ndarray:
-    """Exact gradient of unified_loss with respect to each cosine logit.
-
-    The chain rule through dL/dp = -1/p + a/(a*p + 1 - a) and the softmax
-    Jacobian collapses to s * (p_k - delta_ky) * (1 - a) / (1 - a*(1 - p)),
-    which stays finite even when p underflows.
-    """
-    require(a <= 0, "unified_loss_gradient: factor a must be <= 0")
-    losses, dcos = batch_loss_and_grad(
-        MarginSpec.unified(a),
-        row.cosines[None, :],
-        np.array([row.label]),
-        row.scale,
-    )
-    return dcos[0]
-
-
-def margin_loss(spec: MarginSpec, row: LogitRow) -> float:
-    """-log(margin_probability), evaluated in the log domain."""
-    return -log_margin_probability(spec, row)
 
 
 def _row_softmax_stats(z: np.ndarray, y: np.ndarray):

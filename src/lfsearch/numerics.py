@@ -21,36 +21,18 @@ NORM_EPSILON = 1e-12
 _U64_MAX = (1 << 64) - 1
 
 
-def log_sum_exp(values) -> float:
-    """log(sum(exp(v_i))) computed with the max subtracted first.
-
-    Finite for any finite input, no matter the magnitude.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    require(v.size > 0, "log_sum_exp: input must be non-empty")
-    require(bool(np.isfinite(v).all()), "log_sum_exp: input must be finite")
-    m = float(v.max())
-    return m + float(np.log(np.exp(v - m).sum()))
-
-
 def log_sum_exp_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise log_sum_exp for an (N, K) array."""
+    """log(sum(exp(z))) of each row of an (N, K) array, with the row max
+    subtracted first, so finite for any finite input whatever its magnitude."""
     z = np.asarray(matrix, dtype=np.float64)
     require(z.ndim == 2 and z.shape[1] > 0, "log_sum_exp_rows: need a non-empty 2-d array")
     m = z.max(axis=1, keepdims=True)
     return (m + np.log(np.exp(z - m).sum(axis=1, keepdims=True)))[:, 0]
 
 
-def l2_normalize(v, epsilon: float = NORM_EPSILON) -> np.ndarray:
-    """v / max(||v||, epsilon).  The epsilon guard keeps the zero vector at zero."""
-    v = np.asarray(v, dtype=np.float64)
-    require(epsilon > 0, "l2_normalize: epsilon must be positive")
-    n = float(np.linalg.norm(v))
-    return v / max(n, epsilon)
-
-
 def l2_normalize_rows(m: np.ndarray, epsilon: float = NORM_EPSILON) -> np.ndarray:
-    """Row-wise l2_normalize for an (N, d) array."""
+    """Each row of an (N, d) array over max(||row||, epsilon); the epsilon
+    guard keeps a zero row at zero."""
     m = np.asarray(m, dtype=np.float64)
     require(epsilon > 0, "l2_normalize_rows: epsilon must be positive")
     norms = np.linalg.norm(m, axis=1, keepdims=True)

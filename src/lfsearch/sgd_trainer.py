@@ -53,9 +53,9 @@ class LrSchedule:
         require(self.initial > 0, "initial learning rate must be > 0")
         require(self.drop_factor > 1, "drop_factor must be > 1")
         drops = tuple(int(e) for e in self.drop_epochs)
-        require(all(e >= 1 for e in drops), "drop epochs are 1-based")
+        require(all(e >= 1 for e in drops), "drop_epochs are 1-based")
         require(all(a < b for a, b in zip(drops, drops[1:])),
-                "drop epochs must be strictly increasing")
+                "drop_epochs must be strictly increasing")
         object.__setattr__(self, "drop_epochs", drops)
 
     def lr_at(self, epoch: int) -> float:

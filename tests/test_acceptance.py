@@ -23,16 +23,14 @@ from lfsearch.embed_model import backward, forward, init_model, unflatten
 from lfsearch.eval_protocols import (embed_all, make_gallery_probe,
                                      pair_similarities, rank1_identification,
                                      reward, tpr_at_far, verification_accuracy)
-from lfsearch.margin_losses import (LogitRow, MarginSpec, batch_loss_and_grad,
-                                    log_margin_probability,
-                                    log_softmax_probability, margin_transform,
-                                    modulating_factor, modulating_function,
-                                    unified_loss, unified_loss_gradient)
+from lfsearch.margin_losses import MarginSpec, batch_loss_and_grad, modulating_function
 from lfsearch.numerics import RngStream
 from lfsearch.search_engine import (SearchDistribution, SearchSettings,
                                     normalize_rewards, reinforce_update,
                                     run_random_schedule, run_search)
 from lfsearch.sgd_trainer import LrSchedule, SgdConfig, TrainState, train_epoch
+from oracles import (LogitRow, log_margin_probability, log_softmax_probability,
+                     margin_transform, modulating_factor, unified_loss)
 
 SEEDS = range(5)
 SWEEP_FACTORS = (-1.0, -10.0, -100.0, -1000.0, -10000.0)
@@ -231,7 +229,9 @@ class TestGradients:
             a = 0.0 if i % 5 == 0 else -float(10.0 ** rng.uniform(-3.0, 3.0))
             cosines = rng.uniform(-0.95, 0.95, size=k)
             y = int(rng.integers(0, k))
-            grad = unified_loss_gradient(a, LogitRow(cosines, y, scale))
+            _, grads = batch_loss_and_grad(MarginSpec.unified(a), cosines[None, :],
+                                           np.array([y]), scale)
+            grad = grads[0]
             fd = np.empty(k)
             for j in range(k):
                 up = cosines.copy()

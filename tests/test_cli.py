@@ -3,6 +3,7 @@ small synthetic problems (in a fresh interpreter where stderr itself is
 checked).
 """
 
+import argparse
 import copy
 import json
 import os
@@ -15,11 +16,13 @@ import numpy as np
 import pytest
 
 import lfsearch
+from lfsearch import cli
 from lfsearch.cli import main
+from lfsearch.config import ExperimentConfig
 from lfsearch.contracts import ContractViolation
-from lfsearch.datasets import (SyntheticSpec, generate_synthetic, load_flat_file, make_pairs,
-                               save_flat_file)
+from lfsearch.datasets import SyntheticSpec, generate_synthetic, load_flat_file, make_pairs
 from lfsearch.runio import run_id
+from oracles import save_flat_file
 
 SRC = str(Path(lfsearch.__file__).resolve().parents[1])
 
@@ -402,6 +405,20 @@ class TestExitCodes:
         assert main(["train-fixed", "--config", config, "--out", str(tmp_path / "x"),
                      "--data", str(tmp_path / "absent.csv")]) == 2
 
+    def test_data_path_is_a_directory(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["train-fixed", "--config", config, "--out", str(tmp_path / "x"),
+                     "--data", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: dataset.path:")
+
+    def test_pair_pool_beyond_the_limit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("lfsearch.datasets.MAX_PAIR_POOL", 10)
+        config = write_config(tmp_path)
+        assert main(["train-fixed", "--config", config, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dataset: ") and "2**32" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["train-fixed", "search"])
     @pytest.mark.parametrize("learning_rate, failed_epoch", [(1e300, 1), (1e50, 2)])
     def test_non_finite_training(self, tmp_path, capsys, command, learning_rate,
@@ -519,3 +536,20 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+    def test_overrides_pair_every_setting_flag_with_a_setting(self):
+        # A dest missing from the table would be read as None and ignored.
+        parser = cli._build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        dests = {action.dest for sub in commands.choices.values() for action in sub._actions}
+        leaves = set()
+        for section, table in ExperimentConfig().to_dict().items():
+            if isinstance(table, dict):
+                leaves |= {f"{section}.{key}" for key in table}
+            else:
+                leaves.add(section)
+        table = dict(cli._OVERRIDES)
+        assert set(table.values()) <= leaves
+        assert dests - set(table) == {"help", "out", "config", "factors", "checkpoint",
+                                      "a_list"}

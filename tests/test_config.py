@@ -4,6 +4,7 @@ canonical echo, and the bridges into loss/schedule/search objects.
 
 import pytest
 
+from lfsearch.cli import main
 from lfsearch.config import (
     ConfigError,
     ExperimentConfig,
@@ -54,6 +55,78 @@ class TestDefaults:
             "search": {"mu": -5.0, "population": 8},
         })
         assert from_dict(custom.to_dict()) == custom
+
+
+# One non-default value for every setting. Integers given for float settings
+# (scale, weight_decay, drop_factor, mag_lo) must echo as floats.
+LEAF_OVERRIDES = {
+    "seed": 7,
+    "reward": "classification",
+    "dataset.path": "faces.csv",
+    "dataset.classes": 10,
+    "dataset.dim": 8,
+    "dataset.samples_per_class": 12,
+    "dataset.noise_sigma": 0.5,
+    "dataset.train_frac": 0.75,
+    "dataset.n_pairs": 100,
+    "model.hidden": [32, 16],
+    "model.embedding": 8,
+    "model.scale": 32,
+    "sgd.learning_rate": 0.05,
+    "sgd.momentum": 0.5,
+    "sgd.weight_decay": 0,
+    "sgd.batch_size": 64,
+    "schedule.epochs": 3,
+    "schedule.drop_epochs": [1, 2],
+    "schedule.drop_factor": 5,
+    "loss.kind": "combined",
+    "loss.m1": 3,
+    "loss.m2": 0.25,
+    "loss.m3": 0.1,
+    "loss.a": -2.0,
+    "search.mu": -3.0,
+    "search.sigma": 0.5,
+    "search.eta": 0.1,
+    "search.population": 2,
+    "search.score_grad": "a",
+    "search.outer": "adam",
+    "search.transform": "negexp",
+    "random.mag_lo": 2,
+    "random.mag_hi": 20.0,
+}
+
+
+def leaves(tree, prefix=""):
+    """Every (dotted path, value) of a settings tree."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+class TestEveryLeaf:
+    def test_table_covers_every_setting(self):
+        assert sorted(LEAF_OVERRIDES) == sorted(path for path, _ in
+                                                leaves(ExperimentConfig().to_dict()))
+        # A refused range names its setting by the bare name, so names are unique.
+        names = [path.split(".")[-1] for path in LEAF_OVERRIDES]
+        assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("path", sorted(LEAF_OVERRIDES))
+    def test_override_round_trips(self, path):
+        tree = {}
+        set_path(tree, path, LEAF_OVERRIDES[path])
+        config = from_dict(tree)
+        echo = dict(leaves(config.to_dict()))
+        default = dict(leaves(ExperimentConfig().to_dict()))
+        value = LEAF_OVERRIDES[path]
+        expected = tuple(value) if isinstance(value, list) else value
+        assert echo[path] == expected
+        assert type(echo[path]) is type(default[path]) or default[path] is None
+        assert {k: v for k, v in echo.items() if k != path} == \
+            {k: v for k, v in default.items() if k != path}
+        assert from_dict(config.to_dict()) == config
 
 
 class TestRejection:
@@ -116,6 +189,38 @@ class TestRejection:
         for tree in bad:
             with pytest.raises(ConfigError):
                 from_dict(tree)
+
+    @pytest.mark.parametrize("tree, path, words", [
+        ({"sgd": {"momentum": 1.0}}, "sgd.momentum", "momentum must lie in [0, 1)"),
+        ({"search": {"sigma": 0}}, "search.sigma", "sigma must be > 0"),
+        ({"search": {"population": 0}}, "search.population", "population must be >= 1"),
+        ({"search": {"score_grad": "b"}}, "search.score_grad", "score_grad must be one of"),
+        ({"schedule": {"epochs": -1}}, "schedule.epochs", "epochs must be >= 0"),
+        ({"schedule": {"drop_epochs": [0]}}, "schedule.drop_epochs", "1-based"),
+        ({"dataset": {"noise_sigma": 0}}, "dataset.noise_sigma", "noise_sigma must be > 0"),
+        ({"loss": {"kind": "unified", "a": 1}}, "loss.a", "a must be <= 0"),
+        ({"loss": {"kind": "angular", "m1": 0}}, "loss.m1", "m1 must be an integer >= 1"),
+        ({"seed": 2 ** 64}, "config.seed", "64 unsigned bits"),
+        ({"model": {"scale": 0}}, "model.scale", "scale must be > 0"),
+    ])
+    def test_domain_checks_name_section_and_field(self, tree, path, words):
+        with pytest.raises(ConfigError) as exc:
+            from_dict(tree)
+        message = str(exc.value)
+        assert message.startswith(f"{path}: ")
+        assert words in message
+
+    def test_domain_check_exits_2_with_one_line(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"sgd": {"momentum": 1.0}}', encoding="utf-8")
+        assert main(["train-fixed", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == \
+            "config error: sgd.momentum: momentum must lie in [0, 1)\n"
+
+    def test_unused_loss_knobs_are_not_checked(self):
+        # Each kind takes only its own knobs, so a plain loss ignores m1.
+        assert from_dict({"loss": {"kind": "plain", "m1": 0}}).loss.m1 == 0
+        assert from_dict({"loss": {"kind": "additive", "m2": -1.0}}).loss.m2 == -1.0
 
     def test_positive_mu_allowed_under_negexp(self):
         config = from_dict({"search": {"transform": "negexp", "mu": 2.0}})

@@ -18,11 +18,11 @@ from lfsearch.datasets import (
     generate_synthetic,
     load_flat_file,
     make_pairs,
-    save_flat_file,
     split_closed_set,
     split_open_set,
 )
 from lfsearch.numerics import RngStream
+from oracles import save_flat_file
 
 
 def small_synthetic(seed=0, classes=8, dim=16, spc=10, noise=0.2):
@@ -420,6 +420,33 @@ class TestMakePairs:
             assert np.array_equal(pairs.first, expected[0])
             assert np.array_equal(pairs.second, expected[1])
             assert np.array_equal(pairs.same, expected[2])
+
+    # 92,682 samples give 4,294,930,221 index pairs, within 2**32, and 92,683
+    # give 4,295,022,903. One repeated label leaves a single same pair, so the
+    # different pool is all but one of them. The draws are replaced: the
+    # accepted pool alone would take about 17 GB.
+    @pytest.mark.parametrize("samples, accepted", [(92_682, True), (92_683, False)])
+    def test_pool_beyond_uint32_is_refused_before_any_draw(self, monkeypatch, samples,
+                                                           accepted):
+        labels = np.arange(samples)
+        labels[-1] = 0
+        data = LabeledDataset(np.zeros((samples, 1)), labels)
+        drawn = []
+
+        def draw_ranks(generator, size, count):
+            drawn.append(size)
+            return np.arange(count, dtype=np.int64)
+
+        monkeypatch.setattr(datasets, "_draw_ranks", draw_ranks)
+        diff_pool = samples * (samples - 1) // 2 - 1
+        if accepted:
+            pairs = make_pairs(data, 2, seed=0)
+            assert drawn == [1, diff_pool]
+            assert (pairs.first[0], pairs.second[0]) == (0, samples - 1)
+        else:
+            with pytest.raises(ContractViolation, match=rf"{diff_pool} diff pairs.*2\*\*32"):
+                make_pairs(data, 2, seed=0)
+            assert drawn == []
 
     def test_peak_memory_stays_below_the_enumeration(self):
         # 2,000 samples: 1,999,000 index pairs. The enumeration holds about

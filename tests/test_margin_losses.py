@@ -1,6 +1,6 @@
 """Tests for the margin-loss family: the margin transforms, the two
 probabilities, the factor/function pair connecting them, the unified loss,
-and the analytic gradients.
+and the analytic gradients. The scalar forms come from tests/oracles.py.
 """
 
 import math
@@ -11,23 +11,24 @@ import pytest
 
 from lfsearch.contracts import ContractViolation
 from lfsearch.margin_losses import (
-    LogitRow,
     MarginKind,
     MarginSpec,
     batch_loss_and_grad,
+    margin_transform_batch,
+    modulating_function,
+    _margin_slope,
+)
+from lfsearch.numerics import log_sum_exp_rows
+from oracles import (
+    LogitRow,
     log_softmax_probability,
     margin_loss,
     margin_probability,
     margin_transform,
-    margin_transform_batch,
     modulating_factor,
-    modulating_function,
     softmax_probability,
     unified_loss,
-    unified_loss_gradient,
-    _margin_slope,
 )
-from lfsearch.numerics import log_sum_exp_rows
 
 ALL_MARGINS = (
     MarginSpec.plain(),
@@ -348,7 +349,9 @@ class TestUnifiedLossGradient:
             p /= p.sum()
             expected = row.scale * p
             expected[row.label] -= row.scale
-            got = unified_loss_gradient(0.0, row)
+            _, grads = batch_loss_and_grad(MarginSpec.unified(0.0), row.cosines[None, :],
+                                           np.array([row.label]), row.scale)
+            got = grads[0]
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_matches_central_differences(self):
@@ -359,8 +362,9 @@ class TestUnifiedLossGradient:
             cosines = rng.uniform(-0.95, 0.95, k)
             label = int(rng.integers(k))
             a = -math.exp(rng.uniform(-4.0, 6.0))
-            row = LogitRow(cosines, label, 32.0)
-            grad = unified_loss_gradient(a, row)
+            _, grads = batch_loss_and_grad(MarginSpec.unified(a), cosines[None, :],
+                                           np.array([label]), 32.0)
+            grad = grads[0]
             for j in range(k):
                 up = cosines.copy()
                 up[j] += eps
@@ -373,9 +377,9 @@ class TestUnifiedLossGradient:
                 assert abs(grad[j] - fd) <= 1e-5 * abs(fd) + 1e-7
 
     def test_symmetric_row_has_equal_off_label_components(self):
-        row = LogitRow(np.array([0.2, 0.2, 0.2]), 1, 32.0)
-        grad = unified_loss_gradient(-5.0, row)
-        assert grad[0] == grad[2]
+        _, grads = batch_loss_and_grad(MarginSpec.unified(-5.0), np.array([[0.2, 0.2, 0.2]]),
+                                       np.array([1]), 32.0)
+        assert grads[0, 0] == grads[0, 2]
 
 
 class TestMarginLoss:
@@ -415,8 +419,8 @@ class TestBatchLossAndGrad:
         for i in range(32):
             row = LogitRow(cosines[i], int(labels[i]), 32.0)
             assert abs(losses[i] - unified_loss(-50.0, row)) < 1e-12 * max(1.0, losses[i])
-            assert np.allclose(grads[i], unified_loss_gradient(-50.0, row),
-                               rtol=1e-12, atol=1e-12)
+            _, row_grads = batch_loss_and_grad(spec, cosines[i:i + 1], labels[i:i + 1], 32.0)
+            assert np.allclose(grads[i], row_grads[0], rtol=1e-12, atol=1e-12)
 
     def test_plain_routes_through_zero_factor_bitwise(self):
         rng = np.random.default_rng(20)
