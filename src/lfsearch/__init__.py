@@ -8,12 +8,13 @@ from .contracts import ContractViolation
 from .datasets import LabeledDataset, PairSet, SyntheticSpec, generate_synthetic
 from .margin_losses import MarginKind, MarginSpec, modulating_function
 from .numerics import RngStream
-from .search_engine import (SearchDistribution, SearchSettings, run_random_schedule,
-                            run_search)
+from .search_engine import (FactorRange, SearchDistribution, SearchSettings,
+                            run_random_schedule, run_search)
 from .sgd_trainer import LrSchedule, SgdConfig, TrainState, train_epoch
 
 __all__ = [
     "ContractViolation",
+    "FactorRange",
     "LabeledDataset",
     "LrSchedule",
     "MarginKind",

@@ -22,8 +22,8 @@ import numpy as np
 from .checkpoint import CheckpointFormatError, read_checkpoint, write_checkpoint
 from .config import (FACTOR_TRANSFORMS, LOSS_ALIASES, LOSS_KINDS, LOSS_KNOBS,
                      OUTER_OPTIMIZERS, REWARD_KINDS, SCORE_GRAD_MODES, ConfigError,
-                     ExperimentConfig, from_dict, load_config_file, margin_spec,
-                     schedule_of, search_settings, set_path)
+                     ExperimentConfig, factor_range, from_dict, load_config_file,
+                     margin_spec, schedule_of, search_settings, set_path)
 from .contracts import ContractViolation
 from .datasets import (DataFormatError, SyntheticSpec, generate_synthetic,
                        load_flat_file, make_pairs, split_closed_set, split_open_set)
@@ -32,7 +32,7 @@ from .eval_protocols import (FarUnresolvableError, embed_all, make_gallery_probe
                              pair_similarities, rank1_identification, reward,
                              tpr_at_far, verification_accuracy)
 from .margin_losses import MarginKind, modulating_function
-from .numerics import RngStream
+from .numerics import RngStream, Workspace, blas_environment, one_blas_thread
 from .runio import MetricsWriter, dumps, format_float, run_id, write_xy_csv
 from .search_engine import run_random_schedule, run_search
 from .sgd_trainer import NonFiniteTrainingError, TrainState, train_epoch
@@ -139,9 +139,10 @@ def _write_evaluation(out: Path, model, head, val_set, val_pairs, **extra) -> di
 
 
 class _RunRecorder:
-    """One run directory: the resolved config, the metric and timing streams,
-    the epoch clock and convergence curve, then the final checkpoint and
-    evaluation. A rerun into the same directory replaces both streams."""
+    """One run directory: the resolved config, the numpy/BLAS environment,
+    the metric and timing streams, the epoch clock and convergence curve,
+    then the final checkpoint and evaluation. A rerun into the same directory
+    replaces both streams."""
 
     def __init__(self, out_dir, config: ExperimentConfig, mode: str):
         self.out = Path(out_dir)
@@ -150,6 +151,8 @@ class _RunRecorder:
         self._run_id = run_id(resolved)
         self._mode = mode
         (self.out / "config.json").write_text(dumps(resolved) + "\n", encoding="utf-8")
+        (self.out / "environment.json").write_text(dumps(blas_environment()) + "\n",
+                                                   encoding="utf-8")
         for name in ("metrics.jsonl", "timings.jsonl"):
             (self.out / name).unlink(missing_ok=True)
         self._metrics = MetricsWriter(self.out / "metrics.jsonl")
@@ -193,13 +196,15 @@ def _run_fixed(config: ExperimentConfig, out_dir, data) -> dict:
     schedule = schedule_of(config)
     loss_echo = _loss_echo(config)
     root = RngStream(config.seed, "fixed")
+    workspace = Workspace()
     final_reward = None
     with _RunRecorder(out_dir, config, "fixed") as run:
         for epoch in range(1, config.schedule.epochs + 1):
             lr = schedule.lr_at(epoch)
             state, mean_loss = train_epoch(state, spec, train, config.sgd, lr,
-                                           root.child(f"epoch{epoch}"))
-            final_reward = reward(state.model, state.head, val, pairs, config.reward)
+                                           root.child(f"epoch{epoch}"), workspace)
+            final_reward = reward(state.model, state.head, val, pairs, config.reward,
+                                  workspace)
             run.epoch(epoch, {"loss": loss_echo, "lr": lr, "mean_loss": mean_loss,
                               "val_reward": final_reward}, mean_loss)
         return run.finish("model.lfs", state, val, pairs, final_val_reward=final_reward)
@@ -266,9 +271,8 @@ def _cmd_random_schedule(args) -> int:
 
         state, history = run_random_schedule(
             config.schedule.epochs, state0, train, val, pairs, config.sgd,
-            schedule_of(config), config.seed, mag_lo=config.random.mag_lo,
-            mag_hi=config.random.mag_hi, reward_kind=config.reward,
-            on_epoch=on_epoch)
+            schedule_of(config), config.seed, factor_range(config),
+            config.reward, on_epoch=on_epoch)
         report = run.finish("model.lfs", state, val, pairs,
                             final_val_reward=history[-1].reward if history else None)
     print(f"random-schedule done: final reward "
@@ -454,7 +458,9 @@ def main(argv=None) -> int:
     failure = None
     # Warnings are held back so that a run which goes non-finite reports on
     # one stderr line; every other outcome shows them unchanged at its end.
-    with warnings.catch_warnings(record=True) as caught:
+    # One BLAS thread makes the run bytes independent of the thread count,
+    # and the small products of a training step run faster on it.
+    with one_blas_thread(), warnings.catch_warnings(record=True) as caught:
         try:
             code = args.handler(args)
         except BaseException as exc:

@@ -5,7 +5,8 @@ The dataclasses below are the one statement of every setting's name, type
 and default (a default the domain object already holds is taken from it);
 `from_dict` walks their fields. Ranges are checked where the values are used:
 each section builds the domain object it feeds (a loss spec, the SGD and
-schedule settings, the search settings, a synthetic-data recipe), and the few
+schedule settings, the search settings, the random schedule's factor range,
+a synthetic-data recipe), and the few
 settings no such object takes are checked in their config dataclass.
 """
 
@@ -25,7 +26,7 @@ from .sgd_trainer import LrSchedule, SgdConfig
 # The search choices are checked by SearchSettings; the command line offers
 # them from here.
 from .search_engine import (FACTOR_TRANSFORMS, OUTER_OPTIMIZERS, SCORE_GRAD_MODES,
-                            SearchDistribution, SearchSettings)
+                            FactorRange, SearchDistribution, SearchSettings)
 
 LOSS_KINDS = tuple(kind.value for kind in MarginKind)
 LOSS_ALIASES = {"am": "additive", "arc": "additive-angular"}
@@ -101,13 +102,8 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class RandomConfig:
-    mag_lo: float = 1.0
-    mag_hi: float = 10000.0
-
-    def __post_init__(self):
-        collapsed = self.mag_lo == 0.0 and self.mag_hi == 0.0
-        require(collapsed or 0.0 < self.mag_lo <= self.mag_hi,
-                "need 0 < mag_lo <= mag_hi, or both 0")
+    mag_lo: float = FactorRange.mag_lo
+    mag_hi: float = FactorRange.mag_hi
 
 
 @dataclass(frozen=True)
@@ -221,6 +217,7 @@ def from_dict(data: dict) -> ExperimentConfig:
                       noise_sigma=config.dataset.noise_sigma, seed=config.seed)
         margin_spec(config.loss)
         search_settings(config)
+        factor_range(config)
     except ContractViolation as exc:
         raise _config_error(exc) from None
     return config
@@ -265,6 +262,10 @@ def schedule_of(config: ExperimentConfig) -> LrSchedule:
 def distribution_of(config: ExperimentConfig) -> SearchDistribution:
     return SearchDistribution(mu=config.search.mu, sigma=config.search.sigma,
                               eta=config.search.eta, population=config.search.population)
+
+
+def factor_range(config: ExperimentConfig) -> FactorRange:
+    return FactorRange(mag_lo=config.random.mag_lo, mag_hi=config.random.mag_hi)
 
 
 def search_settings(config: ExperimentConfig) -> SearchSettings:

@@ -43,8 +43,10 @@ class LabeledDataset:
         require(labels.shape == (features.shape[0],),
                 "labels must align with feature rows")
         require(bool(np.isfinite(features).all()), "features must be finite")
-        present = np.unique(labels)
-        require(bool(np.array_equal(present, np.arange(present.size))),
+        # Dense labels lie in [0, n) and each count is positive; the bounds
+        # come first so that bincount never sees a negative or huge label.
+        require(0 <= labels.min() and labels.max() < labels.size
+                and bool(np.bincount(labels).all()),
                 "labels must be dense 0..K-1 with every identity present")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
@@ -194,7 +196,7 @@ def _load_lines(path) -> LabeledDataset:
 def _dense_subset(dataset: LabeledDataset, indices: np.ndarray) -> LabeledDataset:
     # Relabel keeps the ascending order of the original identity ids.
     labels = dataset.labels[indices]
-    kept = np.unique(labels)
+    kept = np.flatnonzero(np.bincount(labels))  # the identities present, ascending
     return LabeledDataset(dataset.features[indices], np.searchsorted(kept, labels))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contracts import require
-from .numerics import NORM_EPSILON, RngStream, l2_normalize_rows
+from .numerics import NORM_EPSILON, RngStream, Workspace
 
 
 @dataclass
@@ -69,19 +69,6 @@ def unflatten(flat: np.ndarray, model: EmbeddingModel, head: ClassifierHead):
     return _map_parameters(view, model, head)
 
 
-@dataclass
-class ForwardCache:
-    model: EmbeddingModel
-    head: ClassifierHead
-    activations: list = field(repr=False)  # activations[0] is the input batch
-    preacts: list = field(repr=False)
-    emb_norms: np.ndarray = field(repr=False)
-    emb_unit: np.ndarray = field(repr=False)
-    head_norms: np.ndarray = field(repr=False)
-    head_unit: np.ndarray = field(repr=False)
-    cosines: np.ndarray = field(repr=False)
-
-
 def init_model(layer_dims, n_classes: int, scale: float, stream: RngStream):
     """He-initialized backbone, zero biases, N(0, 1/d) head rows."""
     dims = [int(d) for d in layer_dims]
@@ -100,49 +87,88 @@ def init_model(layer_dims, n_classes: int, scale: float, stream: RngStream):
     return EmbeddingModel(weights, biases), ClassifierHead(head_w, float(scale))
 
 
-def _backbone(model: EmbeddingModel, batch: np.ndarray):
+@dataclass
+class ForwardCache:
+    """What backward() needs from one forward(): views of arrays held by
+    `workspace`, valid until the next forward() through that workspace."""
+
+    model: EmbeddingModel
+    head: ClassifierHead
+    workspace: Workspace = field(repr=False)
+    activations: list = field(repr=False)  # activations[0] is the input batch
+    preacts: list = field(repr=False)
+    emb_norms: np.ndarray = field(repr=False)
+    emb_guards: np.ndarray = field(repr=False)  # max(emb_norms, NORM_EPSILON)
+    emb_unit: np.ndarray = field(repr=False)
+    head_norms: np.ndarray = field(repr=False)
+    head_guards: np.ndarray = field(repr=False)
+    head_unit: np.ndarray = field(repr=False)
+    cosines: np.ndarray = field(repr=False)
+
+
+def _backbone(model: EmbeddingModel, batch: np.ndarray, preacts=None, hidden=None):
+    """Every layer's output on batch, the batch first. With arrays given,
+    layer l writes its pre-activation into preacts[l] and, below the last
+    layer, its ReLU into hidden[l]; without, each pre-activation is a new
+    array and the ReLU runs in place on it."""
     acts = [batch]
-    preacts = []
-    n_layers = len(model.weights)
+    last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w.T + b
-        preacts.append(z)
-        acts.append(z if l == n_layers - 1 else np.maximum(z, 0.0))
-    return acts, preacts
+        z = np.matmul(acts[-1], w.T, out=None if preacts is None else preacts[l])
+        z += b
+        acts.append(z if l == last else np.maximum(z, 0.0, out=z if hidden is None else hidden[l]))
+    return acts
+
+
+def _unit_rows(raw, norms=None, guards=None, unit=None):
+    """Row norms of raw (the sums np.linalg.norm(axis=1) takes for real
+    input, minus its wrapper), max(norm, NORM_EPSILON), and raw over that,
+    each written into the given array (None: a new one; unit may be raw).
+    The squares go to unit first, unless unit is raw."""
+    squares = np.multiply(raw, raw, out=None if unit is raw else unit)
+    norms = np.sqrt(np.add.reduce(squares, axis=1, out=norms), out=norms)
+    guards = np.maximum(norms, NORM_EPSILON, out=guards)
+    return norms, guards, np.divide(raw, guards[:, None], out=unit)
 
 
 def embed(model: EmbeddingModel, batch: np.ndarray) -> np.ndarray:
     """Unit-norm embeddings for a batch, without the classifier head."""
-    acts, _ = _backbone(model, np.asarray(batch, dtype=np.float64))
-    return l2_normalize_rows(acts[-1])
+    raw = _backbone(model, np.asarray(batch, dtype=np.float64))[-1]
+    return _unit_rows(raw, unit=raw)[2]
 
 
-def forward(model: EmbeddingModel, head: ClassifierHead, batch: np.ndarray):
-    """Cosine matrix (N, K) plus everything backward() needs."""
+def forward(model: EmbeddingModel, head: ClassifierHead, batch: np.ndarray, workspace=None):
+    """Cosine matrix (N, K) plus everything backward() needs, written into
+    arrays of `workspace` (None: a new Workspace for this call)."""
     x = np.asarray(batch, dtype=np.float64)
     require(x.ndim == 2 and x.shape[1] == model.weights[0].shape[1], "forward: batch columns must match the input dim")
     require(head.class_weights.shape[1] == model.weights[-1].shape[0], "forward: head dim must match the embedding dim")
-    acts, preacts = _backbone(model, x)
-    raw = acts[-1]
-    # The sums np.linalg.norm(axis=1) takes for real input, minus its wrapper.
-    emb_norms = np.sqrt(np.add.reduce(raw * raw, axis=1))
-    emb_unit = raw / np.maximum(emb_norms, NORM_EPSILON)[:, None]
-    head_norms = np.sqrt(np.add.reduce(head.class_weights * head.class_weights, axis=1))
-    head_unit = head.class_weights / np.maximum(head_norms, NORM_EPSILON)[:, None]
-    cosines = emb_unit @ head_unit.T
+    ws = Workspace() if workspace is None else workspace
+    n = x.shape[0]
+    classes, width = head.class_weights.shape
+    preacts = [ws.array(f"preact{l}", (n, w.shape[0])) for l, w in enumerate(model.weights)]
+    hidden = [ws.array(f"hidden{l}", z.shape) for l, z in enumerate(preacts[:-1])]
+    acts = _backbone(model, x, preacts, hidden)
+    emb = _unit_rows(acts[-1], ws.array("emb_norms", (n,)), ws.array("emb_guards", (n,)),
+                     ws.array("emb_unit", (n, width)))
+    head_rows = _unit_rows(head.class_weights, ws.array("head_norms", (classes,)),
+                           ws.array("head_guards", (classes,)),
+                           ws.array("head_unit", (classes, width)))
+    cosines = np.matmul(emb[2], head_rows[2].T, out=ws.array("cosines", (n, classes)))
     np.clip(cosines, -1.0, 1.0, out=cosines)
-    cache = ForwardCache(model, head, acts, preacts, emb_norms, emb_unit, head_norms, head_unit, cosines)
-    return cosines, cache
+    return cosines, ForwardCache(model, head, ws, acts, preacts, *emb, *head_rows, cosines)
 
 
-def _normalize_backward(d_unit, unit, raw_norms, out):
+def _normalize_backward(d_unit, unit, raw_norms, guards, out, sums):
     """Jacobian of v -> v / max(||v||, eps), applied row-wise to d_unit and
-    written to out, which must not overlap d_unit."""
-    inner = (unit * d_unit).sum(axis=1, keepdims=True)
-    np.multiply(unit, inner, out=out)
+    written to out, which must not overlap d_unit; sums takes the row sums
+    of unit * d_unit. guards holds max(||v||, eps), which is the norm on
+    every row that is not below the guard."""
+    np.add.reduce(np.multiply(unit, d_unit, out=out), axis=1, out=sums)
+    np.multiply(unit, sums[:, None], out=out)
     np.subtract(d_unit, out, out=out)
+    out /= guards[:, None]
     safe = raw_norms >= NORM_EPSILON
-    out /= np.where(safe, raw_norms, NORM_EPSILON)[:, None]
     if not safe.all():
         # Below the guard the map is v / eps, a plain linear scaling.
         out[~safe] = d_unit[~safe] / NORM_EPSILON
@@ -151,23 +177,31 @@ def _normalize_backward(d_unit, unit, raw_norms, out):
 
 def backward(cache: ForwardCache, d_cosines: np.ndarray) -> np.ndarray:
     """Exact parameter gradients given d loss / d cosines from the matching
-    forward, as one flat vector in the flatten() layout."""
+    forward, as one flat vector in the flatten() layout. The vector and the
+    intermediates are arrays of the cache's workspace."""
     dcos = np.asarray(d_cosines, dtype=np.float64)
     require(dcos.shape == cache.cosines.shape, "backward: upstream gradient shape mismatch")
-    model = cache.model
-    flat = np.empty(sum(w.size + b.size for w, b in zip(model.weights, model.biases))
-                    + cache.head.class_weights.size)
+    ws, model = cache.workspace, cache.model
+    flat = ws.array("grad", (sum(w.size + b.size for w, b in zip(model.weights, model.biases))
+                             + cache.head.class_weights.size,))
     grads, grad_head = unflatten(flat, model, cache.head)
-    _normalize_backward(dcos.T @ cache.emb_unit, cache.head_unit, cache.head_norms,
-                        grad_head.class_weights)
-    d_emb_unit = dcos @ cache.head_unit
-    d_out = _normalize_backward(d_emb_unit, cache.emb_unit, cache.emb_norms,
-                                np.empty_like(d_emb_unit))
-    n_layers = len(model.weights)
-    for l in range(n_layers - 1, -1, -1):
-        dpre = d_out if l == n_layers - 1 else d_out * (cache.preacts[l] > 0)
-        np.matmul(dpre.T, cache.activations[l], out=grads.weights[l])
-        np.add.reduce(dpre, axis=0, out=grads.biases[l])
+    _normalize_backward(np.matmul(dcos.T, cache.emb_unit,
+                                  out=ws.array("d_head_unit", cache.head_unit.shape)),
+                        cache.head_unit, cache.head_norms, cache.head_guards,
+                        grad_head.class_weights, ws.array("head_sums", cache.head_norms.shape))
+    d_out = _normalize_backward(np.matmul(dcos, cache.head_unit,
+                                          out=ws.array("d_emb_unit", cache.emb_unit.shape)),
+                                cache.emb_unit, cache.emb_norms, cache.emb_guards,
+                                ws.array("d_emb", cache.emb_unit.shape),
+                                ws.array("emb_sums", cache.emb_norms.shape))
+    for l in range(len(model.weights) - 1, -1, -1):
+        if l < len(model.weights) - 1:
+            # d_out is an array of the workspace: mask it in place.
+            mask = ws.array(f"mask{l}", cache.preacts[l].shape, np.bool_)
+            np.multiply(d_out, np.greater(cache.preacts[l], 0, out=mask), out=d_out)
+        np.matmul(d_out.T, cache.activations[l], out=grads.weights[l])
+        np.add.reduce(d_out, axis=0, out=grads.biases[l])
         if l > 0:
-            d_out = dpre @ model.weights[l]
+            d_out = np.matmul(d_out, model.weights[l],
+                              out=ws.array(f"upstream{l - 1}", cache.preacts[l - 1].shape))
     return flat

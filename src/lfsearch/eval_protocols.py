@@ -13,6 +13,7 @@ import numpy as np
 from .contracts import require
 from .datasets import LabeledDataset, PairSet
 from .embed_model import ClassifierHead, EmbeddingModel, embed, forward
+from .numerics import Workspace
 
 VERIFICATION_FOLDS = 10
 # Float64 bytes a row block of one evaluation pass may span, per array.
@@ -35,10 +36,16 @@ class GalleryProbeSplit:
     def __post_init__(self):
         gallery_labels = np.asarray(self.gallery_labels, dtype=np.int64)
         probe_labels = np.asarray(self.probe_labels, dtype=np.int64)
-        require(np.unique(gallery_labels).size == gallery_labels.size,
-                "gallery labels must be unique")
-        require(bool(np.isin(probe_labels, gallery_labels).all()),
-                "every probe label must appear in the gallery")
+        _require_gallery(gallery_labels, probe_labels)
+
+
+def _require_gallery(gallery_labels: np.ndarray, probe_labels: np.ndarray) -> None:
+    """Gallery labels are distinct (checked on a sort, as np.unique would
+    but without its numpy.ma import) and cover every probe label."""
+    ordered = np.sort(gallery_labels)
+    require(not (ordered[1:] == ordered[:-1]).any(), "gallery labels must be unique")
+    require(bool(np.isin(probe_labels, gallery_labels).all()),
+            "every probe label must appear in the gallery")
 
 
 @dataclass(frozen=True)
@@ -83,15 +90,25 @@ def embed_all(model: EmbeddingModel, head: ClassifierHead, dataset: LabeledDatas
     return out
 
 
-def pair_similarities(embeddings: np.ndarray, pairs: PairSet) -> np.ndarray:
+def pair_similarities(embeddings: np.ndarray, pairs: PairSet, workspace=None) -> np.ndarray:
     """Cosine similarity of each pair (embeddings are unit rows), gathered
-    one block of pairs at a time."""
-    require(int(max(pairs.first.max(), pairs.second.max())) < embeddings.shape[0],
+    one block of pairs at a time into two arrays of `workspace` (None: a new
+    Workspace for this call)."""
+    count = embeddings.shape[0]
+    require(-count <= int(min(pairs.first.min(), pairs.second.min()))
+            and int(max(pairs.first.max(), pairs.second.max())) < count,
             "pair indices exceed the embedding count")
+    workspace = Workspace() if workspace is None else workspace
     out = np.empty(pairs.pair_count)
     for rows in _row_blocks(pairs.pair_count, 2 * embeddings.shape[1]):
-        np.einsum("ij,ij->i", embeddings[pairs.first[rows]], embeddings[pairs.second[rows]],
-                  out=out[rows])
+        shape = (rows.stop - rows.start, embeddings.shape[1])
+        # Every index is in [-count, count), where "wrap" gathers what fancy
+        # indexing does, without the copy through a temporary of "raise".
+        first, second = (np.take(embeddings, side[rows], axis=0, mode="wrap",
+                                 out=workspace.array(name, shape))
+                         for name, side in (("pair_first", pairs.first),
+                                            ("pair_second", pairs.second)))
+        np.einsum("ij,ij->i", first, second, out=out[rows])
     return out
 
 
@@ -109,9 +126,10 @@ def _fold_scan(sims: np.ndarray, same: np.ndarray, folds: int):
     require(sims.size >= folds, "need at least one pair per fold")
     order = np.argsort(sims, kind="stable")
     s, flags = sims[order], same[order]
+    fold_of = order % folds
     thresholds, accuracies = [], []
     for fold in range(folds):
-        held = order % folds == fold
+        held = fold_of == fold
         train_s, train_f = s[~held], flags[~held]
         # Cut i predicts "same" from position i up; counted from all-"same",
         # each pair below the cut gains one if different, loses one if same.
@@ -195,10 +213,7 @@ def rank1_identification(gallery_embeddings: np.ndarray, gallery_labels: np.ndar
     """
     gallery_labels = np.asarray(gallery_labels, dtype=np.int64)
     probe_labels = np.asarray(probe_labels, dtype=np.int64)
-    require(np.unique(gallery_labels).size == gallery_labels.size,
-            "gallery labels must be unique")
-    require(bool(np.isin(probe_labels, gallery_labels).all()),
-            "every probe label must appear in the gallery")
+    _require_gallery(gallery_labels, probe_labels)
     by_label = np.argsort(gallery_labels)
     targets = by_label[np.searchsorted(gallery_labels, probe_labels, sorter=by_label)]
     counts = np.zeros(gallery_labels.size, dtype=np.int64)
@@ -246,11 +261,13 @@ def classification_accuracy(model: EmbeddingModel, head: ClassifierHead,
 
 
 def reward(model: EmbeddingModel, head: ClassifierHead, val_set: LabeledDataset,
-           val_pairs: PairSet, kind: str = "verification") -> float:
+           val_pairs: PairSet, kind: str = "verification", workspace=None) -> float:
     """Scalar validation score driving the search; the verification score is
-    the report's accuracy from the same scan, without building the ROC."""
+    the report's accuracy from the same scan, without building the ROC. The
+    pairs are gathered into the arrays of `workspace` (see
+    pair_similarities)."""
     if kind == "verification":
-        sims = pair_similarities(embed_all(model, head, val_set), val_pairs)
+        sims = pair_similarities(embed_all(model, head, val_set), val_pairs, workspace)
         return float(np.mean(_fold_scan(sims, val_pairs.same, VERIFICATION_FOLDS)[3]))
     if kind == "classification":
         return classification_accuracy(model, head, val_set)

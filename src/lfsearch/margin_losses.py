@@ -165,22 +165,27 @@ def _row_softmax_stats(z: np.ndarray, y: np.ndarray):
     return log_p, -np.expm1(log_p), q
 
 
-def batch_loss_and_grad(spec: MarginSpec, cosines: np.ndarray, labels: np.ndarray, scale: float):
+def batch_loss_and_grad(spec: MarginSpec, cosines: np.ndarray, labels: np.ndarray, scale: float,
+                        out=None):
     """Per-sample losses and exact d loss / d cosine for an (N, K) batch.
 
-    Plain specs are routed through the unified a = 0 path, which is the same
-    computation and keeps the two spellings bit-identical.
+    The gradient is built in `out`, an (N, K) float64 array that must not
+    overlap the cosines (None: a new array), and returned. Plain specs are
+    routed through the unified a = 0 path, which is the same computation
+    and keeps the two spellings bit-identical.
     """
     c = np.asarray(cosines, dtype=np.float64)
     y = np.asarray(labels)
     require(c.ndim == 2, "batch_loss_and_grad: cosines must be (N, K)")
     require(y.shape == (c.shape[0],), "batch_loss_and_grad: labels must match batch size")
     require(scale > 0, "batch_loss_and_grad: scale must be positive")
+    require(out is None or out.shape == c.shape, "batch_loss_and_grad: out must be (N, K)")
+    z = np.multiply(scale, c, out=out)
     idx = np.arange(c.shape[0])
 
     if spec.kind in (MarginKind.UNIFIED, MarginKind.PLAIN):
         a = spec.a if spec.kind is MarginKind.UNIFIED else 0.0
-        log_p, one_minus_p, q = _row_softmax_stats(scale * c, y)
+        log_p, one_minus_p, q = _row_softmax_stats(z, y)
         losses = -log_p + np.log1p(-a * one_minus_p)
         factor = (1.0 - a) / (1.0 - a * one_minus_p)
         q *= scale
@@ -191,7 +196,6 @@ def batch_loss_and_grad(spec: MarginSpec, cosines: np.ndarray, labels: np.ndarra
     cos_y = c[idx, y]
     f = margin_transform_batch(spec, cos_y)
     slope = _margin_slope(spec, cos_y)
-    z = scale * c
     z[idx, y] = scale * f
     log_p, one_minus_p, q = _row_softmax_stats(z, y)
     losses = -log_p

@@ -1,5 +1,6 @@
 """Deterministic numerical primitives: stable reductions, normalization,
-and a seeded splittable random stream.
+a seeded splittable random stream, reusable work arrays, and the BLAS
+thread pin.
 
 All arithmetic is 64-bit floating point.  Randomness is counter-based
 (Philox) and keyed by a (seed, label path) pair, so any consumer can derive
@@ -8,8 +9,12 @@ its own stream and the draws never depend on scheduling or call order.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import hashlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -74,3 +79,75 @@ def sample_gaussian(stream: RngStream, mu: float, sigma: float, n: int) -> np.nd
     require(sigma > 0, "sample_gaussian: sigma must be positive")
     require(n >= 0, "sample_gaussian: n must be non-negative")
     return stream.generator().normal(mu, sigma, int(n))
+
+
+class Workspace:
+    """Named arrays reused from call to call. A run makes one and passes it
+    down, so every candidate and epoch writes the same arrays; a call given
+    none makes its own."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """An uninitialised array of `shape`: the first shape[0] rows of the
+        one held under `name`, reallocated when that holds fewer rows, or
+        rows of another shape or dtype."""
+        held = self._arrays.get(name)
+        if (held is None or held.shape[0] < shape[0] or held.shape[1:] != shape[1:]
+                or held.dtype != dtype):
+            held = self._arrays[name] = np.empty(shape, dtype)
+        return held[:shape[0]]
+
+
+# Where numpy's Linux wheels bundle their OpenBLAS, next to the package.
+_OPENBLAS_GLOB = "numpy.libs/libscipy_openblas64_*"
+_pinned = False
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled scipy-openblas through ctypes (the library numpy has
+    loaded), or None when numpy bundles none with the thread-count calls."""
+    for path in sorted(Path(np.__file__).resolve().parent.parent.glob(_OPENBLAS_GLOB)):
+        try:
+            lib = ctypes.CDLL(str(path))
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        except (OSError, AttributeError):
+            continue
+        return lib
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread, then restore
+    the thread count. A product split over threads can round differently
+    from the one-thread product, so this makes results independent of
+    OPENBLAS_NUM_THREADS. Without that library the body runs unpinned."""
+    global _pinned
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    _pinned = True
+    try:
+        yield
+    finally:
+        _pinned = False
+        lib.scipy_openblas_set_num_threads64_(previous)
+
+
+def blas_environment() -> dict:
+    """The numpy version, its BLAS build, the BLAS thread count in force
+    (None when it cannot be read) and whether one_blas_thread pinned it."""
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    lib = _openblas()
+    return {"numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_threads": None if lib is None else lib.scipy_openblas_get_num_threads64_(),
+            "pinned": _pinned}

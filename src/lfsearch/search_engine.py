@@ -14,7 +14,7 @@ from .checkpoint import param_digest
 from .contracts import require
 from .datasets import LabeledDataset, PairSet
 from .eval_protocols import reward
-from .numerics import RngStream, sample_gaussian
+from .numerics import RngStream, Workspace, sample_gaussian
 from .sgd_trainer import LrSchedule, SgdConfig, TrainState, train_candidates, train_epoch
 from .margin_losses import MarginSpec
 
@@ -42,6 +42,24 @@ class SearchDistribution:
         require(self.sigma > 0, "sigma must be > 0")
         require(self.eta > 0, "eta must be > 0")
         require(self.population >= 1, "population must be >= 1")
+
+
+@dataclass(frozen=True)
+class FactorRange:
+    """The random schedule's factor magnitudes: log-uniform over
+    [mag_lo, mag_hi], negated; both ends 0 pin the factor to 0 (plain
+    softmax)."""
+
+    mag_lo: float = 1.0
+    mag_hi: float = 1e4
+
+    def __post_init__(self):
+        require(self.collapsed or 0.0 < self.mag_lo <= self.mag_hi,
+                "need 0 < mag_lo <= mag_hi, or both 0")
+
+    @property
+    def collapsed(self) -> bool:
+        return self.mag_lo == 0.0 and self.mag_hi == 0.0
 
 
 @dataclass(frozen=True)
@@ -188,13 +206,14 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
     highest-reward candidate across the whole run.
 
     on_epoch, when given, is called with (record, winner_state) as each epoch
-    completes.
+    completes. Every candidate's training and reward write one workspace.
     """
     require(val_set.sample_count >= 1, "validation set must be non-empty")
     dist = settings.distribution
     mu = dist.mu
     root = RngStream(seed, "search")
     state = state0
+    workspace = Workspace()
     adam = _AdamState()
     history = []
     best_state = state0
@@ -204,7 +223,9 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
 
     for epoch in range(1, settings.epochs + 1):
         epoch_stream = root.child(f"epoch{epoch}")
-        start_digest = param_digest(state.model, state.head)
+        # From epoch 2 the start is the previous winner, already hashed.
+        start_digest = (history[-1].winner_digest if history
+                        else param_digest(state.model, state.head))
         current = replace(dist, mu=mu)
         if settings.transform == "negexp":
             drawn = sample_gaussian(epoch_stream.child("factors"), mu, dist.sigma,
@@ -215,9 +236,9 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
             factors = drawn
         lr = settings.schedule.lr_at(epoch)
         outcomes = train_candidates(state, factors, train_set, settings.sgd, lr,
-                                    epoch_stream)
+                                    epoch_stream, workspace)
         raw = np.array([reward(candidate.model, candidate.head, val_set, val_pairs,
-                               settings.reward_kind)
+                               settings.reward_kind, workspace)
                         for candidate, _ in outcomes])
         normalized = normalize_rewards(raw)
         # score_grad "a" is the opposite sign convention. Negating the rewards
@@ -261,33 +282,28 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
 def run_random_schedule(epochs: int, state0: TrainState, train_set: LabeledDataset,
                         val_set: LabeledDataset, val_pairs: PairSet,
                         sgd: SgdConfig, schedule: LrSchedule, seed: int,
-                        mag_lo: float = 1.0, mag_hi: float = 1e4,
-                        reward_kind: str = "verification", on_epoch=None):
-    """Train one model with the factor resampled each epoch, no reward guidance.
-
-    The factor magnitude is log-uniform over [mag_lo, mag_hi] and negated;
-    a range collapsed to zero on both ends pins the factor to 0 (plain
-    softmax). Returns the final state plus per-epoch records.
+                        factors: FactorRange = FactorRange(),
+                        reward_kind: str = SearchSettings.reward_kind, on_epoch=None):
+    """Train one model with the factor resampled each epoch from `factors`,
+    no reward guidance. Returns the final state plus per-epoch records.
     """
     require(epochs >= 0, "epochs must be >= 0")
     require(val_set.sample_count >= 1, "validation set must be non-empty")
-    collapsed = mag_lo == 0.0 and mag_hi == 0.0
-    require(collapsed or 0.0 < mag_lo <= mag_hi,
-            "factor magnitude range must satisfy 0 < mag_lo <= mag_hi, or be {0}")
     root = RngStream(seed, "random")
     state = state0
+    workspace = Workspace()
     history = []
     for epoch in range(1, epochs + 1):
         epoch_stream = root.child(f"epoch{epoch}")
-        if collapsed:
+        if factors.collapsed:
             factor = 0.0
         else:
             magnitude = epoch_stream.child("factor").generator().uniform(
-                math.log(mag_lo), math.log(mag_hi))
+                math.log(factors.mag_lo), math.log(factors.mag_hi))
             factor = -math.exp(magnitude)
         state, mean_loss = train_epoch(state, MarginSpec.unified(factor), train_set,
-                                       sgd, schedule.lr_at(epoch), epoch_stream)
-        score = reward(state.model, state.head, val_set, val_pairs, reward_kind)
+                                       sgd, schedule.lr_at(epoch), epoch_stream, workspace)
+        score = reward(state.model, state.head, val_set, val_pairs, reward_kind, workspace)
         record = RandomEpochRecord(epoch=epoch, factor=factor,
                                    mean_loss=mean_loss, reward=score)
         history.append(record)

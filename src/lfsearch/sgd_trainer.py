@@ -14,7 +14,7 @@ from .contracts import require
 from .datasets import LabeledDataset
 from .embed_model import ClassifierHead, EmbeddingModel, backward, flatten, forward, unflatten
 from .margin_losses import MarginKind, MarginSpec, batch_loss_and_grad, margin_transform_batch
-from .numerics import RngStream
+from .numerics import RngStream, Workspace
 
 logger = logging.getLogger(__name__)
 
@@ -90,12 +90,14 @@ class TrainState:
                           self.overshoot_warned)
 
 
-def sgd_step(state: TrainState, grads: np.ndarray, config: SgdConfig, lr: float) -> TrainState:
+def sgd_step(state: TrainState, grads: np.ndarray, config: SgdConfig, lr: float,
+             scratch=None) -> TrainState:
     """One momentum-SGD update, in place, with the L2 term folded into the
-    gradient: v = momentum * v + (g + weight_decay * w), then w = w - lr * v."""
+    gradient: v = momentum * v + (g + weight_decay * w), then w = w - lr * v.
+    scratch, when given, is a parameter-sized array the step may overwrite."""
     require(grads.shape == state.params.shape, "gradient size does not match the parameters")
     w, v = state.params, state.velocity
-    scratch = np.multiply(config.weight_decay, w)
+    scratch = np.multiply(config.weight_decay, w, out=scratch)
     scratch += grads
     v *= config.momentum
     v += scratch
@@ -105,7 +107,7 @@ def sgd_step(state: TrainState, grads: np.ndarray, config: SgdConfig, lr: float)
 
 
 def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
-                config: SgdConfig, lr: float, stream: RngStream):
+                config: SgdConfig, lr: float, stream: RngStream, workspace=None):
     """One shuffled pass over the dataset, on a copy of the input state.
 
     Returns the updated state and the mean per-sample loss, each sample's loss
@@ -113,17 +115,25 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
     overshoots the target cosine is logged once per run: the check stops
     once the state records the warning. Raises
     NonFiniteTrainingError when a parameter or the mean loss ends non-finite.
+    Each step gathers its batch into, and writes its intermediates to, the
+    arrays of `workspace` (None: a new Workspace for this epoch).
     """
     require(data.sample_count >= 1, "dataset must be non-empty")
     state = state.copy()
+    workspace = Workspace() if workspace is None else workspace
     order = stream.child("shuffle").generator().permutation(data.sample_count)
     total_loss = 0.0
     warned = state.overshoot_warned
     for start in range(0, data.sample_count, config.batch_size):
         batch_idx = order[start:start + config.batch_size]
-        features = data.features[batch_idx]
-        labels = data.labels[batch_idx]
-        cosines, cache = forward(state.model, state.head, features)
+        n = batch_idx.size
+        # A permutation indexes in range: "wrap" gathers without the copy
+        # through a temporary that mode "raise" makes.
+        features = np.take(data.features, batch_idx, axis=0, mode="wrap",
+                           out=workspace.array("batch_features", (n, data.feature_dim)))
+        labels = np.take(data.labels, batch_idx, mode="wrap",
+                         out=workspace.array("batch_labels", (n,), np.int64))
+        cosines, cache = forward(state.model, state.head, features, workspace)
         if loss.kind in _ANGULAR_KINDS and not warned:
             target = cosines[np.arange(labels.size), labels]
             overshoot = int((margin_transform_batch(loss, target) > target).sum())
@@ -132,9 +142,11 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
                     "margin transform exceeds the target cosine on %d sample(s); "
                     "the implied modulating factor is positive there", overshoot)
                 warned = True
-        losses, d_cosines = batch_loss_and_grad(loss, cosines, labels, state.head.scale)
-        d_cosines /= batch_idx.size
-        sgd_step(state, backward(cache, d_cosines), config, lr)
+        losses, d_cosines = batch_loss_and_grad(loss, cosines, labels, state.head.scale,
+                                                workspace.array("d_cosines", cosines.shape))
+        d_cosines /= n
+        sgd_step(state, backward(cache, d_cosines), config, lr,
+                 workspace.array("sgd_scratch", state.params.shape))
         total_loss += float(losses.sum())
     mean_loss = total_loss / data.sample_count
     if not (np.isfinite(state.params).all() and math.isfinite(mean_loss)):
@@ -145,17 +157,18 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
 
 
 def train_candidates(state: TrainState, factors, data: LabeledDataset,
-                     config: SgdConfig, lr: float, epoch_stream: RngStream):
+                     config: SgdConfig, lr: float, epoch_stream: RngStream, workspace=None):
     """Train one epoch per factor, all from the same snapshot and shuffle.
 
     Every candidate trains a private copy of `state` under the unified loss
     with its own factor, consuming the identical shuffle order derived from
     epoch_stream, so candidates differ only in the factor. Results follow the
-    order of `factors`.
+    order of `factors`. The candidates share the arrays of one workspace.
     """
+    workspace = Workspace() if workspace is None else workspace
     factors = [float(a) for a in factors]
     require(len(factors) >= 1, "need at least one candidate factor")
     for a in factors:
         require(a <= 0, f"candidate factor {a} is positive; the search space is a <= 0")
-    return [train_epoch(state, MarginSpec.unified(a), data, config, lr, epoch_stream)
+    return [train_epoch(state, MarginSpec.unified(a), data, config, lr, epoch_stream, workspace)
             for a in factors]

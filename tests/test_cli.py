@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lfsearch
-from lfsearch import cli
+from lfsearch import cli, numerics
 from lfsearch.cli import main
 from lfsearch.config import ExperimentConfig
 from lfsearch.contracts import ContractViolation
@@ -48,13 +48,23 @@ def write_config(tmp_path, name="config.json", **overrides):
     return str(path)
 
 
-def run_cli(argv):
-    """Run the command line in a fresh interpreter, so that warnings reach
-    stderr as they would outside the test runner."""
+def fresh_env(**changes):
+    """The test environment with src/ on PYTHONPATH; a None value unsets."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "lfsearch.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    for name, value in changes.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    return env
+
+
+def run_cli(argv, **env_changes):
+    """Run the command line in a fresh interpreter, so that warnings reach
+    stderr as they would outside the test runner."""
+    return subprocess.run([sys.executable, "-m", "lfsearch.cli", *argv],
+                          env=fresh_env(**env_changes), capture_output=True, text=True,
+                          timeout=120)
 
 
 def read_jsonl(path):
@@ -85,9 +95,9 @@ class TestTrainFixed:
         config = write_config(tmp_path)
         out = tmp_path / "run"
         assert main(["train-fixed", "--config", config, "--out", str(out)]) == 0
-        for name in ("config.json", "metrics.jsonl", "timings.jsonl", "model.lfs",
-                     "convergence.csv", "eval.json", "roc.csv", "cmc.csv"):
-            assert (out / name).exists()
+        assert sorted(path.name for path in out.iterdir()) == [
+            "cmc.csv", "config.json", "convergence.csv", "environment.json", "eval.json",
+            "metrics.jsonl", "model.lfs", "roc.csv", "timings.jsonl"]
         records = read_jsonl(out / "metrics.jsonl")
         assert [r["epoch"] for r in records] == [1, 2]
         resolved = json.loads((out / "config.json").read_text(encoding="utf-8"))
@@ -182,6 +192,59 @@ class TestTrainFixed:
         assert main(argv) == 0
         assert len(refs) == (2 if source == "csv" else 1)
         assert alive == [[False] * len(refs)]
+
+
+class TestBlasThreads:
+    def test_k500_run_files_do_not_depend_on_the_thread_count(self, tmp_path):
+        """A 500-class head makes products that OpenBLAS splits over threads
+        and rounds differently; one pinned thread writes the same bytes
+        whatever OPENBLAS_NUM_THREADS says."""
+        config = tmp_path / "k500.json"
+        config.write_text(json.dumps({
+            "seed": 3, "reward": "classification", "schedule": {"epochs": 1},
+            "loss": {"kind": "additive"},
+            "dataset": {"classes": 500, "samples_per_class": 5, "train_frac": 0.6,
+                        "n_pairs": 200}}), encoding="utf-8")
+        runs = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            proc = run_cli(["train-fixed", "--config", str(config), "--out", str(out)],
+                           OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            runs.append({path.name: path.read_bytes() for path in out.iterdir()
+                         if path.name not in ("timings.jsonl", "environment.json")})
+        assert len(runs[0]) == 7
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_environment_record_and_thread_count_restored(self, tmp_path):
+        lib = numerics._openblas()
+        before = lib.scipy_openblas_get_num_threads64_() if lib is not None else None
+        if lib is not None:
+            lib.scipy_openblas_set_num_threads64_(2)
+        try:
+            out = tmp_path / "run"
+            assert main(["train-fixed", "--config", write_config(tmp_path),
+                         "--out", str(out)]) == 0
+            after = numerics.blas_environment()
+        finally:
+            if lib is not None:
+                lib.scipy_openblas_set_num_threads64_(before)
+        record = json.loads((out / "environment.json").read_text(encoding="utf-8"))
+        assert record["numpy"] == np.__version__
+        assert sorted(record["blas"]) == ["name", "version"]
+        if lib is None:
+            assert record["pinned"] is False and record["blas_threads"] is None
+        else:
+            assert record["pinned"] is True and record["blas_threads"] == 1
+            assert after["blas_threads"] == 2 and after["pinned"] is False
+
+    def test_a_search_run_does_not_import_numpy_ma(self, tmp_path):
+        code = ("import sys; from lfsearch.cli import main; "
+                f"code = main(['search', '--epochs', '1', '--out', {str(tmp_path)!r}]); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
 
 
 class TestSearchCommand:

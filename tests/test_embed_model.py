@@ -20,7 +20,7 @@ from lfsearch.embed_model import (
     init_model,
     unflatten,
 )
-from lfsearch.numerics import NORM_EPSILON, RngStream
+from lfsearch.numerics import NORM_EPSILON, RngStream, Workspace
 
 
 def tiny_setup(seed=0, dims=(5, 6, 3), n_classes=4, scale=16.0, n=3):
@@ -267,6 +267,38 @@ class TestInPlaceOracle:
         freeze(upstream, cache.cosines, cache.emb_norms, cache.emb_unit, cache.head_norms,
                cache.head_unit, *cache.activations, *cache.preacts)
         assert backward(cache, upstream).tobytes() == allocating_backward(cache, upstream).tobytes()
+
+    @pytest.mark.parametrize("n_classes", [2, 40, 500])
+    def test_one_workspace_serves_shorter_batches(self, n_classes):
+        """A workspace refilled for a full batch, then a shorter one, then one
+        row gives what a fresh allocation gives, byte for byte, each time."""
+        model, head, batch = bench_setup(n_classes)
+        workspace = Workspace()
+        for rows in (128, 77, 1):
+            x = batch[:rows]
+            cosines, cache = forward(model, head, x, workspace)
+            expected, (acts, preacts, *normalised) = allocating_forward(model, head, x)
+            assert cosines.tobytes() == expected.tobytes()
+            got = [*cache.activations, *cache.preacts, cache.emb_norms, cache.emb_unit,
+                   cache.head_norms, cache.head_unit]
+            assert [a.tobytes() for a in got] == [a.tobytes()
+                                                  for a in [*acts, *preacts, *normalised]]
+            upstream = RngStream(rows, "up").generator().normal(0.0, 1.0, cosines.shape)
+            assert backward(cache, upstream).tobytes() == \
+                allocating_backward(cache, upstream).tobytes()
+        assert cosines.base is forward(model, head, batch, workspace)[0].base
+
+    def test_a_workspace_follows_other_shapes(self):
+        model, head, batch = bench_setup(40)
+        workspace = Workspace()
+        forward(model, head, batch[:8], workspace)
+        for other_head, rows in ((head, 9), (ClassifierHead(head.class_weights[:39], 32.0), 8)):
+            cosines, cache = forward(model, other_head, batch[:rows], workspace)
+            assert cosines.tobytes() == allocating_forward(model, other_head,
+                                                           batch[:rows])[0].tobytes()
+            upstream = RngStream(rows, "up").generator().normal(0.0, 1.0, cosines.shape)
+            assert backward(cache, upstream).tobytes() == \
+                allocating_backward(cache, upstream).tobytes()
 
     def test_forward_peak_allocation(self):
         model, head, batch = bench_setup(500)

@@ -24,7 +24,7 @@ from lfsearch.eval_protocols import (
     tpr_at_far,
     verification_accuracy,
 )
-from lfsearch.numerics import RngStream, l2_normalize_rows
+from lfsearch.numerics import RngStream, Workspace, l2_normalize_rows
 
 
 def pairs_with_sims(target_sims, same_flags):
@@ -136,6 +136,13 @@ class TestPairSimilarities:
         emb = np.eye(3)
         pairs = PairSet(np.array([0, 1]), np.array([2, 3]), np.array([True, False]))
         with pytest.raises(ContractViolation):
+            pair_similarities(emb, pairs)
+
+    def test_indices_below_minus_count_are_refused(self):
+        # Fancy indexing takes [-3, 3); the gather must not wrap -4 around.
+        emb = np.eye(3)
+        pairs = PairSet(np.array([0, -4]), np.array([1, 2]), np.array([True, False]))
+        with pytest.raises(ContractViolation, match="exceed the embedding count"):
             pair_similarities(emb, pairs)
 
 
@@ -503,6 +510,18 @@ class TestBlockedPassesMatchTheWholePass:
             flags = np.arange(n) % 2 == 0
             pairs = PairSet(rng.integers(0, 300, n), rng.integers(0, 300, n), flags)
             got = pair_similarities(emb, pairs)
+            assert got.tobytes() == whole_pair_similarities(emb, pairs).tobytes()
+
+    def test_pair_similarities_through_one_workspace(self):
+        """One workspace serves pair sets of every block count, and negative
+        indices gather what fancy indexing does."""
+        rng = np.random.default_rng(4)
+        emb = l2_normalize_rows(rng.normal(0.0, 1.0, (300, 64)))
+        workspace = Workspace()
+        for n in [max(2, n) for n in reversed(boundary_sizes(2 * 64))]:
+            flags = np.arange(n) % 2 == 0
+            pairs = PairSet(rng.integers(-300, 300, n), rng.integers(-300, 300, n), flags)
+            got = pair_similarities(emb, pairs, workspace)
             assert got.tobytes() == whole_pair_similarities(emb, pairs).tobytes()
 
     @pytest.mark.parametrize("classes", [500, 40])

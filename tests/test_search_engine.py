@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from lfsearch.checkpoint import param_digest
+from lfsearch.config import ExperimentConfig
 from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import SyntheticSpec, generate_synthetic, make_pairs
 from lfsearch.embed_model import init_model
+from lfsearch import search_engine
 from lfsearch.numerics import RngStream
 from lfsearch.search_engine import (
+    FactorRange,
     SearchDistribution,
     SearchSettings,
     mu_gradient,
@@ -199,6 +202,32 @@ class TestRunSearch:
             assert record.winner_digest == record.candidates[record.winner].digest
             assert record.raw_rewards[record.winner] == max(record.raw_rewards)
 
+    def test_candidates_start_from_the_previous_winner(self, monkeypatch):
+        """Each epoch trains from the state whose digest the record names:
+        the initial state, then the previous epoch's winner."""
+        starts = []
+        real = search_engine.train_candidates
+
+        def recording(state, *args):
+            starts.append(param_digest(state.model, state.head))
+            return real(state, *args)
+
+        monkeypatch.setattr(search_engine, "train_candidates", recording)
+        train, val, pairs, state = search_fixture(seed=2)
+        result = run_search(default_settings(), state, train, val, pairs, seed=9)
+        assert starts == [record.start_digest for record in result.history]
+
+    def test_each_parameter_set_is_hashed_once(self, monkeypatch):
+        # The initial state, then each epoch's candidates: a winner is not
+        # hashed again as the next epoch's start.
+        calls = []
+        real = search_engine.param_digest
+        monkeypatch.setattr(search_engine, "param_digest",
+                            lambda model, head: calls.append(1) or real(model, head))
+        train, val, pairs, state = search_fixture(seed=2)
+        run_search(default_settings(epochs=3), state, train, val, pairs, seed=9)
+        assert len(calls) == 1 + 3 * 2
+
     def test_best_is_argmax_over_history(self):
         train, val, pairs, state = search_fixture(seed=3)
         result = run_search(default_settings(), state, train, val, pairs, seed=10)
@@ -303,7 +332,7 @@ class TestRunRandomSchedule:
         train, val, pairs, state = search_fixture(seed=13)
         _, history = run_random_schedule(5, state, train, val, pairs,
                                          SgdConfig(batch_size=16), LrSchedule(0.05),
-                                         seed=20, mag_lo=2.0, mag_hi=50.0)
+                                         seed=20, factors=FactorRange(2.0, 50.0))
         for record in history:
             assert -50.0 <= record.factor <= -2.0
 
@@ -315,7 +344,8 @@ class TestRunRandomSchedule:
         sgd = SgdConfig(batch_size=16)
         schedule = LrSchedule(0.05)
         final, history = run_random_schedule(3, state, train, val, pairs, sgd,
-                                             schedule, seed=21, mag_lo=0.0, mag_hi=0.0)
+                                             schedule, seed=21,
+                                             factors=FactorRange(0.0, 0.0))
         assert all(r.factor == 0.0 for r in history)
         manual = state.copy()
         root = RngStream(21, "random")
@@ -343,10 +373,12 @@ class TestRunRandomSchedule:
             assert 0.0 <= record.reward <= 1.0
             assert record.mean_loss > 0.0
 
+    def test_default_range_is_the_config_default(self):
+        config = ExperimentConfig()
+        assert (config.random.mag_lo, config.random.mag_hi) == \
+            (FactorRange().mag_lo, FactorRange().mag_hi) == (1.0, 1e4)
+
     def test_range_validation(self):
-        train, val, pairs, state = search_fixture(seed=17)
         for lo, hi in ((0.0, 5.0), (-1.0, 5.0), (5.0, 2.0)):
             with pytest.raises(ContractViolation):
-                run_random_schedule(1, state, train, val, pairs,
-                                    SgdConfig(batch_size=16), LrSchedule(0.05),
-                                    seed=24, mag_lo=lo, mag_hi=hi)
+                FactorRange(mag_lo=lo, mag_hi=hi)

@@ -4,6 +4,7 @@ from a shared snapshot.
 """
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from lfsearch.datasets import LabeledDataset, SyntheticSpec, generate_synthetic
 from lfsearch.embed_model import (ClassifierHead, EmbeddingModel, flatten, forward, init_model,
                                   unflatten)
 from lfsearch.margin_losses import MarginSpec, batch_loss_and_grad, margin_transform_batch
-from lfsearch.numerics import RngStream
+from lfsearch.numerics import RngStream, Workspace
 from lfsearch.sgd_trainer import (
     LrSchedule,
     NonFiniteTrainingError,
@@ -284,6 +285,42 @@ class TestTrainEpoch:
                                                       match=r"epoch 1: mean loss \d"):
             train_epoch(state, MarginSpec.plain(), data, SgdConfig(batch_size=1000),
                         float("inf"), RngStream(8, "epoch"))
+
+
+class TestWorkspace:
+    def test_a_shared_workspace_changes_no_bit(self):
+        """Epochs through one workspace, warmed on other shapes first, equal
+        epochs that allocate their own arrays."""
+        workspace = Workspace()
+        for seed, classes, batch_size in ((0, 4, 8), (1, 6, 7), (2, 4, 64), (3, 4, 8)):
+            data = generate_synthetic(SyntheticSpec(classes, 8, 5, 0.1, seed))
+            model, head = init_model([8, 12, 8], classes, 16.0, RngStream(seed, "init"))
+            state = TrainState.fresh(model, head)
+            args = (MarginSpec.unified(-5.0), data, SgdConfig(batch_size=batch_size), 0.05,
+                    RngStream(seed, "epoch"))
+            shared, shared_loss = train_epoch(state, *args, workspace)
+            alone, alone_loss = train_epoch(state, *args)
+            assert shared_loss == alone_loss
+            assert shared.params.tobytes() == alone.params.tobytes()
+            assert shared.velocity.tobytes() == alone.velocity.tobytes()
+
+    def test_warm_epoch_peak_allocation(self):
+        """A desk-shape epoch (batch 128, 32 -> 128 -> 64, K = 40) through a
+        warmed workspace allocates little beyond the copy of its state."""
+        data = generate_synthetic(SyntheticSpec(40, 32, 40, 0.35, 0))
+        model, head = init_model([32, 128, 64], 40, 32.0, RngStream(0, "init"))
+        state = TrainState.fresh(model, head)
+        workspace = Workspace()
+        args = (MarginSpec.unified(-10.0), data, SgdConfig(), 0.1, RngStream(1, "epoch"),
+                workspace)
+        train_epoch(state, *args)
+        tracemalloc.start()
+        try:
+            train_epoch(state, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
 
 class TestTrainCandidates:
