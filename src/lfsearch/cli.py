@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .candidate_workers import candidate_processes
 from .checkpoint import CheckpointFormatError, read_checkpoint, write_checkpoint
 from .config import (FACTOR_TRANSFORMS, LOSS_ALIASES, LOSS_KINDS, LOSS_KNOBS,
                      OUTER_OPTIMIZERS, REWARD_KINDS, SCORE_GRAD_MODES, ConfigError,
@@ -139,19 +140,21 @@ def _write_evaluation(out: Path, model, head, val_set, val_pairs, **extra) -> di
 
 
 class _RunRecorder:
-    """One run directory: the resolved config, the numpy/BLAS environment,
-    the metric and timing streams, the epoch clock and convergence curve,
-    then the final checkpoint and evaluation. A rerun into the same directory
-    replaces both streams."""
+    """One run directory: the resolved config, the numpy/BLAS environment
+    with the number of processes that train candidates, the metric and
+    timing streams, the epoch clock and convergence curve, then the final
+    checkpoint and evaluation. A rerun into the same directory replaces both
+    streams."""
 
-    def __init__(self, out_dir, config: ExperimentConfig, mode: str):
+    def __init__(self, out_dir, config: ExperimentConfig, mode: str, processes: int = 1):
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         resolved = config.to_dict()
         self._run_id = run_id(resolved)
         self._mode = mode
         (self.out / "config.json").write_text(dumps(resolved) + "\n", encoding="utf-8")
-        (self.out / "environment.json").write_text(dumps(blas_environment()) + "\n",
+        environment = {**blas_environment(), "candidate_processes": processes}
+        (self.out / "environment.json").write_text(dumps(environment) + "\n",
                                                    encoding="utf-8")
         for name in ("metrics.jsonl", "timings.jsonl"):
             (self.out / name).unlink(missing_ok=True)
@@ -168,13 +171,14 @@ class _RunRecorder:
         self._timings.close()
         return False
 
-    def epoch(self, epoch: int, fields: dict, mean_loss: float) -> None:
+    def epoch(self, epoch: int, fields: dict, mean_loss: float, **spans) -> None:
         """Record one epoch: its metric line, its wall time since the last
-        record, and the mean training loss it adds to the convergence curve."""
+        record with any further timing fields, and the mean training loss it
+        adds to the convergence curve."""
         now = time.perf_counter()
         self._metrics.write({"run_id": self._run_id, "mode": self._mode,
                              "epoch": epoch, **fields})
-        self._timings.write({"epoch": epoch, "seconds": now - self._clock})
+        self._timings.write({"epoch": epoch, "seconds": now - self._clock, **spans})
         self._clock = now
         self._convergence.append((float(epoch), mean_loss))
 
@@ -228,7 +232,8 @@ def _cmd_search(args) -> int:
     settings = search_settings(config)
     train, val, pairs = _prepare_data(config)
     state0 = _init_state(config, train)
-    with _RunRecorder(args.out, config, "search") as run:
+    processes = candidate_processes(settings.distribution.population)
+    with _RunRecorder(args.out, config, "search", processes) as run:
         winners = run.out / "checkpoints"
         winners.mkdir(exist_ok=True)
 
@@ -242,12 +247,14 @@ def _cmd_search(args) -> int:
                        "mean_losses": list(record.mean_losses),
                        "start_digest": record.start_digest,
                        "winner_digest": record.winner_digest},
-                      record.mean_losses[record.winner])
+                      record.mean_losses[record.winner],
+                      candidates=[{"train_s": c.train_s, "reward_s": c.reward_s}
+                                  for c in record.candidates])
             write_checkpoint(winners / f"epoch_{record.epoch:03d}.lfs",
                              winner_state.model, winner_state.head)
 
         result = run_search(settings, state0, train, val, pairs, config.seed,
-                            on_epoch=on_epoch)
+                            on_epoch=on_epoch, processes=processes)
         write_xy_csv(run.out / "mu_trajectory.csv",
                      [(float(record.epoch), record.mu_after) for record in result.history])
         run.finish("best.lfs", result.best_state, val, pairs,

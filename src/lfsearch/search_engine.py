@@ -5,17 +5,20 @@ broadcast, and the per-epoch random-factor baseline.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .candidate_workers import CandidateWorkers, candidate_processes
 from .checkpoint import param_digest
 from .contracts import require
 from .datasets import LabeledDataset, PairSet
 from .eval_protocols import reward
 from .numerics import RngStream, Workspace, sample_gaussian
-from .sgd_trainer import LrSchedule, SgdConfig, TrainState, train_candidates, train_epoch
+from .sgd_trainer import (InProcessCandidates, LrSchedule, SgdConfig, TrainState,
+                          train_candidates, train_epoch)
 from .margin_losses import MarginSpec
 
 ADAM_BETA1 = 0.9
@@ -93,6 +96,10 @@ class CandidateRecord:
     raw_reward: float
     normalized_reward: float
     mean_loss: float
+    # Seconds spent in the process that ran the candidate. They are left out
+    # of comparisons, so the records of two runs of one seed compare equal.
+    train_s: float = field(default=0.0, compare=False)
+    reward_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         require(self.factor <= 0, "candidate factor must be <= 0")
@@ -196,7 +203,7 @@ class _AdamState:
 
 def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledDataset,
                val_set: LabeledDataset, val_pairs: PairSet, seed: int,
-               on_epoch=None) -> SearchResult:
+               on_epoch=None, processes: int | None = None) -> SearchResult:
     """Reward-guided search over the modulating factor.
 
     Per epoch: sample factors, train one candidate per factor from the current
@@ -206,14 +213,15 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
     highest-reward candidate across the whole run.
 
     on_epoch, when given, is called with (record, winner_state) as each epoch
-    completes. Every candidate's training and reward write one workspace.
+    completes. Each epoch's candidates train and score in `processes` forked
+    workers (None: candidate_processes of the population), or, with one,
+    in this process through one workspace; the results are the same bits.
     """
     require(val_set.sample_count >= 1, "validation set must be non-empty")
     dist = settings.distribution
     mu = dist.mu
     root = RngStream(seed, "search")
     state = state0
-    workspace = Workspace()
     adam = _AdamState()
     history = []
     best_state = state0
@@ -221,59 +229,70 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
     best_epoch = 0
     best_candidate: int | None = None
 
-    for epoch in range(1, settings.epochs + 1):
-        epoch_stream = root.child(f"epoch{epoch}")
-        # From epoch 2 the start is the previous winner, already hashed.
-        start_digest = (history[-1].winner_digest if history
-                        else param_digest(state.model, state.head))
-        current = replace(dist, mu=mu)
-        if settings.transform == "negexp":
-            drawn = sample_gaussian(epoch_stream.child("factors"), mu, dist.sigma,
-                                    dist.population)
-            factors = -np.exp(drawn)
-        else:
-            drawn = sample_factors(current, epoch_stream.child("factors"))
-            factors = drawn
-        lr = settings.schedule.lr_at(epoch)
-        outcomes = train_candidates(state, factors, train_set, settings.sgd, lr,
-                                    epoch_stream, workspace)
-        raw = np.array([reward(candidate.model, candidate.head, val_set, val_pairs,
-                               settings.reward_kind, workspace)
-                        for candidate, _ in outcomes])
-        normalized = normalize_rewards(raw)
-        # score_grad "a" is the opposite sign convention. Negating the rewards
-        # negates the step exactly, since IEEE negation does not round.
-        signed = -normalized if settings.score_grad == "a" else normalized
-        if settings.outer == "adam":
-            mu_after = adam.step(mu, mu_gradient(mu, dist.sigma, drawn, signed), dist.eta)
-        else:
-            mu_after = reinforce_update(current, drawn, signed)
-        winner = select_best(raw)
-        candidates = tuple(
-            CandidateRecord(index=i, factor=float(factors[i]),
-                            digest=param_digest(outcome.model, outcome.head),
-                            raw_reward=float(raw[i]),
-                            normalized_reward=float(normalized[i]),
-                            mean_loss=float(mean_loss))
-            for i, (outcome, mean_loss) in enumerate(outcomes))
-        record = SearchEpochRecord(
-            epoch=epoch, mu_before=mu, mu_after=mu_after,
-            factors=tuple(float(a) for a in factors),
-            raw_rewards=tuple(float(r) for r in raw),
-            normalized_rewards=tuple(float(r) for r in normalized),
-            winner=winner, mean_losses=tuple(c.mean_loss for c in candidates),
-            start_digest=start_digest, winner_digest=candidates[winner].digest,
-            candidates=candidates)
-        history.append(record)
-        state = outcomes[winner][0]
-        if best_reward is None or raw[winner] > best_reward:
-            best_reward = float(raw[winner])
-            best_epoch = epoch
-            best_candidate = winner
-            best_state = state
-        mu = mu_after
-        if on_epoch is not None:
-            on_epoch(record, state)
+    def score(trained, workspace):
+        return reward(trained.model, trained.head, val_set, val_pairs,
+                      settings.reward_kind, workspace)
+
+    processes = candidate_processes(dist.population) if processes is None else processes
+    processes = min(processes, dist.population)
+    if processes > 1 and settings.epochs > 0:
+        workers = CandidateWorkers(processes, state0, dist.population, train_set,
+                                   settings.sgd, score)
+    else:
+        workers = contextlib.nullcontext(InProcessCandidates(score))
+    with workers as runner:
+        for epoch in range(1, settings.epochs + 1):
+            epoch_stream = root.child(f"epoch{epoch}")
+            # From epoch 2 the start is the previous winner, already hashed.
+            start_digest = (history[-1].winner_digest if history
+                            else param_digest(state.model, state.head))
+            current = replace(dist, mu=mu)
+            if settings.transform == "negexp":
+                drawn = sample_gaussian(epoch_stream.child("factors"), mu, dist.sigma,
+                                        dist.population)
+                factors = -np.exp(drawn)
+            else:
+                drawn = sample_factors(current, epoch_stream.child("factors"))
+                factors = drawn
+            lr = settings.schedule.lr_at(epoch)
+            outcomes = train_candidates(state, factors, train_set, settings.sgd, lr,
+                                        epoch_stream, runner)
+            raw = np.array([outcome.reward for outcome in outcomes])
+            normalized = normalize_rewards(raw)
+            # score_grad "a" is the opposite sign convention. Negating the rewards
+            # negates the step exactly, since IEEE negation does not round.
+            signed = -normalized if settings.score_grad == "a" else normalized
+            if settings.outer == "adam":
+                mu_after = adam.step(mu, mu_gradient(mu, dist.sigma, drawn, signed), dist.eta)
+            else:
+                mu_after = reinforce_update(current, drawn, signed)
+            winner = select_best(raw)
+            candidates = tuple(
+                CandidateRecord(index=i, factor=float(factors[i]),
+                                digest=param_digest(outcome.state.model, outcome.state.head),
+                                raw_reward=float(raw[i]),
+                                normalized_reward=float(normalized[i]),
+                                mean_loss=float(outcome.mean_loss),
+                                train_s=outcome.train_s, reward_s=outcome.reward_s)
+                for i, outcome in enumerate(outcomes))
+            record = SearchEpochRecord(
+                epoch=epoch, mu_before=mu, mu_after=mu_after,
+                factors=tuple(float(a) for a in factors),
+                raw_rewards=tuple(float(r) for r in raw),
+                normalized_rewards=tuple(float(r) for r in normalized),
+                winner=winner, mean_losses=tuple(c.mean_loss for c in candidates),
+                start_digest=start_digest, winner_digest=candidates[winner].digest,
+                candidates=candidates)
+            history.append(record)
+            state = outcomes[winner].state
+            if best_reward is None or raw[winner] > best_reward:
+                best_reward = float(raw[winner])
+                best_epoch = epoch
+                best_candidate = winner
+                best_state = state
+            mu = mu_after
+            if on_epoch is not None:
+                on_epoch(record, state)
     return SearchResult(best_state=best_state, best_reward=best_reward,
                         best_epoch=best_epoch, best_candidate=best_candidate,
                         final_mu=mu, history=tuple(history))

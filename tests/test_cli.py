@@ -6,6 +6,7 @@ checked).
 import argparse
 import copy
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -18,9 +19,10 @@ import pytest
 import lfsearch
 from lfsearch import cli, numerics
 from lfsearch.cli import main
-from lfsearch.config import ExperimentConfig
+from lfsearch.config import ConfigError, ExperimentConfig
 from lfsearch.contracts import ContractViolation
-from lfsearch.datasets import SyntheticSpec, generate_synthetic, load_flat_file, make_pairs
+from lfsearch.datasets import (DataFormatError, SyntheticSpec, generate_synthetic,
+                               load_flat_file, make_pairs)
 from lfsearch.runio import run_id
 from oracles import save_flat_file
 
@@ -59,12 +61,34 @@ def fresh_env(**changes):
     return env
 
 
-def run_cli(argv, **env_changes):
+def run_cli(argv, processes=None, **env_changes):
     """Run the command line in a fresh interpreter, so that warnings reach
-    stderr as they would outside the test runner."""
-    return subprocess.run([sys.executable, "-m", "lfsearch.cli", *argv],
+    stderr as they would outside the test runner; `processes` forces the
+    number of candidate processes a search uses."""
+    if processes is None:
+        entry = ["-m", "lfsearch.cli"]
+    else:
+        entry = ["-c", "import sys; from lfsearch import cli; "
+                       f"cli.candidate_processes = lambda population: {processes}; "
+                       "sys.exit(cli.main(sys.argv[1:]))"]
+    return subprocess.run([sys.executable, *entry, *argv],
                           env=fresh_env(**env_changes), capture_output=True, text=True,
                           timeout=120)
+
+
+def run_files(out):
+    """Every file of a run directory, checkpoints included, but the two that
+    describe the machine rather than the result."""
+    return {path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()
+            and path.name not in ("timings.jsonl", "environment.json")}
+
+
+@pytest.fixture
+def force_processes(monkeypatch):
+    """Set the number of candidate processes the command line's searches use."""
+    return lambda count: monkeypatch.setattr(cli, "candidate_processes",
+                                             lambda population: count)
 
 
 def read_jsonl(path):
@@ -216,6 +240,26 @@ class TestBlasThreads:
         assert len(runs[0]) == 7
         assert runs[0] == runs[1] == runs[2]
 
+    def test_k500_search_files_do_not_depend_on_the_thread_count(self, tmp_path):
+        """The same with two candidate processes: each worker trains on the
+        one pinned thread it inherits."""
+        config = tmp_path / "k500.json"
+        config.write_text(json.dumps({
+            "seed": 3, "schedule": {"epochs": 1}, "search": {"population": 2},
+            "dataset": {"classes": 500, "samples_per_class": 5, "train_frac": 0.6,
+                        "n_pairs": 200}}), encoding="utf-8")
+        runs = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            proc = run_cli(["search", "--config", str(config), "--out", str(out)],
+                           processes=2, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            environment = json.loads((out / "environment.json").read_text(encoding="utf-8"))
+            assert environment["candidate_processes"] == 2
+            runs.append(run_files(out))
+        assert len(runs[0]) == 9
+        assert runs[0] == runs[1] == runs[2]
+
     def test_environment_record_and_thread_count_restored(self, tmp_path):
         lib = numerics._openblas()
         before = lib.scipy_openblas_get_num_threads64_() if lib is not None else None
@@ -231,6 +275,7 @@ class TestBlasThreads:
                 lib.scipy_openblas_set_num_threads64_(before)
         record = json.loads((out / "environment.json").read_text(encoding="utf-8"))
         assert record["numpy"] == np.__version__
+        assert record["candidate_processes"] == 1
         assert sorted(record["blas"]) == ["name", "version"]
         if lib is None:
             assert record["pinned"] is False and record["blas_threads"] is None
@@ -295,6 +340,55 @@ class TestSearchCommand:
         assert report["best_epoch"] in (1, 2)
         assert report["best_candidate"] in (0, 1)
         assert "final_mu" in report
+
+
+    def test_worker_count_changes_no_byte(self, tmp_path, force_processes):
+        """A desk search (default data and model, 3 epochs, population 4)
+        writes the same files in process and with two workers."""
+        config = tmp_path / "desk.json"
+        config.write_text(json.dumps({"schedule": {"epochs": 3},
+                                      "search": {"population": 4}}), encoding="utf-8")
+        runs = []
+        for processes in (1, 2):
+            force_processes(processes)
+            out = tmp_path / f"processes-{processes}"
+            assert main(["search", "--config", str(config), "--out", str(out)]) == 0
+            environment = json.loads((out / "environment.json").read_text(encoding="utf-8"))
+            assert environment["candidate_processes"] == processes
+            runs.append(run_files(out))
+        assert len(runs[0]) == 11
+        assert runs[0] == runs[1]
+
+    def test_timings_time_each_candidate(self, tmp_path):
+        config = write_config(tmp_path, search={"population": 3})
+        out = tmp_path / "run"
+        assert main(["search", "--config", config, "--out", str(out)]) == 0
+        timings = read_jsonl(out / "timings.jsonl")
+        assert [len(t["candidates"]) for t in timings] == [3, 3]
+        assert all(c["train_s"] > 0 and c["reward_s"] > 0
+                   for t in timings for c in t["candidates"])
+
+    @pytest.mark.parametrize("error, code", [(None, 0), (ConfigError, 2),
+                                             (DataFormatError, 3), ("lr", 4),
+                                             (KeyboardInterrupt, None)])
+    def test_no_worker_outlives_a_run(self, tmp_path, monkeypatch, force_processes,
+                                      error, code):
+        force_processes(2)
+        lr = 1e300 if error == "lr" else 0.1
+        if error not in (None, "lr"):
+            def fail(*args):
+                raise error("stopped in an epoch")
+
+            monkeypatch.setattr(cli, "write_checkpoint", fail)
+        argv = ["search", "--config", write_config(tmp_path, sgd={"learning_rate": lr}),
+                "--out", str(tmp_path / "run")]
+        with np.errstate(all="ignore"):
+            if code is None:
+                with pytest.raises(error):
+                    main(argv)
+            else:
+                assert main(argv) == code
+        assert multiprocessing.active_children() == []
 
 
 class TestRandomSchedule:
@@ -497,6 +591,24 @@ class TestExitCodes:
         records = read_jsonl(out / "metrics.jsonl")
         assert [r["epoch"] for r in records] == list(range(1, failed_epoch))
 
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("learning_rate, failed_epoch", [(1e300, 1), (1e50, 2)])
+    def test_non_finite_search_in_each_process_count(self, tmp_path, capsys,
+                                                     force_processes, processes,
+                                                     learning_rate, failed_epoch):
+        force_processes(processes)
+        config = write_config(tmp_path, sgd={"learning_rate": learning_rate})
+        out = tmp_path / "x"
+        with np.errstate(all="ignore"):
+            code = main(["search", "--config", config, "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"training error: training went non-finite in epoch {failed_epoch}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        records = read_jsonl(out / "metrics.jsonl")
+        assert [r["epoch"] for r in records] == list(range(1, failed_epoch))
+        assert multiprocessing.active_children() == []
+
     def test_non_finite_evaluation(self, tmp_path, capsys):
         # Parameters near 1e153 stay finite through training, but the row
         # norms of the final embeddings overflow.
@@ -553,6 +665,29 @@ class TestExitCodes:
         proc = run_cli(["train-fixed", "--config", config, "--out", str(tmp_path / "x")])
         assert proc.returncode == 0
         assert "RuntimeWarning: overflow encountered" in proc.stderr
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_warnings_of_a_finished_search_still_show(self, tmp_path, processes):
+        config = write_config(tmp_path, sgd={"learning_rate": 1e15},
+                              schedule={"epochs": 3})
+        proc = run_cli(["search", "--config", config, "--out", str(tmp_path / "x")],
+                       processes=processes)
+        assert proc.returncode == 0
+        assert "RuntimeWarning: overflow encountered" in proc.stderr
+
+    @pytest.mark.parametrize("learning_rate, code", [(1e300, 4), (1e50, 4), (1e20, 0),
+                                                     (1e15, 0)])
+    def test_worker_warnings_reach_stderr_as_in_process(self, tmp_path, learning_rate,
+                                                        code):
+        """Two workers print the in-process stderr byte for byte: the held-back
+        warnings of a finished run, or the exit-4 line and its first warning."""
+        config = write_config(tmp_path, sgd={"learning_rate": learning_rate},
+                              schedule={"epochs": 3})
+        procs = [run_cli(["search", "--config", config, "--out", str(tmp_path / f"p{n}")],
+                         processes=n) for n in (1, 2)]
+        assert [proc.returncode for proc in procs] == [code, code]
+        assert "overflow encountered" in procs[0].stderr
+        assert procs[0].stderr == procs[1].stderr
 
 class TestExportCurves:
     def test_curve_table_values(self, tmp_path):

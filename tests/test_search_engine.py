@@ -3,6 +3,10 @@ the score-function update, winner selection and broadcast, and the
 random-factor baseline.
 """
 
+import multiprocessing
+import os
+import signal
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +17,8 @@ from lfsearch.config import ExperimentConfig
 from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import SyntheticSpec, generate_synthetic, make_pairs
 from lfsearch.embed_model import init_model
-from lfsearch import search_engine
+from lfsearch import candidate_workers, search_engine, sgd_trainer
+from lfsearch.candidate_workers import CandidateWorkerError, CandidateWorkers, candidate_processes
 from lfsearch.numerics import RngStream
 from lfsearch.search_engine import (
     FactorRange,
@@ -27,7 +32,8 @@ from lfsearch.search_engine import (
     sample_factors,
     select_best,
 )
-from lfsearch.sgd_trainer import LrSchedule, SgdConfig, TrainState
+from lfsearch.sgd_trainer import (InProcessCandidates, LrSchedule, NonFiniteTrainingError,
+                                  SgdConfig, TrainState, train_candidates)
 
 
 def search_fixture(seed=0):
@@ -382,3 +388,179 @@ class TestRunRandomSchedule:
         for lo, hi in ((0.0, 5.0), (-1.0, 5.0), (5.0, 2.0)):
             with pytest.raises(ContractViolation):
                 FactorRange(mag_lo=lo, mag_hi=hi)
+
+
+def searched(processes, population=2, epochs=3, seed=2, **overrides):
+    """A search of the small fixture with `processes` candidate processes."""
+    train, val, pairs, state = search_fixture(seed=seed)
+    settings = default_settings(epochs=epochs, distribution=SearchDistribution(
+        mu=-10.0, sigma=2.0, eta=0.05, population=population), **overrides)
+    return run_search(settings, state, train, val, pairs, seed=9, processes=processes)
+
+
+def recorded_warnings(run):
+    """(text, category, file, line) of each warning a call shows under the
+    default filters, which show a warning once per place."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            run()
+            error = None
+        except NonFiniteTrainingError as exc:
+            error = str(exc)
+    return error, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+class TestCandidateProcesses:
+    def test_population_capped_by_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [candidate_processes(p) for p in (1, 2, 3, 8)] == [1, 2, 3, 3]
+
+    def test_one_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert candidate_processes(8) == 1
+
+    def test_a_count_of_one_starts_no_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(search_engine, "candidate_processes", lambda population: 1)
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        train, val, pairs, state = search_fixture(seed=2)
+        result = run_search(default_settings(), state, train, val, pairs, seed=9)
+        assert len(result.history) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_the_default_count_comes_from_candidate_processes(self, monkeypatch):
+        started = []
+        real = candidate_workers.CandidateWorkers
+
+        def counting(processes, *args):
+            started.append(processes)
+            return real(processes, *args)
+
+        monkeypatch.setattr(search_engine, "candidate_processes", lambda population: 2)
+        monkeypatch.setattr(search_engine, "CandidateWorkers", counting)
+        train, val, pairs, state = search_fixture(seed=2)
+        run_search(default_settings(), state, train, val, pairs, seed=9)
+        assert started == [2]
+
+
+class TestCandidateWorkers:
+    @pytest.mark.parametrize("population, processes", [(1, 2), (2, 2), (4, 2), (5, 2),
+                                                       (5, 3), (4, 4)])
+    def test_workers_give_the_in_process_bits(self, population, processes):
+        alone = searched(1, population)
+        forked = searched(processes, population)
+        assert forked.history == alone.history
+        assert forked.final_mu == alone.final_mu
+        assert (forked.best_epoch, forked.best_candidate, forked.best_reward) == \
+            (alone.best_epoch, alone.best_candidate, alone.best_reward)
+        for got, want in ((forked.best_state, alone.best_state),):
+            assert got.params.tobytes() == want.params.tobytes()
+            assert got.velocity.tobytes() == want.velocity.tobytes()
+            assert (got.epoch, got.overshoot_warned) == (want.epoch, want.overshoot_warned)
+        assert multiprocessing.active_children() == []
+
+    def test_each_candidate_is_timed(self):
+        for record in searched(2, population=3).history:
+            assert all(c.train_s > 0 and c.reward_s > 0 for c in record.candidates)
+
+    @pytest.mark.parametrize("learning_rate", [1e300, 1e50, 1e20])
+    def test_warnings_and_failures_match_in_process(self, learning_rate):
+        def run(processes):
+            return lambda: searched(processes, population=3,
+                                    schedule=LrSchedule(learning_rate))
+
+        alone = recorded_warnings(run(1))
+        forked = recorded_warnings(run(2))
+        assert forked == alone
+        assert alone[1], "the run should warn"
+        assert (alone[0] is None) == (learning_rate == 1e20)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_no_worker_outlives_an_interrupted_epoch(self, error):
+        def interrupt(record, state):
+            raise error
+
+        train, val, pairs, state = search_fixture(seed=2)
+        with pytest.raises(error):
+            run_search(default_settings(), state, train, val, pairs, seed=9,
+                       on_epoch=interrupt, processes=2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_worker_names_its_candidate(self, monkeypatch):
+        parent = os.getpid()
+        real = sgd_trainer.train_epoch
+
+        def killing(*args):
+            if multiprocessing.current_process().name.endswith("-1") and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(sgd_trainer, "train_epoch", killing)
+        with pytest.raises(CandidateWorkerError, match=r"^candidate 1: .*exit code -9"):
+            searched(2, population=4)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_exits_when_its_pipe_closes(self):
+        train, val, pairs, state = search_fixture(seed=2)
+        workers = CandidateWorkers(2, state, 2, train, SgdConfig(), None)
+        for conn in workers._conns:
+            conn.close()
+        for proc in workers._procs:
+            proc.join(10)
+            assert proc.exitcode == 0
+        workers.close()
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_exits_quietly_on_sigint(self, capfd):
+        train, val, pairs, state = search_fixture(seed=2)
+        with CandidateWorkers(2, state, 2, train, SgdConfig(), None) as workers:
+            # One epoch first, so that each worker waits in its loop.
+            workers.run(state, [-1.0, -2.0], train, SgdConfig(), 0.05, RngStream(1, "epoch"))
+            for proc in workers._procs:
+                os.kill(proc.pid, signal.SIGINT)
+                proc.join(10)
+                assert proc.exitcode == 0
+        assert "Traceback" not in capfd.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_error_keeps_its_type_and_traceback(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("broken reward")
+
+        monkeypatch.setattr(search_engine, "reward", broken)
+        for processes in (1, 2):
+            with pytest.raises(ValueError, match="broken reward") as caught:
+                searched(processes)
+        assert "in broken" in str(caught.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_warnings_come_back_in_order_up_to_the_first_failure(self, monkeypatch):
+        """Each worker trains on after a failure elsewhere, but only the
+        warnings that an in-process epoch raises before the failure reach
+        the parent, in candidate order."""
+        real = sgd_trainer.train_candidate
+
+        def warning(state, factor, *args):
+            warnings.warn(f"candidate at {factor:g}", UserWarning)
+            if factor == -2.0:
+                raise NonFiniteTrainingError("failed at -2")
+            return real(state, factor, *args)
+
+        monkeypatch.setattr(sgd_trainer, "train_candidate", warning)
+        monkeypatch.setattr(candidate_workers, "train_candidate", warning)
+        train, val, pairs, state = search_fixture(seed=2)
+        shown = []
+        with CandidateWorkers(2, state, 4, train, SgdConfig(), None) as workers:
+            for runner in (InProcessCandidates(), workers):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with pytest.raises(NonFiniteTrainingError, match="failed at -2"):
+                        train_candidates(state, [-1.0, -2.0, -3.0, -4.0], train, SgdConfig(),
+                                         0.05, RngStream(1, "epoch"), runner)
+                shown.append([str(w.message) for w in caught])
+        assert shown == [["candidate at -1", "candidate at -2"]] * 2
+        assert multiprocessing.active_children() == []

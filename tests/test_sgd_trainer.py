@@ -329,15 +329,16 @@ class TestTrainCandidates:
         config = SgdConfig(batch_size=8)
         results = train_candidates(state, [-5.0, -5.0], data, config, 0.05,
                                    RngStream(8, "epoch"))
-        digests = [param_digest(s.model, s.head) for s, _ in results]
+        digests = [param_digest(r.state.model, r.state.head) for r in results]
         assert digests[0] == digests[1]
-        assert results[0][1] == results[1][1]
+        assert results[0].mean_loss == results[1].mean_loss
 
     def test_matches_direct_train_epoch(self):
         data, state = small_problem(seed=7)
         config = SgdConfig(batch_size=8)
-        (cand_state, cand_loss), = train_candidates(state, [-5.0], data, config,
-                                                    0.05, RngStream(9, "epoch"))
+        outcome, = train_candidates(state, [-5.0], data, config, 0.05,
+                                    RngStream(9, "epoch"))
+        cand_state, cand_loss = outcome.state, outcome.mean_loss
         direct_state, direct_loss = train_epoch(state.copy(), MarginSpec.unified(-5.0),
                                                 data, config, 0.05, RngStream(9, "epoch"))
         assert cand_loss == direct_loss
@@ -352,10 +353,10 @@ class TestTrainCandidates:
                                 RngStream(11, "epoch"))
         solo = [train_candidates(state, [a], data, config, 0.05,
                                  RngStream(11, "epoch"))[0] for a in factors]
-        for (got_state, got_loss), (want_state, want_loss) in zip(both, solo):
-            assert got_loss == want_loss
-            assert param_digest(got_state.model, got_state.head) == \
-                param_digest(want_state.model, want_state.head)
+        for got, want in zip(both, solo):
+            assert got.mean_loss == want.mean_loss
+            assert param_digest(got.state.model, got.state.head) == \
+                param_digest(want.state.model, want.state.head)
 
     def test_input_state_is_untouched(self):
         data, state = small_problem(seed=10)
