@@ -20,6 +20,7 @@ import os
 import sys
 import traceback
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -43,13 +44,61 @@ class _WorkerTraceback(Exception):
 
 def candidate_processes(population: int) -> int:
     """How many processes train a search epoch's candidates: min(population,
-    usable CPUs), or 1 where the fork start method is missing. With 1 a
-    search trains its candidates in process."""
+    usable CPUs), or 1 where the fork start method is missing. Usable CPUs
+    are those this process may run on, capped by the whole CPUs its cgroup
+    CPU quota allows. With 1 a search trains its candidates in process."""
     if not hasattr(os, "fork"):
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+    quota = cgroup_cpu_quota()
+    if quota is not None:
+        cpus = min(cpus, int(quota))
     return max(1, min(population, cpus))
+
+
+def cgroup_cpu_quota(proc_cgroup="/proc/self/cgroup", root="/sys/fs/cgroup"):
+    """CPUs' worth of time per period that the CPU quotas of this process's
+    cgroup and its ancestors allow (cgroup v2 `cpu.max`, v1
+    `cpu.cfs_quota_us` over `cpu.cfs_period_us`), the smallest of them;
+    None where no quota is set or none can be read."""
+    try:
+        lines = Path(proc_cgroup).read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return None
+    quotas = []
+    for line in lines:
+        _, controllers, path = line.split(":", 2)
+        if controllers == "":
+            base, read = Path(root), _v2_quota
+        elif "cpu" in controllers.split(","):
+            base, read = Path(root) / controllers, _v1_quota
+        else:
+            continue
+        # A container may mount its own cgroup as the root, so the path read
+        # here need not exist under it: read every level that does.
+        directory = base / path.lstrip("/")
+        for level in (directory, *directory.parents):
+            try:
+                quota = read(level)
+            except (OSError, ValueError):
+                quota = None
+            if quota is not None:
+                quotas.append(quota)
+            if level == base:
+                break
+    return min(quotas, default=None)
+
+
+def _v2_quota(directory: Path):
+    quota, period = (directory / "cpu.max").read_text(encoding="utf-8").split()
+    return None if quota == "max" else int(quota) / int(period)
+
+
+def _v1_quota(directory: Path):
+    quota = int((directory / "cpu.cfs_quota_us").read_text(encoding="utf-8"))
+    period = int((directory / "cpu.cfs_period_us").read_text(encoding="utf-8"))
+    return None if quota < 0 else quota / period
 
 
 class _Slots:
@@ -147,7 +196,6 @@ class CandidateWorkers:
 
         require(processes >= 1, "need at least one worker process")
         context = multiprocessing.get_context("fork")
-        self._data, self._config = data, config
         self._slots = _Slots(1 + population, template)
         pipes = [context.Pipe() for _ in range(processes)]
         self._conns = [parent_end for parent_end, _ in pipes]
@@ -184,14 +232,13 @@ class CandidateWorkers:
                 proc.kill()
                 proc.join()
 
-    def run(self, state: TrainState, factors, data, config, lr: float, epoch_stream):
-        """Outcomes of the candidates in the order of `factors`. Warnings come
+    def run(self, state: TrainState, factors, lr: float, epoch_stream):
+        """Outcomes of the candidates in the order of `factors`, trained on
+        the data and settings the workers were forked with. Warnings come
         back in candidate order, and the first failing candidate's error is
         raised after its warnings, as in process."""
         from multiprocessing.connection import wait
 
-        require(data is self._data and config == self._config,
-                "the workers were forked for other data or settings")
         self._slots.write(0, state)
         queue = iter(range(len(factors)))
         holding = {}  # worker -> the candidate it trains

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .candidate_workers import candidate_processes
+from . import candidate_workers
 from .checkpoint import CheckpointFormatError, read_checkpoint, write_checkpoint
 from .config import (FACTOR_TRANSFORMS, LOSS_ALIASES, LOSS_KINDS, LOSS_KNOBS,
                      OUTER_OPTIMIZERS, REWARD_KINDS, SCORE_GRAD_MODES, ConfigError,
@@ -232,7 +232,7 @@ def _cmd_search(args) -> int:
     settings = search_settings(config)
     train, val, pairs = _prepare_data(config)
     state0 = _init_state(config, train)
-    processes = candidate_processes(settings.distribution.population)
+    processes = candidate_workers.candidate_processes(settings.distribution.population)
     with _RunRecorder(args.out, config, "search", processes) as run:
         winners = run.out / "checkpoints"
         winners.mkdir(exist_ok=True)
@@ -254,7 +254,7 @@ def _cmd_search(args) -> int:
                              winner_state.model, winner_state.head)
 
         result = run_search(settings, state0, train, val, pairs, config.seed,
-                            on_epoch=on_epoch, processes=processes)
+                            on_epoch=on_epoch)
         write_xy_csv(run.out / "mu_trajectory.csv",
                      [(float(record.epoch), record.mu_after) for record in result.history])
         run.finish("best.lfs", result.best_state, val, pairs,

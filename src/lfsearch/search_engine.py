@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .candidate_workers import CandidateWorkers, candidate_processes
+from . import candidate_workers
 from .checkpoint import param_digest
 from .contracts import require
 from .datasets import LabeledDataset, PairSet
@@ -203,7 +203,7 @@ class _AdamState:
 
 def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledDataset,
                val_set: LabeledDataset, val_pairs: PairSet, seed: int,
-               on_epoch=None, processes: int | None = None) -> SearchResult:
+               on_epoch=None) -> SearchResult:
     """Reward-guided search over the modulating factor.
 
     Per epoch: sample factors, train one candidate per factor from the current
@@ -213,9 +213,10 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
     highest-reward candidate across the whole run.
 
     on_epoch, when given, is called with (record, winner_state) as each epoch
-    completes. Each epoch's candidates train and score in `processes` forked
-    workers (None: candidate_processes of the population), or, with one,
-    in this process through one workspace; the results are the same bits.
+    completes. Each epoch's candidates train and score in the forked workers
+    that candidate_workers.candidate_processes counts, or, with a count of
+    one, in this process through one workspace; the results are the same
+    bits.
     """
     require(val_set.sample_count >= 1, "validation set must be non-empty")
     dist = settings.distribution
@@ -233,13 +234,12 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
         return reward(trained.model, trained.head, val_set, val_pairs,
                       settings.reward_kind, workspace)
 
-    processes = candidate_processes(dist.population) if processes is None else processes
-    processes = min(processes, dist.population)
+    processes = candidate_workers.candidate_processes(dist.population)
     if processes > 1 and settings.epochs > 0:
-        workers = CandidateWorkers(processes, state0, dist.population, train_set,
-                                   settings.sgd, score)
+        workers = candidate_workers.CandidateWorkers(processes, state0, dist.population,
+                                                     train_set, settings.sgd, score)
     else:
-        workers = contextlib.nullcontext(InProcessCandidates(score))
+        workers = contextlib.nullcontext(InProcessCandidates(train_set, settings.sgd, score))
     with workers as runner:
         for epoch in range(1, settings.epochs + 1):
             epoch_stream = root.child(f"epoch{epoch}")
@@ -255,8 +255,7 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
                 drawn = sample_factors(current, epoch_stream.child("factors"))
                 factors = drawn
             lr = settings.schedule.lr_at(epoch)
-            outcomes = train_candidates(state, factors, train_set, settings.sgd, lr,
-                                        epoch_stream, runner)
+            outcomes = train_candidates(state, factors, lr, epoch_stream, runner)
             raw = np.array([outcome.reward for outcome in outcomes])
             normalized = normalize_rewards(raw)
             # score_grad "a" is the opposite sign convention. Negating the rewards

@@ -159,59 +159,58 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
 
 @dataclass(frozen=True)
 class CandidateOutcome:
-    """One trained candidate: its state and mean loss, its score when the
-    runner scores candidates (else None), and the seconds its training and
-    scoring took in the process that ran them."""
+    """One trained candidate: its state, mean loss and score, and the
+    seconds its training and scoring took in the process that ran them."""
 
     state: TrainState
     mean_loss: float
-    reward: float | None
+    reward: float
     train_s: float
     reward_s: float
 
 
 def train_candidate(state: TrainState, factor: float, data: LabeledDataset,
                     config: SgdConfig, lr: float, epoch_stream: RngStream, workspace,
-                    score=None) -> CandidateOutcome:
+                    score) -> CandidateOutcome:
     """One candidate: an epoch of the unified loss with `factor` from
-    `state`, then score(trained_state, workspace) when score is given."""
+    `state`, then score(trained_state, workspace)."""
     started = time.perf_counter()
     trained, mean_loss = train_epoch(state, MarginSpec.unified(factor), data, config, lr,
                                      epoch_stream, workspace)
     scored = time.perf_counter()
-    value = None if score is None else score(trained, workspace)
+    value = score(trained, workspace)
     return CandidateOutcome(trained, mean_loss, value, scored - started,
                             time.perf_counter() - scored)
 
 
 class InProcessCandidates:
-    """Trains, and with `score` scores, each candidate in turn in this
-    process through one workspace; the first failure stops the epoch."""
+    """Trains and scores each candidate in turn in this process, on `data`
+    under `config`, through one workspace; the first failure stops the
+    epoch."""
 
-    def __init__(self, score=None):
-        self.score = score
+    def __init__(self, data: LabeledDataset, config: SgdConfig, score):
+        self.data, self.config, self.score = data, config, score
         self.workspace = Workspace()
 
-    def run(self, state, factors, data, config, lr, epoch_stream):
-        return [train_candidate(state, a, data, config, lr, epoch_stream, self.workspace,
-                                self.score)
+    def run(self, state, factors, lr, epoch_stream):
+        return [train_candidate(state, a, self.data, self.config, lr, epoch_stream,
+                                self.workspace, self.score)
                 for a in factors]
 
 
-def train_candidates(state: TrainState, factors, data: LabeledDataset,
-                     config: SgdConfig, lr: float, epoch_stream: RngStream, runner=None):
+def train_candidates(state: TrainState, factors, lr: float, epoch_stream: RngStream,
+                     runner):
     """Train one epoch per factor, all from the same snapshot and shuffle.
 
     Every candidate trains a private copy of `state` under the unified loss
     with its own factor, consuming the identical shuffle order derived from
-    epoch_stream, so candidates differ only in the factor. `runner` trains
-    them: a search's worker processes or an InProcessCandidates (None: an
-    unscoring InProcessCandidates). Returns one CandidateOutcome per factor,
-    in the order of `factors`.
+    epoch_stream, so candidates differ only in the factor. `runner` holds
+    the data, settings and score, and trains them: a search's worker
+    processes or an InProcessCandidates. Returns one CandidateOutcome per
+    factor, in the order of `factors`.
     """
     factors = [float(a) for a in factors]
     require(len(factors) >= 1, "need at least one candidate factor")
     for a in factors:
         require(a <= 0, f"candidate factor {a} is positive; the search space is a <= 0")
-    runner = InProcessCandidates() if runner is None else runner
-    return runner.run(state, factors, data, config, lr, epoch_stream)
+    return runner.run(state, factors, lr, epoch_stream)

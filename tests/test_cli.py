@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import lfsearch
-from lfsearch import cli, numerics
+from lfsearch import candidate_workers, cli, numerics
 from lfsearch.cli import main
 from lfsearch.config import ConfigError, ExperimentConfig
 from lfsearch.contracts import ContractViolation
@@ -68,8 +68,9 @@ def run_cli(argv, processes=None, **env_changes):
     if processes is None:
         entry = ["-m", "lfsearch.cli"]
     else:
-        entry = ["-c", "import sys; from lfsearch import cli; "
-                       f"cli.candidate_processes = lambda population: {processes}; "
+        entry = ["-c", "import sys; from lfsearch import candidate_workers, cli; "
+                       "candidate_workers.candidate_processes = "
+                       f"lambda population: {processes}; "
                        "sys.exit(cli.main(sys.argv[1:]))"]
     return subprocess.run([sys.executable, *entry, *argv],
                           env=fresh_env(**env_changes), capture_output=True, text=True,
@@ -87,7 +88,7 @@ def run_files(out):
 @pytest.fixture
 def force_processes(monkeypatch):
     """Set the number of candidate processes the command line's searches use."""
-    return lambda count: monkeypatch.setattr(cli, "candidate_processes",
+    return lambda count: monkeypatch.setattr(candidate_workers, "candidate_processes",
                                              lambda population: count)
 
 

@@ -8,6 +8,7 @@ import os
 import signal
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import SyntheticSpec, generate_synthetic, make_pairs
 from lfsearch.embed_model import init_model
 from lfsearch import candidate_workers, search_engine, sgd_trainer
-from lfsearch.candidate_workers import CandidateWorkerError, CandidateWorkers, candidate_processes
+from lfsearch.candidate_workers import (CandidateWorkerError, CandidateWorkers,
+                                        candidate_processes, cgroup_cpu_quota)
 from lfsearch.numerics import RngStream
 from lfsearch.search_engine import (
     FactorRange,
@@ -390,12 +392,23 @@ class TestRunRandomSchedule:
                 FactorRange(mag_lo=lo, mag_hi=hi)
 
 
+def processes_forced(count):
+    """A context in which searches use `count` candidate processes."""
+    return mock.patch.object(candidate_workers, "candidate_processes",
+                             lambda population: count)
+
+
 def searched(processes, population=2, epochs=3, seed=2, **overrides):
     """A search of the small fixture with `processes` candidate processes."""
     train, val, pairs, state = search_fixture(seed=seed)
     settings = default_settings(epochs=epochs, distribution=SearchDistribution(
         mu=-10.0, sigma=2.0, eta=0.05, population=population), **overrides)
-    return run_search(settings, state, train, val, pairs, seed=9, processes=processes)
+    with processes_forced(processes):
+        return run_search(settings, state, train, val, pairs, seed=9)
+
+
+def unscored(trained, workspace):
+    return 0.0
 
 
 def recorded_warnings(run):
@@ -414,7 +427,43 @@ def recorded_warnings(run):
 class TestCandidateProcesses:
     def test_population_capped_by_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(candidate_workers, "cgroup_cpu_quota", lambda: None)
         assert [candidate_processes(p) for p in (1, 2, 3, 8)] == [1, 2, 3, 3]
+
+    @pytest.mark.parametrize("quota, counts", [(2.0, [1, 2, 2, 2]), (2.5, [1, 2, 2, 2]),
+                                               (0.5, [1, 1, 1, 1]), (8.0, [1, 2, 3, 3])])
+    def test_a_cgroup_quota_caps_the_cpus(self, monkeypatch, quota, counts):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(candidate_workers, "cgroup_cpu_quota", lambda: quota)
+        assert [candidate_processes(p) for p in (1, 2, 3, 8)] == counts
+
+    def test_cgroup_v2_quota_is_the_smallest_on_the_path(self, tmp_path):
+        root = tmp_path / "cgroup"
+        (root / "jobs" / "run").mkdir(parents=True)
+        (root / "cpu.max").write_text("max 100000\n")
+        (root / "jobs" / "cpu.max").write_text("150000 100000\n")
+        (root / "jobs" / "run" / "cpu.max").write_text("400000 100000\n")
+        proc = tmp_path / "cgroup.txt"
+        proc.write_text("0::/jobs/run\n")
+        assert cgroup_cpu_quota(proc, root) == 1.5
+        proc.write_text("0::/\n")
+        assert cgroup_cpu_quota(proc, root) is None
+
+    def test_cgroup_v1_quota_and_a_path_missing_under_the_mount(self, tmp_path):
+        root = tmp_path / "cgroup"
+        (root / "cpu,cpuacct").mkdir(parents=True)
+        (root / "cpu,cpuacct" / "cpu.cfs_quota_us").write_text("200000\n")
+        (root / "cpu,cpuacct" / "cpu.cfs_period_us").write_text("100000\n")
+        (root / "memory").mkdir()
+        proc = tmp_path / "cgroup.txt"
+        # The container's own cgroup is the mount's root, so /docker/abc is absent.
+        proc.write_text("5:memory:/docker/abc\n4:cpu,cpuacct:/docker/abc\n0::/\n")
+        assert cgroup_cpu_quota(proc, root) == 2.0
+        (root / "cpu,cpuacct" / "cpu.cfs_quota_us").write_text("-1\n")
+        assert cgroup_cpu_quota(proc, root) is None
+
+    def test_no_quota_without_a_cgroup_file(self, tmp_path):
+        assert cgroup_cpu_quota(tmp_path / "missing", tmp_path) is None
 
     def test_one_without_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
@@ -424,14 +473,14 @@ class TestCandidateProcesses:
         def refuse(*args, **kwargs):
             raise AssertionError("a process was started")
 
-        monkeypatch.setattr(search_engine, "candidate_processes", lambda population: 1)
+        monkeypatch.setattr(candidate_workers, "candidate_processes", lambda population: 1)
         monkeypatch.setattr(multiprocessing, "get_context", refuse)
         train, val, pairs, state = search_fixture(seed=2)
         result = run_search(default_settings(), state, train, val, pairs, seed=9)
         assert len(result.history) == 3
         assert multiprocessing.active_children() == []
 
-    def test_the_default_count_comes_from_candidate_processes(self, monkeypatch):
+    def test_the_count_comes_from_candidate_processes(self, monkeypatch):
         started = []
         real = candidate_workers.CandidateWorkers
 
@@ -439,8 +488,8 @@ class TestCandidateProcesses:
             started.append(processes)
             return real(processes, *args)
 
-        monkeypatch.setattr(search_engine, "candidate_processes", lambda population: 2)
-        monkeypatch.setattr(search_engine, "CandidateWorkers", counting)
+        monkeypatch.setattr(candidate_workers, "candidate_processes", lambda population: 2)
+        monkeypatch.setattr(candidate_workers, "CandidateWorkers", counting)
         train, val, pairs, state = search_fixture(seed=2)
         run_search(default_settings(), state, train, val, pairs, seed=9)
         assert started == [2]
@@ -485,9 +534,9 @@ class TestCandidateWorkers:
             raise error
 
         train, val, pairs, state = search_fixture(seed=2)
-        with pytest.raises(error):
+        with processes_forced(2), pytest.raises(error):
             run_search(default_settings(), state, train, val, pairs, seed=9,
-                       on_epoch=interrupt, processes=2)
+                       on_epoch=interrupt)
         assert multiprocessing.active_children() == []
 
     def test_a_killed_worker_names_its_candidate(self, monkeypatch):
@@ -506,7 +555,7 @@ class TestCandidateWorkers:
 
     def test_a_worker_exits_when_its_pipe_closes(self):
         train, val, pairs, state = search_fixture(seed=2)
-        workers = CandidateWorkers(2, state, 2, train, SgdConfig(), None)
+        workers = CandidateWorkers(2, state, 2, train, SgdConfig(), unscored)
         for conn in workers._conns:
             conn.close()
         for proc in workers._procs:
@@ -517,9 +566,9 @@ class TestCandidateWorkers:
 
     def test_a_worker_exits_quietly_on_sigint(self, capfd):
         train, val, pairs, state = search_fixture(seed=2)
-        with CandidateWorkers(2, state, 2, train, SgdConfig(), None) as workers:
+        with CandidateWorkers(2, state, 2, train, SgdConfig(), unscored) as workers:
             # One epoch first, so that each worker waits in its loop.
-            workers.run(state, [-1.0, -2.0], train, SgdConfig(), 0.05, RngStream(1, "epoch"))
+            workers.run(state, [-1.0, -2.0], 0.05, RngStream(1, "epoch"))
             for proc in workers._procs:
                 os.kill(proc.pid, signal.SIGINT)
                 proc.join(10)
@@ -554,13 +603,13 @@ class TestCandidateWorkers:
         monkeypatch.setattr(candidate_workers, "train_candidate", warning)
         train, val, pairs, state = search_fixture(seed=2)
         shown = []
-        with CandidateWorkers(2, state, 4, train, SgdConfig(), None) as workers:
-            for runner in (InProcessCandidates(), workers):
+        with CandidateWorkers(2, state, 4, train, SgdConfig(), unscored) as workers:
+            for runner in (InProcessCandidates(train, SgdConfig(), unscored), workers):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     with pytest.raises(NonFiniteTrainingError, match="failed at -2"):
-                        train_candidates(state, [-1.0, -2.0, -3.0, -4.0], train, SgdConfig(),
-                                         0.05, RngStream(1, "epoch"), runner)
+                        train_candidates(state, [-1.0, -2.0, -3.0, -4.0], 0.05,
+                                         RngStream(1, "epoch"), runner)
                 shown.append([str(w.message) for w in caught])
         assert shown == [["candidate at -1", "candidate at -2"]] * 2
         assert multiprocessing.active_children() == []

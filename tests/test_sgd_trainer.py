@@ -17,6 +17,7 @@ from lfsearch.embed_model import (ClassifierHead, EmbeddingModel, flatten, forwa
 from lfsearch.margin_losses import MarginSpec, batch_loss_and_grad, margin_transform_batch
 from lfsearch.numerics import RngStream, Workspace
 from lfsearch.sgd_trainer import (
+    InProcessCandidates,
     LrSchedule,
     NonFiniteTrainingError,
     SgdConfig,
@@ -31,6 +32,12 @@ def small_problem(seed=0):
     data = generate_synthetic(SyntheticSpec(4, 8, 5, 0.1, seed))
     model, head = init_model([8, 8], 4, 16.0, RngStream(seed, "init"))
     return data, TrainState.fresh(model, head)
+
+
+def in_process(state, factors, data, config, lr, epoch_stream):
+    """train_candidates in this process, each candidate scored 0."""
+    return train_candidates(state, factors, lr, epoch_stream,
+                            InProcessCandidates(data, config, lambda trained, workspace: 0.0))
 
 
 def scalar_state(w=1.0):
@@ -274,8 +281,8 @@ class TestTrainEpoch:
         data, state = small_problem(seed=6)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteTrainingError,
                                                       match=r"epoch 1 at a=-5: mean loss nan"):
-            train_candidates(state, [-5.0], data, SgdConfig(batch_size=8), 1e300,
-                             RngStream(8, "epoch"))
+            in_process(state, [-5.0], data, SgdConfig(batch_size=8), 1e300,
+                       RngStream(8, "epoch"))
 
     def test_non_finite_parameters_raise_behind_a_finite_loss(self):
         # One batch: the reported loss is taken before the step that breaks
@@ -327,8 +334,8 @@ class TestTrainCandidates:
     def test_identical_factors_give_identical_results(self):
         data, state = small_problem(seed=6)
         config = SgdConfig(batch_size=8)
-        results = train_candidates(state, [-5.0, -5.0], data, config, 0.05,
-                                   RngStream(8, "epoch"))
+        results = in_process(state, [-5.0, -5.0], data, config, 0.05,
+                             RngStream(8, "epoch"))
         digests = [param_digest(r.state.model, r.state.head) for r in results]
         assert digests[0] == digests[1]
         assert results[0].mean_loss == results[1].mean_loss
@@ -336,8 +343,8 @@ class TestTrainCandidates:
     def test_matches_direct_train_epoch(self):
         data, state = small_problem(seed=7)
         config = SgdConfig(batch_size=8)
-        outcome, = train_candidates(state, [-5.0], data, config, 0.05,
-                                    RngStream(9, "epoch"))
+        outcome, = in_process(state, [-5.0], data, config, 0.05,
+                              RngStream(9, "epoch"))
         cand_state, cand_loss = outcome.state, outcome.mean_loss
         direct_state, direct_loss = train_epoch(state.copy(), MarginSpec.unified(-5.0),
                                                 data, config, 0.05, RngStream(9, "epoch"))
@@ -349,10 +356,10 @@ class TestTrainCandidates:
         data, state = small_problem(seed=9)
         config = SgdConfig(batch_size=8)
         factors = [0.0, -50.0]
-        both = train_candidates(state, factors, data, config, 0.05,
-                                RngStream(11, "epoch"))
-        solo = [train_candidates(state, [a], data, config, 0.05,
-                                 RngStream(11, "epoch"))[0] for a in factors]
+        both = in_process(state, factors, data, config, 0.05,
+                          RngStream(11, "epoch"))
+        solo = [in_process(state, [a], data, config, 0.05,
+                           RngStream(11, "epoch"))[0] for a in factors]
         for got, want in zip(both, solo):
             assert got.mean_loss == want.mean_loss
             assert param_digest(got.state.model, got.state.head) == \
@@ -361,14 +368,14 @@ class TestTrainCandidates:
     def test_input_state_is_untouched(self):
         data, state = small_problem(seed=10)
         before = param_digest(state.model, state.head)
-        train_candidates(state, [-1.0, -2.0], data, SgdConfig(batch_size=8),
-                         0.05, RngStream(12, "epoch"))
+        in_process(state, [-1.0, -2.0], data, SgdConfig(batch_size=8),
+                   0.05, RngStream(12, "epoch"))
         assert param_digest(state.model, state.head) == before
 
     def test_validation(self):
         data, state = small_problem(seed=11)
         config = SgdConfig(batch_size=8)
         with pytest.raises(ContractViolation):
-            train_candidates(state, [], data, config, 0.05, RngStream(13, "epoch"))
+            in_process(state, [], data, config, 0.05, RngStream(13, "epoch"))
         with pytest.raises(ContractViolation):
-            train_candidates(state, [0.5], data, config, 0.05, RngStream(13, "epoch"))
+            in_process(state, [0.5], data, config, 0.05, RngStream(13, "epoch"))
