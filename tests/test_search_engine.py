@@ -443,6 +443,7 @@ class TestCandidateProcesses:
         (root / "cpu.max").write_text("max 100000\n")
         (root / "jobs" / "cpu.max").write_text("150000 100000\n")
         (root / "jobs" / "run" / "cpu.max").write_text("400000 100000\n")
+        (tmp_path / "cpu.max").write_text("50000 100000\n")  # above the mount: not read
         proc = tmp_path / "cgroup.txt"
         proc.write_text("0::/jobs/run\n")
         assert cgroup_cpu_quota(proc, root) == 1.5
