@@ -6,10 +6,10 @@ Each epoch the parent writes the start parameters and velocity into an
 anonymous shared mapping and sends each idle worker the index and factor of
 the next candidate down its pipe. The worker runs `train_candidate`, writes
 the trained parameters and velocity into the candidate's slot of the mapping,
-and sends back the mean loss, reward, timings and the warnings it raised.
-Each candidate does the arithmetic it does in process, so every result is
-bit-identical. The workers are forked, not spawned, so that they inherit the
-data; the command line forks them from its one thread.
+and sends back their hash, the mean loss, reward, timings and the warnings it
+raised. Each candidate does the arithmetic it does in process, so every
+result is bit-identical. The workers are forked, not spawned, so that they
+inherit the data; the command line forks them from its one thread.
 """
 
 from __future__ import annotations
@@ -128,7 +128,9 @@ def _serve(index, pipes, slots, data, config, score) -> None:
     """A worker: train and score each candidate it is sent, recording its
     warnings, until its pipe closes. Exits quietly on SIGINT. Its OpenBLAS
     runs on one thread, as under the command line: workers already share
-    the CPUs, and BLAS threads of their own would spin against each other."""
+    the CPUs, and BLAS threads of their own would spin against each other.
+    A worker forked from a pinned process keeps the pin as it is, with no
+    pool thread (see one_blas_thread)."""
     conn = pipes[index][1]
     for i, (parent_end, child_end) in enumerate(pipes):
         # Only the parent may hold the other ends, so that a closed pipe
@@ -154,8 +156,9 @@ def _serve(index, pipes, slots, data, config, score) -> None:
                     error, trace = exc, traceback.format_exc()
                 else:
                     slots.write(candidate + 1, outcome.state)
-                    summary = (outcome.mean_loss, outcome.reward, outcome.train_s,
-                               outcome.reward_s, outcome.state.overshoot_warned)
+                    summary = (outcome.digest, outcome.mean_loss, outcome.reward,
+                               outcome.train_s, outcome.reward_s,
+                               outcome.state.overshoot_warned)
                 records = [(w.message, w.category, w.filename, w.lineno) for w in log]
                 conn.send((candidate, summary, error, trace, records))
     except (KeyboardInterrupt, BrokenPipeError, ConnectionResetError):
@@ -271,10 +274,10 @@ class CandidateWorkers:
             _reissue(records)
             if error is not None:
                 raise error from _WorkerTraceback(trace)
-            mean_loss, value, train_s, reward_s, warned = summary
+            digest, mean_loss, value, train_s, reward_s, warned = summary
             outcomes.append(CandidateOutcome(
                 self._slots.read(i + 1, state.epoch + 1, warned, copy=True),
-                mean_loss, value, train_s, reward_s))
+                digest, mean_loss, value, train_s, reward_s))
         return outcomes
 
     def _receive(self, w: int, candidate: int):

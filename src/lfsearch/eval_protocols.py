@@ -113,38 +113,51 @@ def pair_similarities(embeddings: np.ndarray, pairs: PairSet, workspace=None) ->
 
 
 def _fold_scan(sims: np.ndarray, same: np.ndarray, folds: int):
-    """Round-robin K-fold threshold scan over one stable sort of `sims`.
+    """Round-robin K-fold threshold scan over one sort of `sims`.
 
     Each fold's threshold maximizes the accuracy of `sim > t` on the other
     folds, scanned over midpoints of adjacent distinct training similarities
-    plus sentinels beyond both ends; ties keep the lowest threshold. A fold's
-    training set is a mask over the sorted arrays, which orders it exactly as
-    a stable sort of that subset would. Returns the sorted similarities and
-    flags, and the per-fold thresholds and held-out accuracies.
+    plus sentinels beyond both ends; ties keep the lowest threshold. The
+    sort is numpy's default, redone stably when two sorted neighbours are
+    not strictly increasing (a tie, -0.0 beside 0.0, or a NaN), so the order
+    is always that of a stable sort. A fold's training set is a mask over
+    the sorted arrays, which orders it exactly as a stable sort of that
+    subset would. Returns the sorted similarities and flags, and the
+    per-fold thresholds and held-out accuracies.
     """
     require(folds >= 2, "folds must be >= 2")
     require(sims.size >= folds, "need at least one pair per fold")
-    order = np.argsort(sims, kind="stable")
-    s, flags = sims[order], same[order]
+    order = np.argsort(sims)
+    s = sims[order]
+    distinct = bool((s[1:] > s[:-1]).all())
+    if not distinct:
+        order = np.argsort(sims, kind="stable")
+        s = sims[order]
+    flags = same[order]
     fold_of = order % folds
-    thresholds, accuracies = [], []
+    # Counted from the all-"same" cut, which scores 0, each pair below a cut
+    # gains one if different and loses one if same: score[i] is the cut
+    # above training pair i.
+    gains = np.where(flags, -1, 1)
+    thresholds = []
     for fold in range(folds):
-        held = fold_of == fold
-        train_s, train_f = s[~held], flags[~held]
-        # Cut i predicts "same" from position i up; counted from all-"same",
-        # each pair below the cut gains one if different, loses one if same.
-        correct = int(train_f.sum()) + np.concatenate(([0], np.cumsum(np.where(train_f, -1, 1))))
-        valid = np.concatenate(([True], train_s[1:] != train_s[:-1], [True]))
-        best = int(np.argmax(np.where(valid, correct, -1)))
-        if best == 0:
+        keep = fold_of != fold
+        train_s = s[keep]
+        score = np.cumsum(gains[keep])
+        if not distinct:  # no cut between equal similarities
+            score[:-1][train_s[1:] == train_s[:-1]] = -sims.size - 1
+        best = int(score.argmax())
+        if score[best] <= 0:
             threshold = train_s[0] - 1.0
-        elif best == train_s.size:
+        elif best == score.size - 1:
             threshold = train_s[-1] + 1.0
         else:
-            threshold = 0.5 * (train_s[best - 1] + train_s[best])
+            threshold = 0.5 * (train_s[best] + train_s[best + 1])
         thresholds.append(float(threshold))
-        accuracies.append(float(np.mean((s[held] > threshold) == flags[held])))
-    return s, flags, thresholds, accuracies
+    hits = (s > np.array(thresholds)[fold_of]) == flags
+    accuracies = (np.bincount(fold_of, weights=hits, minlength=folds)
+                  / np.bincount(fold_of, minlength=folds))
+    return s, flags, thresholds, accuracies.tolist()
 
 
 def _roc_points(sorted_sims: np.ndarray, sorted_same: np.ndarray) -> tuple:

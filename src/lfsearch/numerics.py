@@ -125,20 +125,27 @@ def one_blas_thread():
     """Run the body with numpy's bundled OpenBLAS on one thread, then restore
     the thread count. A product split over threads can round differently
     from the one-thread product, so this makes results independent of
-    OPENBLAS_NUM_THREADS. Without that library the body runs unpinned."""
+    OPENBLAS_NUM_THREADS. Without that library the body runs unpinned.
+
+    The count is set, and later restored, only when it is not 1 already: in
+    a process forked from a pinned one, OpenBLAS has shut its thread pool
+    down, and the setter would start a pool thread that spins against the
+    work."""
     global _pinned
     lib = _openblas()
     if lib is None:
         yield
         return
     previous = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    _pinned = True
+    if previous != 1:
+        lib.scipy_openblas_set_num_threads64_(1)
+    was_pinned, _pinned = _pinned, True
     try:
         yield
     finally:
-        _pinned = False
-        lib.scipy_openblas_set_num_threads64_(previous)
+        _pinned = was_pinned
+        if previous != 1:
+            lib.scipy_openblas_set_num_threads64_(previous)
 
 
 def blas_environment() -> dict:

@@ -268,7 +268,7 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
             winner = select_best(raw)
             candidates = tuple(
                 CandidateRecord(index=i, factor=float(factors[i]),
-                                digest=param_digest(outcome.state.model, outcome.state.head),
+                                digest=outcome.digest,
                                 raw_reward=float(raw[i]),
                                 normalized_reward=float(normalized[i]),
                                 mean_loss=float(outcome.mean_loss),

@@ -6,6 +6,8 @@ modulating factor, the unified and margin losses, log-sum-exp and vector
 normalisation, and a CSV writer for the format `load_flat_file` reads. The
 package computes all of these batched; these are the oracles for the
 composition identity, the probability reduction and the gradient checks.
+`fold_scan` is the verification threshold scan one fold at a time, the
+reference for the package's scan.
 """
 
 from __future__ import annotations
@@ -149,3 +151,39 @@ def unified_loss(a: float, row: LogitRow) -> float:
 def margin_loss(spec: MarginSpec, row: LogitRow) -> float:
     """-log(margin_probability), evaluated in the log domain."""
     return -log_margin_probability(spec, row)
+
+
+def fold_scan(sims: np.ndarray, same: np.ndarray, folds: int):
+    """Round-robin K-fold threshold scan over one stable sort of `sims`,
+    one fold at a time: the same contract as eval_protocols._fold_scan.
+
+    Each fold's threshold maximizes the accuracy of `sim > t` on the other
+    folds, scanned over midpoints of adjacent distinct training similarities
+    plus sentinels beyond both ends; ties keep the lowest threshold. A fold's
+    training set is a mask over the sorted arrays, which orders it exactly as
+    a stable sort of that subset would. Returns the sorted similarities and
+    flags, and the per-fold thresholds and held-out accuracies.
+    """
+    require(folds >= 2, "folds must be >= 2")
+    require(sims.size >= folds, "need at least one pair per fold")
+    order = np.argsort(sims, kind="stable")
+    s, flags = sims[order], same[order]
+    fold_of = order % folds
+    thresholds, accuracies = [], []
+    for fold in range(folds):
+        held = fold_of == fold
+        train_s, train_f = s[~held], flags[~held]
+        # Cut i predicts "same" from position i up; counted from all-"same",
+        # each pair below the cut gains one if different, loses one if same.
+        correct = int(train_f.sum()) + np.concatenate(([0], np.cumsum(np.where(train_f, -1, 1))))
+        valid = np.concatenate(([True], train_s[1:] != train_s[:-1], [True]))
+        best = int(np.argmax(np.where(valid, correct, -1)))
+        if best == 0:
+            threshold = train_s[0] - 1.0
+        elif best == train_s.size:
+            threshold = train_s[-1] + 1.0
+        else:
+            threshold = 0.5 * (train_s[best - 1] + train_s[best])
+        thresholds.append(float(threshold))
+        accuracies.append(float(np.mean((s[held] > threshold) == flags[held])))
+    return s, flags, thresholds, accuracies

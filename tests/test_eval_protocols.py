@@ -25,6 +25,7 @@ from lfsearch.eval_protocols import (
     verification_accuracy,
 )
 from lfsearch.numerics import RngStream, Workspace, l2_normalize_rows
+from oracles import fold_scan
 
 
 def pairs_with_sims(target_sims, same_flags):
@@ -216,6 +217,70 @@ class TestVerificationAccuracy:
         with pytest.raises(ContractViolation):
             VerificationReport(accuracy=1.5, fold_thresholds=(), fold_accuracies=(),
                                roc_points=())
+
+
+def scan_inputs(kind, n, rng):
+    """n >= 2 similarities of one kind, and same flags at a random rate.
+    Every kind but "distinct" holds at least one pair of sorted neighbours
+    that are not strictly increasing."""
+    if kind == "distinct":
+        sims = rng.uniform(-1.0, 1.0, n)
+    elif kind == "ties":
+        sims = np.round(rng.uniform(-1.0, 1.0, n), 2)
+        sims[-1] = sims[0]
+    elif kind == "one tie":
+        sims = rng.uniform(-1.0, 1.0, n)
+        sims[-1] = sims[(n - 1) // 2]
+    elif kind == "nan":
+        sims = rng.uniform(-1.0, 1.0, n)
+        sims[rng.random(n) < 0.05] = np.nan
+        sims[0] = np.nan
+    else:  # signed zeros among other values
+        sims = np.where(rng.random(n) < 0.5, rng.choice([-0.0, 0.0], n),
+                        rng.uniform(-1.0, 1.0, n))
+        sims[0], sims[-1] = -0.0, 0.0
+    return sims, rng.random(n) < rng.uniform(0.1, 0.9)
+
+
+class TestFoldScanMatchesTheFoldLoop:
+    """The scan gives the bits of tests/oracles.fold_scan, the per-fold loop
+    it replaced, on the default sort and on the stable fallback."""
+
+    @pytest.mark.parametrize("kind, sorts", [("distinct", [None]),
+                                             ("ties", [None, "stable"]),
+                                             ("one tie", [None, "stable"]),
+                                             ("nan", [None, "stable"]),
+                                             ("signed zeros", [None, "stable"])])
+    @pytest.mark.parametrize("folds", [2, 4, 10])
+    def test_same_bits(self, monkeypatch, kind, sorts, folds):
+        kinds = []
+        real = np.argsort
+
+        def argsort(a, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return real(a, *args, **kwargs)
+
+        rng = np.random.default_rng([folds, len(kind)])
+        for n in (folds, folds + 1, 37, 2001, 19999):
+            if n % folds == 0 and n > folds:
+                n += 1
+            sims, same = scan_inputs(kind, n, rng)
+            want = fold_scan(sims, same, folds)
+            kinds.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(eval_protocols.np, "argsort", argsort)
+                got = eval_protocols._fold_scan(sims, same, folds)
+            assert kinds == sorts
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+            assert np.array(got[3]).tobytes() == np.array(want[3]).tobytes()
+
+    def test_all_nan(self):
+        sims, same = np.full(7, np.nan), np.arange(7) % 3 == 0
+        want, got = fold_scan(sims, same, 2), eval_protocols._fold_scan(sims, same, 2)
+        assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+        assert got[3] == want[3]
 
 
 class TestMakeGalleryProbe:

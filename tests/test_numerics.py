@@ -8,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from lfsearch import numerics
 from lfsearch.contracts import ContractViolation
-from lfsearch.numerics import RngStream, l2_normalize_rows, log_sum_exp_rows, sample_gaussian
+from lfsearch.numerics import (RngStream, blas_environment, l2_normalize_rows, log_sum_exp_rows,
+                               one_blas_thread, sample_gaussian)
 from oracles import l2_normalize, log_sum_exp
 
 
@@ -123,3 +125,48 @@ class TestSampleGaussian:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ContractViolation):
             sample_gaussian(RngStream(1, "g"), 0.0, 0.0, 4)
+
+
+class FakeOpenblas:
+    """The two thread-count calls of the bundled OpenBLAS, recording each
+    count set."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.set_calls = []
+
+    def scipy_openblas_get_num_threads64_(self):
+        return self.threads
+
+    def scipy_openblas_set_num_threads64_(self, count):
+        self.set_calls.append(count)
+        self.threads = count
+
+
+class TestOneBlasThread:
+    def test_a_count_of_one_is_left_alone(self, monkeypatch):
+        # A setter call would restart the thread pool that OpenBLAS shuts
+        # down in a forked child.
+        lib = FakeOpenblas(1)
+        monkeypatch.setattr(numerics, "_openblas", lambda: lib)
+        with one_blas_thread():
+            inside = blas_environment()
+        assert lib.set_calls == []
+        assert (inside["blas_threads"], inside["pinned"]) == (1, True)
+        assert blas_environment()["pinned"] is False
+
+    def test_nested_pins_stay_pinned(self, monkeypatch):
+        lib = FakeOpenblas(4)
+        monkeypatch.setattr(numerics, "_openblas", lambda: lib)
+        with one_blas_thread():
+            with one_blas_thread():
+                pass
+            assert blas_environment()["pinned"] is True
+        assert lib.set_calls == [1, 4]
+        assert blas_environment()["pinned"] is False
+
+    def test_without_the_library_the_body_runs_unpinned(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_openblas", lambda: None)
+        with one_blas_thread():
+            inside = blas_environment()
+        assert (inside["blas_threads"], inside["pinned"]) == (None, False)

@@ -18,10 +18,10 @@ from lfsearch.config import ExperimentConfig
 from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import SyntheticSpec, generate_synthetic, make_pairs
 from lfsearch.embed_model import init_model
-from lfsearch import candidate_workers, search_engine, sgd_trainer
+from lfsearch import candidate_workers, numerics, search_engine, sgd_trainer
 from lfsearch.candidate_workers import (CandidateWorkerError, CandidateWorkers,
                                         candidate_processes, cgroup_cpu_quota)
-from lfsearch.numerics import RngStream
+from lfsearch.numerics import RngStream, one_blas_thread
 from lfsearch.search_engine import (
     FactorRange,
     SearchDistribution,
@@ -227,14 +227,24 @@ class TestRunSearch:
 
     def test_each_parameter_set_is_hashed_once(self, monkeypatch):
         # The initial state, then each epoch's candidates: a winner is not
-        # hashed again as the next epoch's start.
-        calls = []
-        real = search_engine.param_digest
-        monkeypatch.setattr(search_engine, "param_digest",
-                            lambda model, head: calls.append(1) or real(model, head))
+        # hashed again as the next epoch's start. The search hashes the
+        # initial state and each candidate is hashed where it trains, so the
+        # count is shared with the forked workers.
+        real = param_digest
         train, val, pairs, state = search_fixture(seed=2)
-        run_search(default_settings(epochs=3), state, train, val, pairs, seed=9)
-        assert len(calls) == 1 + 3 * 2
+        for processes in (1, 2):
+            calls = multiprocessing.Value("i", 0)
+
+            def counted(model, head):
+                with calls.get_lock():
+                    calls.value += 1
+                return real(model, head)
+
+            monkeypatch.setattr(search_engine, "param_digest", counted)
+            monkeypatch.setattr(sgd_trainer, "param_digest", counted)
+            with processes_forced(processes):
+                run_search(default_settings(epochs=3), state, train, val, pairs, seed=9)
+            assert calls.value == 1 + 3 * 2
 
     def test_best_is_argmax_over_history(self):
         train, val, pairs, state = search_fixture(seed=3)
@@ -575,6 +585,21 @@ class TestCandidateWorkers:
                 proc.join(10)
                 assert proc.exitcode == 0
         assert "Traceback" not in capfd.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or numerics._openblas() is None,
+                        reason="needs /proc and numpy's bundled OpenBLAS")
+    def test_a_worker_of_a_pinned_process_runs_one_thread(self):
+        # OpenBLAS shuts its thread pool down in a forked child; a worker
+        # that set the count again would restart it beside its own thread.
+        def threads(trained, workspace):
+            return len(os.listdir("/proc/self/task"))
+
+        train, val, pairs, state = search_fixture(seed=2)
+        with one_blas_thread(), CandidateWorkers(2, state, 2, train, SgdConfig(),
+                                                 threads) as workers:
+            outcomes = workers.run(state, [-1.0, -2.0], 0.05, RngStream(1, "epoch"))
+        assert [outcome.reward for outcome in outcomes] == [1, 1]
         assert multiprocessing.active_children() == []
 
     def test_a_worker_error_keeps_its_type_and_traceback(self, monkeypatch):
