@@ -264,19 +264,51 @@ def _draw_ranks(generator, size: int, count: int) -> np.ndarray:
     return pool[:count].astype(np.int64)
 
 
-def make_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairSet:
-    """Sample n_pairs/2 same-identity and n_pairs/2 different-identity pairs.
+@dataclass(frozen=True)
+class PairPlan:
+    """A checked make_pairs request before its draws: the sorted enumeration
+    positions of the same-identity pairs, and how many pairs of each kind to
+    draw from which stream. The draws need nothing else, so they can run in
+    another process."""
 
-    The draws are defined over the enumeration of index pairs (i, j), i < j,
-    in row-major (`np.triu_indices`) order: each pool is that enumeration's
-    same- or different-identity subsequence, and a seeded permutation of the
-    pool picks its pairs without replacement, so a request larger than either
-    pool is refused. The enumeration is not materialised: only the
-    same-identity positions are listed, and a different-identity rank maps to
-    its position by counting the same-identity positions below it. Each
-    permutation is held in the narrowest unsigned type that fits its pool, at
-    most 4 B per pair: a pool above MAX_PAIR_POOL is refused before any draw.
-    """
+    sample_count: int
+    half: int
+    same_lin: np.ndarray
+    seed: int
+
+    @property
+    def sizes(self) -> dict:
+        n = self.sample_count
+        return {"same": self.same_lin.size, "diff": n * (n - 1) // 2 - self.same_lin.size}
+
+    def draw(self):
+        """The draws: the (first, second) index arrays of every pair, the
+        same-identity half first. The pool permutations are the only large
+        allocation of make_pairs."""
+        stream = RngStream(self.seed, "pairs")
+        ranks = {name: _draw_ranks(stream.child(name).generator(), size, self.half)
+                 for name, size in self.sizes.items()}
+        same_lin = self.same_lin
+        # The r-th different pair sits after every same pair s_k with s_k - k <= r.
+        diff_lin = ranks["diff"] + np.searchsorted(
+            same_lin - np.arange(same_lin.size), ranks["diff"], side="right")
+        picks = np.concatenate([same_lin[ranks["same"]], diff_lin])
+        rows = np.arange(self.sample_count, dtype=np.int64)
+        row_start = rows * self.sample_count - rows * (rows + 1) // 2
+        first = np.searchsorted(row_start, picks, side="right") - 1
+        second = picks - row_start[first] + first + 1
+        return first, second
+
+    def pair_set(self, first, second) -> PairSet:
+        flags = np.zeros(2 * self.half, dtype=bool)
+        flags[:self.half] = True
+        return PairSet(first, second, flags)
+
+
+def plan_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairPlan:
+    """The checks of make_pairs, without its draws: lists the same-identity
+    positions and refuses a request larger than either pool, or a pool above
+    MAX_PAIR_POOL."""
     require(n_pairs >= 2 and n_pairs % 2 == 0, "n_pairs must be even and >= 2")
     half = n_pairs // 2
     n = dataset.sample_count
@@ -290,22 +322,28 @@ def make_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairSet:
     run_start = np.repeat(np.cumsum(partners) - partners, partners)
     high = low + 1 + np.arange(low.size) - run_start
     i, j = order[low], order[high]
-    same_lin = np.sort(row_start[i] + (j - i - 1))
-    sizes = {"same": same_lin.size, "diff": n * (n - 1) // 2 - same_lin.size}
-    for name, size in sizes.items():
+    plan = PairPlan(n, half, np.sort(row_start[i] + (j - i - 1)), seed)
+    for name, size in plan.sizes.items():
         require(size >= half, f"requested {half} {name} pairs but only {size} exist")
         require(size <= MAX_PAIR_POOL,
                 f"{n} samples give a pool of {size} {name} pairs, above the 2**32 "
                 f"({MAX_PAIR_POOL}) limit of one pair draw")
-    stream = RngStream(seed, "pairs")
-    ranks = {name: _draw_ranks(stream.child(name).generator(), size, half)
-             for name, size in sizes.items()}
-    # The r-th different pair sits after every same pair s_k with s_k - k <= r.
-    diff_lin = ranks["diff"] + np.searchsorted(
-        same_lin - np.arange(same_lin.size), ranks["diff"], side="right")
-    picks = np.concatenate([same_lin[ranks["same"]], diff_lin])
-    first = np.searchsorted(row_start, picks, side="right") - 1
-    second = picks - row_start[first] + first + 1
-    flags = np.zeros(n_pairs, dtype=bool)
-    flags[:half] = True
-    return PairSet(first, second, flags)
+    return plan
+
+
+def make_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairSet:
+    """Sample n_pairs/2 same-identity and n_pairs/2 different-identity pairs.
+
+    The draws are defined over the enumeration of index pairs (i, j), i < j,
+    in row-major (`np.triu_indices`) order: each pool is that enumeration's
+    same- or different-identity subsequence, and a seeded permutation of the
+    pool picks its pairs without replacement, so a request larger than either
+    pool is refused. The enumeration is not materialised: only the
+    same-identity positions are listed, and a different-identity rank maps to
+    its position by counting the same-identity positions below it. Each
+    permutation is held in the narrowest unsigned type that fits its pool, at
+    most 4 B per pair: a pool above MAX_PAIR_POOL is refused before any draw.
+    plan_pairs makes the checks and PairPlan.draw the draws.
+    """
+    plan = plan_pairs(dataset, n_pairs, seed)
+    return plan.pair_set(*plan.draw())

@@ -203,7 +203,7 @@ class _AdamState:
 
 def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledDataset,
                val_set: LabeledDataset, val_pairs: PairSet, seed: int,
-               on_epoch=None) -> SearchResult:
+               on_epoch=None, on_start=None) -> SearchResult:
     """Reward-guided search over the modulating factor.
 
     Per epoch: sample factors, train one candidate per factor from the current
@@ -212,11 +212,12 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
     parameters as the next epoch's start. The returned best_state is the
     highest-reward candidate across the whole run.
 
-    on_epoch, when given, is called with (record, winner_state) as each epoch
-    completes. Each epoch's candidates train and score in the forked workers
-    that candidate_workers.candidate_processes counts, or, with a count of
-    one, in this process through one workspace; the results are the same
-    bits.
+    on_start, when given, is called once the candidate processes have
+    started, just before epoch 1; on_epoch, when given, is called with
+    (record, winner_state) as each epoch completes. Each epoch's candidates
+    train and score in the forked workers that
+    candidate_workers.candidate_processes counts, or, with a count of one, in
+    this process through one workspace; the results are the same bits.
     """
     require(val_set.sample_count >= 1, "validation set must be non-empty")
     dist = settings.distribution
@@ -241,6 +242,8 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
     else:
         workers = contextlib.nullcontext(InProcessCandidates(train_set, settings.sgd, score))
     with workers as runner:
+        if on_start is not None:
+            on_start()
         for epoch in range(1, settings.epochs + 1):
             epoch_stream = root.child(f"epoch{epoch}")
             # From epoch 2 the start is the previous winner, already hashed.

@@ -326,6 +326,17 @@ class TestRunSearch:
         for record, digest in seen:
             assert digest == record.winner_digest
 
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_on_start_is_called_once_the_workers_run(self, processes):
+        train, val, pairs, state = search_fixture(seed=10)
+        calls = []
+        with processes_forced(processes):
+            run_search(default_settings(), state, train, val, pairs, seed=17,
+                       on_start=lambda: calls.append(
+                           ("start", len(multiprocessing.active_children()))),
+                       on_epoch=lambda record, winner: calls.append(("epoch", None)))
+        assert calls == [("start", processes if processes > 1 else 0)] + [("epoch", None)] * 3
+
     def test_classification_reward_kind(self):
         train, val, pairs, state = search_fixture(seed=11)
         settings = default_settings(epochs=1, reward_kind="classification")
