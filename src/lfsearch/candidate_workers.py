@@ -314,58 +314,70 @@ class CandidateWorkers:
                                     f"ended (exit code {proc.exitcode}) before returning it")
 
 
-class PairDraws:
-    """The draws of a checked PairPlan, made beside the caller's work when
-    `beside` asks for it: in one forked process, where the fork exists and 2
-    or more CPUs are usable, or else in process. The child writes the pair
-    indices into an anonymous shared mapping made before the fork and leaves
-    with os._exit; it shuffles and searches arrays but calls no BLAS, whose
-    pool thread is the command's only other thread. Reading `pairs`, or any
-    PairSet field, waits for the child the first time (`wait_s` adds up the
-    wait); a child that ended without the pairs raises PairDrawError naming
-    its exit code. Leaving the context kills a child still drawing, which
-    holds nothing to clean up, and reaps it, so no path leaves it running."""
+# Smallest pair pool (the larger of the two) whose draws PairDraws runs in a
+# forked process. The fork costs the command 2-3 ms; the permutation of a pool
+# this size takes about 250 ms on a 2-vCPU host. The one workload measured with
+# forked draws, fixed-csv-large (7,960,000 different pairs), lies above it.
+FORKED_DRAWS_MIN_POOL = 1 << 22
 
-    def __init__(self, plan: PairPlan, beside: bool):
+
+class PairDraws:
+    """The draws of a checked PairPlan for a command that trains before it
+    reads the pairs. Entering the context makes them: in one forked process
+    where the larger pool holds FORKED_DRAWS_MIN_POOL pairs or more, the fork
+    exists and succeeds, and 2 or more CPUs are usable; or else in process.
+    The child writes the pair indices into an anonymous shared mapping made
+    before the fork and leaves with os._exit; it shuffles and searches arrays
+    but calls no BLAS, whose pool thread is the command's only other thread.
+    Reading `pairs`, or any PairSet field, waits for the child the first time
+    (`wait_s` adds up the wait); a child that ended without the pairs raises
+    PairDrawError naming its exit code. Leaving the context kills a child
+    still drawing, which holds nothing to clean up, and reaps it, so no path
+    leaves it running."""
+
+    def __init__(self, plan: PairPlan):
         self._plan = plan
         self._pairs = None
         self._pid = None
         self.wait_s = 0.0
-        self.forked = beside and hasattr(os, "fork") and usable_cpus() >= 2
-        if not self.forked:
-            self._pairs = plan.pair_set(*plan.draw())
-            return
-        self._map = mmap.mmap(-1, 2 * 2 * plan.half * np.dtype(np.int64).itemsize)
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                np.frombuffer(self._map, np.int64).reshape(2, -1)[:] = plan.draw()
-                code = 0
-            except Exception:
-                traceback.print_exc()
-                sys.stderr.flush()
-            finally:
-                os._exit(code)
-        self._pid = pid
+        self.forked = False
 
     def __enter__(self):
+        plan = self._plan
+        if (max(plan.sizes.values()) >= FORKED_DRAWS_MIN_POOL and hasattr(os, "fork")
+                and usable_cpus() >= 2):
+            self._map = mmap.mmap(-1, 2 * 2 * plan.half * np.dtype(np.int64).itemsize)
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: draw in process
+                pid = None
+            if pid == 0:
+                code = 1
+                try:
+                    np.frombuffer(self._map, np.int64).reshape(2, -1)[:] = plan.draw()
+                    code = 0
+                except Exception:
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+            self._pid = pid
+        self.forked = self._pid is not None
+        if not self.forked:
+            self._pairs = plan.pair_set(*plan.draw())
         return self
 
     def __exit__(self, *_exc):
-        self.close()
-        return False
-
-    def close(self) -> None:
         if self._pid is not None:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = None
+        return False
 
     @property
     def pairs(self) -> PairSet:
         if self._pairs is None:
-            require(self._pid is not None, "the pair draws have already failed")
+            require(self._pid is not None, "the pair draws have not started, or failed")
             started = time.perf_counter()
             _, status = os.waitpid(self._pid, 0)
             self.wait_s += time.perf_counter() - started

@@ -27,8 +27,8 @@ from .config import (FACTOR_TRANSFORMS, LOSS_ALIASES, LOSS_KINDS, LOSS_KNOBS,
                      ExperimentConfig, factor_range, from_dict, load_config_file,
                      margin_spec, schedule_of, search_settings, set_path)
 from .contracts import ContractViolation
-from .datasets import (DataFormatError, SyntheticSpec, generate_synthetic,
-                       load_flat_file, plan_pairs, split_closed_set, split_open_set)
+from .datasets import (DataFormatError, SyntheticSpec, generate_synthetic, load_flat_file,
+                       make_pairs, plan_pairs, split_closed_set, split_open_set)
 from .embed_model import init_model
 from .eval_protocols import (FarUnresolvableError, embed_all, make_gallery_probe,
                              pair_similarities, rank1_identification, reward,
@@ -66,9 +66,11 @@ def _resolve_config(args) -> ExperimentConfig:
     return from_dict(tree)
 
 
-def _prepare_data(config: ExperimentConfig):
-    """The training and validation sets and the checked plan of the pair
-    draws; every config error of the data is raised here, before any draw."""
+def _prepare_data(config: ExperimentConfig, draw_now: bool = False):
+    """The training and validation sets and the validation pairs: drawn here
+    with draw_now, or else checked and returned as PairDraws, whose draws the
+    caller starts by entering it. Every config error of the data is raised
+    here."""
     if config.dataset.path is not None:
         path = Path(config.dataset.path)
         if not path.is_file():
@@ -84,12 +86,15 @@ def _prepare_data(config: ExperimentConfig):
     try:
         train, val = split(full, config.dataset.train_frac, config.seed)
         # The splits copy their rows. Dropping the full set here frees it (and
-        # a CSV's parsed table, which its features view) before the pair draws.
+        # a CSV's parsed table, which its features view) before the pair checks.
         del full
-        plan = plan_pairs(val, config.dataset.n_pairs, config.seed)
+        if draw_now:
+            pairs = make_pairs(val, config.dataset.n_pairs, config.seed)
+        else:
+            pairs = PairDraws(plan_pairs(val, config.dataset.n_pairs, config.seed))
     except ContractViolation as exc:
         raise ConfigError(f"dataset: {exc}") from None
-    return train, val, plan
+    return train, val, pairs
 
 
 def _init_state(config: ExperimentConfig, train) -> TrainState:
@@ -145,24 +150,24 @@ def _write_evaluation(out: Path, model, head, val_set, val_pairs, **extra) -> di
 class _RunRecorder:
     """One run directory: the resolved config, the numpy/BLAS environment
     with the number of processes that train candidates and whether the pairs
-    were drawn in a forked process, the metric and timing streams, the epoch
-    clock and convergence curve, then the final checkpoint and evaluation.
-    timings.jsonl holds a start line (opening the run to epoch 1: the model
-    init and any candidate workers' start), one line per epoch and a finish
-    line. A rerun into the same directory replaces both streams."""
+    (a PairSet, or PairDraws) were drawn in a forked process, the metric and
+    timing streams, the epoch clock and convergence curve, then the final
+    checkpoint and evaluation. timings.jsonl holds a start line (opening the
+    run to epoch 1: the model init and any candidate workers' start), one
+    line per epoch and a finish line. A rerun into the same directory
+    replaces both streams."""
 
-    def __init__(self, out_dir, config: ExperimentConfig, mode: str, pairs: PairDraws,
+    def __init__(self, out_dir, config: ExperimentConfig, mode: str, pairs,
                  processes: int = 1):
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         resolved = config.to_dict()
         self._run_id = run_id(resolved)
         self._mode = mode
-        self._pairs = pairs
-        self._waited = pairs.wait_s  # ablate-a's later runs share drawn pairs
+        self._draws = pairs if isinstance(pairs, PairDraws) else None
         (self.out / "config.json").write_text(dumps(resolved) + "\n", encoding="utf-8")
         environment = {**blas_environment(), "candidate_processes": processes,
-                       "pairs_forked": pairs.forked}
+                       "pairs_forked": self._draws is not None and self._draws.forked}
         (self.out / "environment.json").write_text(dumps(environment) + "\n",
                                                    encoding="utf-8")
         for name in ("metrics.jsonl", "timings.jsonl"):
@@ -199,20 +204,22 @@ class _RunRecorder:
         self._timings.write({"epoch": epoch, "seconds": seconds, **spans})
         self._convergence.append((float(epoch), mean_loss))
 
-    def finish(self, checkpoint_name: str, state: TrainState, val_set, **extra) -> dict:
+    def finish(self, checkpoint_name: str, state: TrainState, val_set, val_pairs,
+               **extra) -> dict:
         """Write the final model, the convergence curve and its evaluation,
-        and time them on the finish line with this run's wait for the
-        pairs."""
+        and time them on the finish line with the wait for pairs drawn
+        beside the run."""
         started = time.perf_counter()
         write_checkpoint(self.out / checkpoint_name, state.model, state.head)
         checkpoint_s = time.perf_counter() - started
         write_xy_csv(self.out / "convergence.csv", self._convergence)
-        pairs = self._pairs.pairs
+        pairs_wait_s = 0.0
+        if self._draws is not None:
+            val_pairs, pairs_wait_s = self._draws.pairs, self._draws.wait_s
         started = time.perf_counter()
-        report = _write_evaluation(self.out, state.model, state.head, val_set, pairs,
+        report = _write_evaluation(self.out, state.model, state.head, val_set, val_pairs,
                                    **extra)
-        self._timings.write({"phase": "finish",
-                             "pairs_wait_s": self._pairs.wait_s - self._waited,
+        self._timings.write({"phase": "finish", "pairs_wait_s": pairs_wait_s,
                              "checkpoint_s": checkpoint_s,
                              "evaluation_s": time.perf_counter() - started})
         return report
@@ -239,7 +246,7 @@ def _run_fixed(config: ExperimentConfig, out_dir, data) -> dict:
                                   workspace)
             run.epoch(epoch, {"loss": loss_echo, "lr": lr, "mean_loss": mean_loss,
                               "val_reward": final_reward}, mean_loss)
-        return run.finish("model.lfs", state, val, final_val_reward=final_reward)
+        return run.finish("model.lfs", state, val, pairs, final_val_reward=final_reward)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +255,9 @@ def _run_fixed(config: ExperimentConfig, out_dir, data) -> dict:
 
 def _cmd_train_fixed(args) -> int:
     config = _resolve_config(args)
-    train, val, plan = _prepare_data(config)
+    train, val, pairs = _prepare_data(config)
     # Training does not read the pairs before its first verification reward.
-    with PairDraws(plan, beside=True) as pairs:
+    with pairs:
         report = _run_fixed(config, args.out, (train, val, pairs))
     print(f"train-fixed done: loss={config.loss.kind} "
           f"verification={report['verification_accuracy']:.4f} "
@@ -261,9 +268,7 @@ def _cmd_train_fixed(args) -> int:
 def _cmd_search(args) -> int:
     config = _resolve_config(args)
     settings = search_settings(config)
-    train, val, plan = _prepare_data(config)
-    # The candidate workers read the pairs from the fork that starts them.
-    pairs = PairDraws(plan, beside=False)
+    train, val, pairs = _prepare_data(config, draw_now=True)
     processes = candidate_workers.candidate_processes(settings.distribution.population)
     with _RunRecorder(args.out, config, "search", pairs, processes) as run:
         state0 = _init_state(config, train)
@@ -286,11 +291,11 @@ def _cmd_search(args) -> int:
             write_checkpoint(winners / f"epoch_{record.epoch:03d}.lfs",
                              winner_state.model, winner_state.head)
 
-        result = run_search(settings, state0, train, val, pairs.pairs, config.seed,
+        result = run_search(settings, state0, train, val, pairs, config.seed,
                             on_start=run.start, on_epoch=on_epoch)
         write_xy_csv(run.out / "mu_trajectory.csv",
                      [(float(record.epoch), record.mu_after) for record in result.history])
-        run.finish("best.lfs", result.best_state, val,
+        run.finish("best.lfs", result.best_state, val, pairs,
                    best_reward=result.best_reward, best_epoch=result.best_epoch,
                    best_candidate=result.best_candidate, final_mu=result.final_mu)
     print(f"search done: best reward {result.best_reward} at epoch "
@@ -301,9 +306,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_random_schedule(args) -> int:
     config = _resolve_config(args)
-    train, val, plan = _prepare_data(config)
-    with PairDraws(plan, beside=True) as pairs, \
-            _RunRecorder(args.out, config, "random", pairs) as run:
+    train, val, pairs = _prepare_data(config, draw_now=True)
+    with _RunRecorder(args.out, config, "random", pairs) as run:
         state0 = _init_state(config, train)
         run.start()
 
@@ -315,7 +319,7 @@ def _cmd_random_schedule(args) -> int:
             config.schedule.epochs, state0, train, val, pairs, config.sgd,
             schedule_of(config), config.seed, factor_range(config),
             config.reward, on_epoch=on_epoch)
-        report = run.finish("model.lfs", state, val,
+        report = run.finish("model.lfs", state, val, pairs,
                             final_val_reward=history[-1].reward if history else None)
     print(f"random-schedule done: final reward "
           f"{report['final_val_reward']} -> {args.out}")
@@ -347,21 +351,20 @@ def _cmd_ablate_a(args) -> int:
         run_dirs[name] = value
     config = _resolve_config(args)
     # Every factor trains on the same data: the loss is all that differs.
-    train, val, plan = _prepare_data(config)
+    data = _prepare_data(config, draw_now=True)
     base = Path(args.out)
     base.mkdir(parents=True, exist_ok=True)
     summary = []
-    with PairDraws(plan, beside=True) as pairs:
-        for name, value in run_dirs.items():
-            tree = config.to_dict()
-            tree["loss"]["kind"] = "unified"
-            tree["loss"]["a"] = value
-            sub_config = from_dict(tree)
-            report = _run_fixed(sub_config, base / name, (train, val, pairs))
-            summary.append({"a": value,
-                            "verification_accuracy": report["verification_accuracy"],
-                            "rank1": report["rank1"],
-                            "final_val_reward": report["final_val_reward"]})
+    for name, value in run_dirs.items():
+        tree = config.to_dict()
+        tree["loss"]["kind"] = "unified"
+        tree["loss"]["a"] = value
+        sub_config = from_dict(tree)
+        report = _run_fixed(sub_config, base / name, data)
+        summary.append({"a": value,
+                        "verification_accuracy": report["verification_accuracy"],
+                        "rank1": report["rank1"],
+                        "final_val_reward": report["final_val_reward"]})
     (base / "summary.json").write_text(dumps(summary) + "\n", encoding="utf-8")
     print(f"{'a':>10}  {'verification':>12}  {'rank1':>8}")
     for row in summary:
@@ -376,8 +379,7 @@ def _cmd_eval(args) -> int:
     if not path.exists():
         raise CheckpointFormatError(f"checkpoint not found: {path}")
     model, head = read_checkpoint(path)
-    _train, val, plan = _prepare_data(config)
-    pairs = PairDraws(plan, beside=False).pairs
+    _train, val, pairs = _prepare_data(config, draw_now=True)
     if val.feature_dim != model.layer_dims[0]:
         raise DataFormatError(f"dataset feature dim {val.feature_dim} does not match "
                               f"the checkpoint input dim {model.layer_dims[0]}")

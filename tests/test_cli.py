@@ -5,6 +5,7 @@ checked).
 
 import argparse
 import copy
+import errno
 import json
 import multiprocessing
 import os
@@ -215,11 +216,12 @@ class TestTrainFixed:
 
         def pairs(*args, **kwargs):
             alive.append([ref() is not None for ref in refs])
-            return PairDraws(*args, **kwargs)
+            return plan_pairs(*args, **kwargs)
 
         monkeypatch.setattr("lfsearch.cli.load_flat_file", tracked(load_flat_file))
         monkeypatch.setattr("lfsearch.cli.generate_synthetic", tracked(generate_synthetic))
-        monkeypatch.setattr("lfsearch.cli.PairDraws", pairs)
+        # train-fixed checks its pairs in process and draws them after.
+        monkeypatch.setattr("lfsearch.cli.plan_pairs", pairs)
         argv = ["train-fixed", "--config", write_config(tmp_path), "--epochs", "1",
                 "--out", str(tmp_path / "x")]
         if source == "csv":
@@ -470,9 +472,9 @@ class TestAblate:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return PairDraws(*args, **kwargs)
+            return make_pairs(*args, **kwargs)
 
-        monkeypatch.setattr("lfsearch.cli.PairDraws", counted)
+        monkeypatch.setattr("lfsearch.cli.make_pairs", counted)
         config = write_config(tmp_path, schedule={"epochs": 1})
         assert main(["ablate-a", "--config", config, "--out", str(tmp_path / "x"),
                      "--factors", "0,-1,-10"]) == 0
@@ -730,8 +732,9 @@ def run_and_reap(argv, patch=""):
 
 
 # Patches for run_and_reap: draw the pairs in a forked process whatever the
-# host's CPU count, and make that process slow or kill itself.
-FORK = "candidate_workers.usable_cpus = lambda: 2"
+# host's CPU count and the pool size, and make that process slow or kill itself.
+FORK = """candidate_workers.usable_cpus = lambda: 2
+candidate_workers.FORKED_DRAWS_MIN_POOL = 0"""
 SLOW_DRAWS = FORK + """
 _draw = datasets.PairPlan.draw
 def slow(plan):
@@ -745,6 +748,10 @@ def spread_dataset(samples, identities):
     return LabeledDataset(np.zeros((samples, 1)), labels)
 
 
+def refuse_fork():
+    raise AssertionError("forked")
+
+
 class TestPairDrawsBesideTraining:
     @pytest.mark.parametrize("samples, identities, n_pairs", [
         (60, 12, 40),        # desk size: 1,770 index pairs
@@ -752,9 +759,10 @@ class TestPairDrawsBesideTraining:
     ])
     def test_forked_draws_are_make_pairs(self, monkeypatch, samples, identities, n_pairs):
         monkeypatch.setattr(candidate_workers, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(candidate_workers, "FORKED_DRAWS_MIN_POOL", 0)
         data = spread_dataset(samples, identities)
         expected = make_pairs(data, n_pairs, seed=5)
-        with PairDraws(plan_pairs(data, n_pairs, seed=5), beside=True) as draws:
+        with PairDraws(plan_pairs(data, n_pairs, seed=5)) as draws:
             assert draws.forked
             pairs = draws.pairs
         for name in ("first", "second", "same"):
@@ -762,53 +770,61 @@ class TestPairDrawsBesideTraining:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert draws.wait_s >= 0.0
 
-    @pytest.mark.parametrize("fallback", ["no fork", "one cpu"])
+    @pytest.mark.parametrize("fallback", ["no fork", "one cpu", "fork fails", "small pool"])
     def test_in_process_fallback(self, monkeypatch, fallback):
         data = spread_dataset(200, 10)
         expected = make_pairs(data, 100, seed=2)
+        monkeypatch.setattr(candidate_workers, "usable_cpus",
+                            lambda: 1 if fallback == "one cpu" else 2)
+        if fallback != "small pool":  # 19,900 index pairs keep the default floor
+            monkeypatch.setattr(candidate_workers, "FORKED_DRAWS_MIN_POOL", 0)
         if fallback == "no fork":
             monkeypatch.delattr(os, "fork")
-        else:
-            def refuse():
-                raise AssertionError("forked")
+        elif fallback == "fork fails":
+            def fail():
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-            monkeypatch.setattr(candidate_workers, "usable_cpus", lambda: 1)
-            monkeypatch.setattr(os, "fork", refuse)
-        with PairDraws(plan_pairs(data, 100, seed=2), beside=True) as draws:
+            monkeypatch.setattr(os, "fork", fail)
+        else:
+            monkeypatch.setattr(os, "fork", refuse_fork)
+        with PairDraws(plan_pairs(data, 100, seed=2)) as draws:
             assert not draws.forked
             for name in ("first", "second", "same"):
                 assert getattr(draws, name).tobytes() == getattr(expected, name).tobytes()
         assert draws.wait_s == 0.0
 
-    @pytest.mark.parametrize("command", ["train-fixed", "random-schedule", "ablate-a"])
-    def test_forked_runs_write_the_in_process_files(self, tmp_path, command):
+    def test_a_forked_train_fixed_writes_the_in_process_files(self, tmp_path):
         config = write_config(tmp_path)
         runs = []
         for patch, forked in ((FORK, True),
                               ("candidate_workers.usable_cpus = lambda: 1", False)):
             out = tmp_path / str(forked)
             code, left, _, stderr = run_and_reap(
-                [command, "--config", config, "--out", str(out)], patch)
+                ["train-fixed", "--config", config, "--out", str(out)], patch)
             assert (code, left) == ("0", False), stderr
-            environments = [json.loads(path.read_text(encoding="utf-8"))
-                            for path in out.rglob("environment.json")]
-            assert environments and all(e["pairs_forked"] is forked for e in environments)
+            environment = json.loads((out / "environment.json").read_text(encoding="utf-8"))
+            assert environment["pairs_forked"] is forked
             runs.append(run_files(out))
         assert runs[0] == runs[1]
 
-    def test_a_search_and_eval_draw_in_process(self, tmp_path, monkeypatch):
-        def refuse():
-            raise AssertionError("forked")
-
+    def test_only_train_fixed_forks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(candidate_workers, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(candidate_workers, "FORKED_DRAWS_MIN_POOL", 0)
         monkeypatch.setattr(candidate_workers, "candidate_processes", lambda population: 1)
-        monkeypatch.setattr(os, "fork", refuse)
-        config = write_config(tmp_path)
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        config = write_config(tmp_path, schedule={"epochs": 1})
         out = tmp_path / "search"
         assert main(["search", "--config", config, "--out", str(out)]) == 0
-        environment = json.loads((out / "environment.json").read_text(encoding="utf-8"))
-        assert environment["pairs_forked"] is False
-        assert read_jsonl(out / "timings.jsonl")[-1]["pairs_wait_s"] == 0.0
+        runs = [out]
+        for command in (["random-schedule"], ["ablate-a", "--factors", "0,-1"]):
+            root = tmp_path / command[0]
+            assert main([*command, "--config", config, "--out", str(root)]) == 0
+            runs += [path.parent for path in root.rglob("environment.json")]
+        assert len(runs) == 4
+        for run in runs:
+            environment = json.loads((run / "environment.json").read_text(encoding="utf-8"))
+            assert environment["pairs_forked"] is False
+            assert read_jsonl(run / "timings.jsonl")[-1]["pairs_wait_s"] == 0.0
         assert main(["eval", "--config", config, "--out", str(tmp_path / "eval"),
                      "--checkpoint", str(out / "best.lfs")]) == 0
 
