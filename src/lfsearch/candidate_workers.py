@@ -1,6 +1,4 @@
-"""Forked processes: the workers that train and score a search epoch's
-candidates, and the one that draws the verification pairs while a command
-trains.
+"""Forked worker processes that train and score a search epoch's candidates.
 
 A search forks its workers once, after its data is prepared, so they inherit
 the training and validation sets, the pairs and the settings without a copy.
@@ -12,10 +10,6 @@ and sends back their hash, the mean loss, reward, timings and the warnings it
 raised. Each candidate does the arithmetic it does in process, so every
 result is bit-identical. The workers are forked, not spawned, so that they
 inherit the data; the command line forks them from its one thread.
-
-`PairDraws` runs the draws of a checked `PairPlan` the same way: in a process
-forked from the command, which writes the pairs into a shared mapping while
-the command trains.
 """
 
 from __future__ import annotations
@@ -23,9 +17,7 @@ from __future__ import annotations
 import functools
 import mmap
 import os
-import signal
 import sys
-import time
 import traceback
 import warnings
 from pathlib import Path
@@ -33,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .contracts import require
-from .datasets import PairPlan, PairSet
 from .embed_model import unflatten
 from .numerics import Workspace, one_blas_thread
 from .sgd_trainer import CandidateOutcome, TrainState, train_candidate
@@ -46,33 +37,24 @@ class CandidateWorkerError(RuntimeError):
     """A worker process ended before it returned one of its candidates."""
 
 
-class PairDrawError(RuntimeError):
-    """The process drawing the verification pairs ended without them."""
-
-
 class _WorkerTraceback(Exception):
     """The traceback of an error raised in a worker, chained to the error
     the parent raises as its cause."""
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on, capped by the whole CPUs its cgroup
-    CPU quota allows; at least 1."""
+def candidate_processes(population: int) -> int:
+    """How many processes train a search epoch's candidates: min(population,
+    usable CPUs), or 1 where the fork start method is missing. Usable CPUs
+    are those this process may run on, capped by the whole CPUs its cgroup
+    CPU quota allows. With 1 a search trains its candidates in process."""
+    if not hasattr(os, "fork"):
+        return 1
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
     quota = cgroup_cpu_quota()
     if quota is not None:
         cpus = min(cpus, int(quota))
-    return max(1, cpus)
-
-
-def candidate_processes(population: int) -> int:
-    """How many processes train a search epoch's candidates: min(population,
-    usable CPUs), or 1 where the fork start method is missing. With 1 a
-    search trains its candidates in process."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(population, usable_cpus()))
+    return max(1, min(population, cpus))
 
 
 def cgroup_cpu_quota(proc_cgroup="/proc/self/cgroup", root="/sys/fs/cgroup"):
@@ -312,85 +294,3 @@ class CandidateWorkers:
         proc.join(_JOIN_S)
         return CandidateWorkerError(f"candidate {candidate}: worker process {proc.pid} "
                                     f"ended (exit code {proc.exitcode}) before returning it")
-
-
-# Smallest pair pool (the larger of the two) whose draws PairDraws runs in a
-# forked process. The fork costs the command 2-3 ms; the permutation of a pool
-# this size takes about 250 ms on a 2-vCPU host. The one workload measured with
-# forked draws, fixed-csv-large (7,960,000 different pairs), lies above it.
-FORKED_DRAWS_MIN_POOL = 1 << 22
-
-
-class PairDraws:
-    """The draws of a checked PairPlan for a command that trains before it
-    reads the pairs. Entering the context makes them: in one forked process
-    where the larger pool holds FORKED_DRAWS_MIN_POOL pairs or more, the fork
-    exists and succeeds, and 2 or more CPUs are usable; or else in process.
-    The child writes the pair indices into an anonymous shared mapping made
-    before the fork and leaves with os._exit; it shuffles and searches arrays
-    but calls no BLAS, whose pool thread is the command's only other thread.
-    Reading `pairs`, or any PairSet field, waits for the child the first time
-    (`wait_s` adds up the wait); a child that ended without the pairs raises
-    PairDrawError naming its exit code. Leaving the context kills a child
-    still drawing, which holds nothing to clean up, and reaps it, so no path
-    leaves it running."""
-
-    def __init__(self, plan: PairPlan):
-        self._plan = plan
-        self._pairs = None
-        self._pid = None
-        self.wait_s = 0.0
-        self.forked = False
-
-    def __enter__(self):
-        plan = self._plan
-        if (max(plan.sizes.values()) >= FORKED_DRAWS_MIN_POOL and hasattr(os, "fork")
-                and usable_cpus() >= 2):
-            self._map = mmap.mmap(-1, 2 * 2 * plan.half * np.dtype(np.int64).itemsize)
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: draw in process
-                pid = None
-            if pid == 0:
-                code = 1
-                try:
-                    np.frombuffer(self._map, np.int64).reshape(2, -1)[:] = plan.draw()
-                    code = 0
-                except Exception:
-                    traceback.print_exc()
-                    sys.stderr.flush()
-                finally:
-                    os._exit(code)
-            self._pid = pid
-        self.forked = self._pid is not None
-        if not self.forked:
-            self._pairs = plan.pair_set(*plan.draw())
-        return self
-
-    def __exit__(self, *_exc):
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-        return False
-
-    @property
-    def pairs(self) -> PairSet:
-        if self._pairs is None:
-            require(self._pid is not None, "the pair draws have not started, or failed")
-            started = time.perf_counter()
-            _, status = os.waitpid(self._pid, 0)
-            self.wait_s += time.perf_counter() - started
-            pid, self._pid = self._pid, None
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                raise PairDrawError(f"pair draw process {pid} ended (exit code {code}) "
-                                    "before returning the pairs")
-            first, second = np.frombuffer(self._map, np.int64).reshape(2, -1).copy()
-            self._pairs = self._plan.pair_set(first, second)
-        return self._pairs
-
-    first = property(lambda self: self.pairs.first)
-    second = property(lambda self: self.pairs.second)
-    same = property(lambda self: self.pairs.same)
-    pair_count = property(lambda self: self.pairs.pair_count)

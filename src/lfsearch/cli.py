@@ -20,15 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import candidate_workers
-from .candidate_workers import PairDraws
 from .checkpoint import CheckpointFormatError, read_checkpoint, write_checkpoint
 from .config import (FACTOR_TRANSFORMS, LOSS_ALIASES, LOSS_KINDS, LOSS_KNOBS,
                      OUTER_OPTIMIZERS, REWARD_KINDS, SCORE_GRAD_MODES, ConfigError,
                      ExperimentConfig, factor_range, from_dict, load_config_file,
                      margin_spec, schedule_of, search_settings, set_path)
 from .contracts import ContractViolation
-from .datasets import (DataFormatError, SyntheticSpec, generate_synthetic, load_flat_file,
-                       make_pairs, plan_pairs, split_closed_set, split_open_set)
+from .datasets import (DataFormatError, SyntheticSpec, generate_synthetic,
+                       load_flat_file, make_pairs, split_closed_set, split_open_set)
 from .embed_model import init_model
 from .eval_protocols import (FarUnresolvableError, embed_all, make_gallery_probe,
                              pair_similarities, rank1_identification, reward,
@@ -66,11 +65,7 @@ def _resolve_config(args) -> ExperimentConfig:
     return from_dict(tree)
 
 
-def _prepare_data(config: ExperimentConfig, draw_now: bool = False):
-    """The training and validation sets and the validation pairs: drawn here
-    with draw_now, or else checked and returned as PairDraws, whose draws the
-    caller starts by entering it. Every config error of the data is raised
-    here."""
+def _prepare_data(config: ExperimentConfig):
     if config.dataset.path is not None:
         path = Path(config.dataset.path)
         if not path.is_file():
@@ -86,12 +81,9 @@ def _prepare_data(config: ExperimentConfig, draw_now: bool = False):
     try:
         train, val = split(full, config.dataset.train_frac, config.seed)
         # The splits copy their rows. Dropping the full set here frees it (and
-        # a CSV's parsed table, which its features view) before the pair checks.
+        # a CSV's parsed table, which its features view) before the pair draws.
         del full
-        if draw_now:
-            pairs = make_pairs(val, config.dataset.n_pairs, config.seed)
-        else:
-            pairs = PairDraws(plan_pairs(val, config.dataset.n_pairs, config.seed))
+        pairs = make_pairs(val, config.dataset.n_pairs, config.seed)
     except ContractViolation as exc:
         raise ConfigError(f"dataset: {exc}") from None
     return train, val, pairs
@@ -149,25 +141,21 @@ def _write_evaluation(out: Path, model, head, val_set, val_pairs, **extra) -> di
 
 class _RunRecorder:
     """One run directory: the resolved config, the numpy/BLAS environment
-    with the number of processes that train candidates and whether the pairs
-    (a PairSet, or PairDraws) were drawn in a forked process, the metric and
+    with the number of processes that train candidates, the metric and
     timing streams, the epoch clock and convergence curve, then the final
     checkpoint and evaluation. timings.jsonl holds a start line (opening the
     run to epoch 1: the model init and any candidate workers' start), one
     line per epoch and a finish line. A rerun into the same directory
     replaces both streams."""
 
-    def __init__(self, out_dir, config: ExperimentConfig, mode: str, pairs,
-                 processes: int = 1):
+    def __init__(self, out_dir, config: ExperimentConfig, mode: str, processes: int = 1):
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         resolved = config.to_dict()
         self._run_id = run_id(resolved)
         self._mode = mode
-        self._draws = pairs if isinstance(pairs, PairDraws) else None
         (self.out / "config.json").write_text(dumps(resolved) + "\n", encoding="utf-8")
-        environment = {**blas_environment(), "candidate_processes": processes,
-                       "pairs_forked": self._draws is not None and self._draws.forked}
+        environment = {**blas_environment(), "candidate_processes": processes}
         (self.out / "environment.json").write_text(dumps(environment) + "\n",
                                                    encoding="utf-8")
         for name in ("metrics.jsonl", "timings.jsonl"):
@@ -207,20 +195,15 @@ class _RunRecorder:
     def finish(self, checkpoint_name: str, state: TrainState, val_set, val_pairs,
                **extra) -> dict:
         """Write the final model, the convergence curve and its evaluation,
-        and time them on the finish line with the wait for pairs drawn
-        beside the run."""
+        and time them on the finish line."""
         started = time.perf_counter()
         write_checkpoint(self.out / checkpoint_name, state.model, state.head)
         checkpoint_s = time.perf_counter() - started
         write_xy_csv(self.out / "convergence.csv", self._convergence)
-        pairs_wait_s = 0.0
-        if self._draws is not None:
-            val_pairs, pairs_wait_s = self._draws.pairs, self._draws.wait_s
         started = time.perf_counter()
         report = _write_evaluation(self.out, state.model, state.head, val_set, val_pairs,
                                    **extra)
-        self._timings.write({"phase": "finish", "pairs_wait_s": pairs_wait_s,
-                             "checkpoint_s": checkpoint_s,
+        self._timings.write({"phase": "finish", "checkpoint_s": checkpoint_s,
                              "evaluation_s": time.perf_counter() - started})
         return report
 
@@ -235,7 +218,7 @@ def _run_fixed(config: ExperimentConfig, out_dir, data) -> dict:
     root = RngStream(config.seed, "fixed")
     workspace = Workspace()
     final_reward = None
-    with _RunRecorder(out_dir, config, "fixed", pairs) as run:
+    with _RunRecorder(out_dir, config, "fixed") as run:
         state = _init_state(config, train)
         run.start()
         for epoch in range(1, config.schedule.epochs + 1):
@@ -255,10 +238,7 @@ def _run_fixed(config: ExperimentConfig, out_dir, data) -> dict:
 
 def _cmd_train_fixed(args) -> int:
     config = _resolve_config(args)
-    train, val, pairs = _prepare_data(config)
-    # Training does not read the pairs before its first verification reward.
-    with pairs:
-        report = _run_fixed(config, args.out, (train, val, pairs))
+    report = _run_fixed(config, args.out, _prepare_data(config))
     print(f"train-fixed done: loss={config.loss.kind} "
           f"verification={report['verification_accuracy']:.4f} "
           f"rank1={report['rank1']:.4f} -> {args.out}")
@@ -268,9 +248,9 @@ def _cmd_train_fixed(args) -> int:
 def _cmd_search(args) -> int:
     config = _resolve_config(args)
     settings = search_settings(config)
-    train, val, pairs = _prepare_data(config, draw_now=True)
+    train, val, pairs = _prepare_data(config)
     processes = candidate_workers.candidate_processes(settings.distribution.population)
-    with _RunRecorder(args.out, config, "search", pairs, processes) as run:
+    with _RunRecorder(args.out, config, "search", processes) as run:
         state0 = _init_state(config, train)
         winners = run.out / "checkpoints"
         winners.mkdir(exist_ok=True)
@@ -306,8 +286,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_random_schedule(args) -> int:
     config = _resolve_config(args)
-    train, val, pairs = _prepare_data(config, draw_now=True)
-    with _RunRecorder(args.out, config, "random", pairs) as run:
+    train, val, pairs = _prepare_data(config)
+    with _RunRecorder(args.out, config, "random") as run:
         state0 = _init_state(config, train)
         run.start()
 
@@ -351,7 +331,7 @@ def _cmd_ablate_a(args) -> int:
         run_dirs[name] = value
     config = _resolve_config(args)
     # Every factor trains on the same data: the loss is all that differs.
-    data = _prepare_data(config, draw_now=True)
+    data = _prepare_data(config)
     base = Path(args.out)
     base.mkdir(parents=True, exist_ok=True)
     summary = []
@@ -379,7 +359,7 @@ def _cmd_eval(args) -> int:
     if not path.exists():
         raise CheckpointFormatError(f"checkpoint not found: {path}")
     model, head = read_checkpoint(path)
-    _train, val, pairs = _prepare_data(config, draw_now=True)
+    _train, val, pairs = _prepare_data(config)
     if val.feature_dim != model.layer_dims[0]:
         raise DataFormatError(f"dataset feature dim {val.feature_dim} does not match "
                               f"the checkpoint input dim {model.layer_dims[0]}")

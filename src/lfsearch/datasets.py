@@ -12,9 +12,16 @@ import numpy as np
 from .contracts import require
 from .numerics import RngStream, l2_normalize_rows
 
-# Largest pair pool make_pairs draws from: its permutation is held as uint32.
+# Largest pair pool make_pairs draws from. It bounds the two parts of the
+# draws that grow with a pool rather than with the request: a permutation
+# (below REJECTION_MIN_POOL, or for more than half of a pool), held as uint32
+# at most, and the listing of the same-identity positions, 8 B per same pair.
 # The different-identity pool passes it above about 92,682 samples.
 MAX_PAIR_POOL = 2 ** 32
+
+# Smallest pool whose ranks _draw_ranks draws by rejection rather than by a
+# permutation. Every desk-scale pool lies below it and keeps its draws.
+REJECTION_MIN_POOL = 2 ** 22
 
 # float() and int() strip only ASCII whitespace around a number; numpy also
 # strips these information separators.
@@ -252,63 +259,50 @@ def split_closed_set(dataset: LabeledDataset, train_frac: float, seed: int):
 
 
 def _draw_ranks(generator, size: int, count: int) -> np.ndarray:
-    """The first count entries of generator.permutation(size), as int64.
+    """count distinct ranks in [0, size), as int64.
 
-    permutation(size) shuffles arange(size), and shuffle draws the same swaps
-    whatever the item type, so the pool is held in the narrowest unsigned
-    type that fits it and is released on return.
+    From REJECTION_MIN_POOL up, where at most half the pool is asked for,
+    they are the first count distinct values of the stream of
+    generator.integers(0, size), drawn in rounds that each top up what the
+    repeats removed, in O(count) memory. With at most half the pool held, a
+    draw is new with odds of 1/2 or better, so each round leaves on average
+    at most half of its draws to make again. Otherwise they are the first
+    count entries of generator.permutation(size): permutation shuffles
+    arange(size), and shuffle draws the same swaps whatever the item type,
+    so the pool is held in the narrowest unsigned type that fits it and is
+    released on return.
     """
-    pool = np.arange(size, dtype=np.min_scalar_type(size - 1))
-    generator.shuffle(pool)
-    # Widen before any arithmetic: uint64 with int64 promotes to float64.
-    return pool[:count].astype(np.int64)
+    if size < REJECTION_MIN_POOL or 2 * count > size:
+        pool = np.arange(size, dtype=np.min_scalar_type(size - 1))
+        generator.shuffle(pool)
+        # Widen before any arithmetic: uint64 with int64 promotes to float64.
+        return pool[:count].astype(np.int64)
+    ranks = np.empty(0, dtype=np.int64)
+    held = np.array([size], dtype=np.int64)  # ranks sorted, then size, never drawn
+    while ranks.size < count:
+        drawn = generator.integers(0, size, count - ranks.size)
+        # Each value's first draw in the round (np.unique sorts stably), kept
+        # where no earlier round holds it.
+        values, first = np.unique(drawn, return_index=True)
+        at = np.searchsorted(held, values)
+        new = held[at] != values
+        ranks = np.concatenate([ranks, drawn[np.sort(first[new])]])
+        held = np.insert(held, at[new], values[new])
+    return ranks
 
 
-@dataclass(frozen=True)
-class PairPlan:
-    """A checked make_pairs request before its draws: the sorted enumeration
-    positions of the same-identity pairs, and how many pairs of each kind to
-    draw from which stream. The draws need nothing else, so they can run in
-    another process."""
+def make_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairSet:
+    """Sample n_pairs/2 same-identity and n_pairs/2 different-identity pairs.
 
-    sample_count: int
-    half: int
-    same_lin: np.ndarray
-    seed: int
-
-    @property
-    def sizes(self) -> dict:
-        n = self.sample_count
-        return {"same": self.same_lin.size, "diff": n * (n - 1) // 2 - self.same_lin.size}
-
-    def draw(self):
-        """The draws: the (first, second) index arrays of every pair, the
-        same-identity half first. The pool permutations are the only large
-        allocation of make_pairs."""
-        stream = RngStream(self.seed, "pairs")
-        ranks = {name: _draw_ranks(stream.child(name).generator(), size, self.half)
-                 for name, size in self.sizes.items()}
-        same_lin = self.same_lin
-        # The r-th different pair sits after every same pair s_k with s_k - k <= r.
-        diff_lin = ranks["diff"] + np.searchsorted(
-            same_lin - np.arange(same_lin.size), ranks["diff"], side="right")
-        picks = np.concatenate([same_lin[ranks["same"]], diff_lin])
-        rows = np.arange(self.sample_count, dtype=np.int64)
-        row_start = rows * self.sample_count - rows * (rows + 1) // 2
-        first = np.searchsorted(row_start, picks, side="right") - 1
-        second = picks - row_start[first] + first + 1
-        return first, second
-
-    def pair_set(self, first, second) -> PairSet:
-        flags = np.zeros(2 * self.half, dtype=bool)
-        flags[:self.half] = True
-        return PairSet(first, second, flags)
-
-
-def plan_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairPlan:
-    """The checks of make_pairs, without its draws: lists the same-identity
-    positions and refuses a request larger than either pool, or a pool above
-    MAX_PAIR_POOL."""
+    The draws are defined over the enumeration of index pairs (i, j), i < j,
+    in row-major (`np.triu_indices`) order: each pool is that enumeration's
+    same- or different-identity subsequence, and _draw_ranks picks its pairs
+    without replacement, so a request larger than either pool is refused.
+    The enumeration is not materialised: only the same-identity positions
+    are listed, and a different-identity rank maps to its position by
+    counting the same-identity positions below it. A pool above
+    MAX_PAIR_POOL is refused before any draw.
+    """
     require(n_pairs >= 2 and n_pairs % 2 == 0, "n_pairs must be even and >= 2")
     half = n_pairs // 2
     n = dataset.sample_count
@@ -322,28 +316,22 @@ def plan_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairPlan:
     run_start = np.repeat(np.cumsum(partners) - partners, partners)
     high = low + 1 + np.arange(low.size) - run_start
     i, j = order[low], order[high]
-    plan = PairPlan(n, half, np.sort(row_start[i] + (j - i - 1)), seed)
-    for name, size in plan.sizes.items():
+    same_lin = np.sort(row_start[i] + (j - i - 1))
+    sizes = {"same": same_lin.size, "diff": n * (n - 1) // 2 - same_lin.size}
+    for name, size in sizes.items():
         require(size >= half, f"requested {half} {name} pairs but only {size} exist")
         require(size <= MAX_PAIR_POOL,
                 f"{n} samples give a pool of {size} {name} pairs, above the 2**32 "
                 f"({MAX_PAIR_POOL}) limit of one pair draw")
-    return plan
-
-
-def make_pairs(dataset: LabeledDataset, n_pairs: int, seed: int) -> PairSet:
-    """Sample n_pairs/2 same-identity and n_pairs/2 different-identity pairs.
-
-    The draws are defined over the enumeration of index pairs (i, j), i < j,
-    in row-major (`np.triu_indices`) order: each pool is that enumeration's
-    same- or different-identity subsequence, and a seeded permutation of the
-    pool picks its pairs without replacement, so a request larger than either
-    pool is refused. The enumeration is not materialised: only the
-    same-identity positions are listed, and a different-identity rank maps to
-    its position by counting the same-identity positions below it. Each
-    permutation is held in the narrowest unsigned type that fits its pool, at
-    most 4 B per pair: a pool above MAX_PAIR_POOL is refused before any draw.
-    plan_pairs makes the checks and PairPlan.draw the draws.
-    """
-    plan = plan_pairs(dataset, n_pairs, seed)
-    return plan.pair_set(*plan.draw())
+    stream = RngStream(seed, "pairs")
+    ranks = {name: _draw_ranks(stream.child(name).generator(), size, half)
+             for name, size in sizes.items()}
+    # The r-th different pair sits after every same pair s_k with s_k - k <= r.
+    diff_lin = ranks["diff"] + np.searchsorted(
+        same_lin - np.arange(same_lin.size), ranks["diff"], side="right")
+    picks = np.concatenate([same_lin[ranks["same"]], diff_lin])
+    first = np.searchsorted(row_start, picks, side="right") - 1
+    second = picks - row_start[first] + first + 1
+    flags = np.zeros(n_pairs, dtype=bool)
+    flags[:half] = True
+    return PairSet(first, second, flags)

@@ -7,7 +7,8 @@ normalisation, and a CSV writer for the format `load_flat_file` reads. The
 package computes all of these batched; these are the oracles for the
 composition identity, the probability reduction and the gradient checks.
 `fold_scan` is the verification threshold scan one fold at a time, the
-reference for the package's scan.
+reference for the package's scan. `first_distinct` is the rejection draw of
+a large pair pool's ranks, one value at a time.
 """
 
 from __future__ import annotations
@@ -187,3 +188,16 @@ def fold_scan(sims: np.ndarray, same: np.ndarray, folds: int):
         thresholds.append(float(threshold))
         accuracies.append(float(np.mean((s[held] > threshold) == flags[held])))
     return s, flags, thresholds, accuracies
+
+
+def first_distinct(generator, size: int, count: int, length: int) -> np.ndarray:
+    """The first `count` distinct values, in draw order, of one stream of
+    `length` draws of generator.integers(0, size)."""
+    seen, kept = set(), []
+    for value in generator.integers(0, size, length).tolist():
+        if value not in seen:
+            seen.add(value)
+            kept.append(value)
+            if len(kept) == count:
+                return np.array(kept, dtype=np.int64)
+    raise AssertionError(f"{length} draws hold fewer than {count} distinct values")

@@ -5,11 +5,9 @@ checked).
 
 import argparse
 import copy
-import errno
 import json
 import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 import weakref
@@ -20,12 +18,11 @@ import pytest
 
 import lfsearch
 from lfsearch import candidate_workers, cli, numerics
-from lfsearch.candidate_workers import PairDraws
 from lfsearch.cli import main
 from lfsearch.config import ConfigError, ExperimentConfig
 from lfsearch.contracts import ContractViolation
-from lfsearch.datasets import (DataFormatError, LabeledDataset, SyntheticSpec,
-                               generate_synthetic, load_flat_file, make_pairs, plan_pairs)
+from lfsearch.datasets import (DataFormatError, SyntheticSpec, generate_synthetic,
+                               load_flat_file, make_pairs)
 from lfsearch.runio import run_id
 from oracles import save_flat_file
 
@@ -120,10 +117,10 @@ def check_epoch_files(out, loss_of, epochs=2):
     start, *timings, finish = read_jsonl(out / "timings.jsonl")
     assert sorted(start) == ["phase", "seconds"] and start["phase"] == "start"
     assert [t["epoch"] for t in timings] == list(range(1, epochs + 1))
-    assert sorted(finish) == ["checkpoint_s", "evaluation_s", "pairs_wait_s", "phase"]
+    assert sorted(finish) == ["checkpoint_s", "evaluation_s", "phase"]
     assert finish["phase"] == "finish"
     assert all(t[key] >= 0.0 for t in (start, *timings, finish)
-               for key in ("seconds", "pairs_wait_s", "checkpoint_s", "evaluation_s")
+               for key in ("seconds", "checkpoint_s", "evaluation_s")
                if key in t)
     return records
 
@@ -216,12 +213,11 @@ class TestTrainFixed:
 
         def pairs(*args, **kwargs):
             alive.append([ref() is not None for ref in refs])
-            return plan_pairs(*args, **kwargs)
+            return make_pairs(*args, **kwargs)
 
         monkeypatch.setattr("lfsearch.cli.load_flat_file", tracked(load_flat_file))
         monkeypatch.setattr("lfsearch.cli.generate_synthetic", tracked(generate_synthetic))
-        # train-fixed checks its pairs in process and draws them after.
-        monkeypatch.setattr("lfsearch.cli.plan_pairs", pairs)
+        monkeypatch.setattr("lfsearch.cli.make_pairs", pairs)
         argv = ["train-fixed", "--config", write_config(tmp_path), "--epochs", "1",
                 "--out", str(tmp_path / "x")]
         if source == "csv":
@@ -586,10 +582,12 @@ class TestExitCodes:
     def test_pair_pool_beyond_the_limit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("lfsearch.datasets.MAX_PAIR_POOL", 10)
         config = write_config(tmp_path)
-        assert main(["train-fixed", "--config", config, "--out", str(tmp_path / "x")]) == 2
+        out = tmp_path / "x"
+        assert main(["train-fixed", "--config", config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: dataset: ") and "2**32" in err
         assert err.count("\n") == 1
+        assert not (out / "metrics.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["train-fixed", "search"])
     @pytest.mark.parametrize("learning_rate, failed_epoch", [(1e300, 1), (1e50, 2)])
@@ -703,176 +701,6 @@ class TestExitCodes:
         assert [proc.returncode for proc in procs] == [code, code]
         assert "overflow encountered" in procs[0].stderr
         assert procs[0].stderr == procs[1].stderr
-
-def run_and_reap(argv, patch=""):
-    """Run the command line in a fresh interpreter after the Python lines
-    `patch`; the last stdout line gives main's exit code (or "interrupt"),
-    whether a child process was left behind, and main's wall time."""
-    code = "\n".join([
-        "import os, signal, sys, time",
-        "from lfsearch import candidate_workers, cli, datasets",
-        patch,
-        "started = time.perf_counter()",
-        "try:",
-        "    code = cli.main(sys.argv[1:])",
-        "except KeyboardInterrupt:",
-        "    code = 'interrupt'",
-        "elapsed = time.perf_counter() - started",
-        "try:",
-        "    left = os.waitpid(-1, os.WNOHANG) is not None",
-        "except ChildProcessError:",
-        "    left = False",
-        "print(code, left, elapsed)",
-    ])
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=fresh_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.stdout, proc.stderr
-    code, left, elapsed = proc.stdout.split()[-3:]
-    return code, left == "True", float(elapsed), proc.stderr
-
-
-# Patches for run_and_reap: draw the pairs in a forked process whatever the
-# host's CPU count and the pool size, and make that process slow or kill itself.
-FORK = """candidate_workers.usable_cpus = lambda: 2
-candidate_workers.FORKED_DRAWS_MIN_POOL = 0"""
-SLOW_DRAWS = FORK + """
-_draw = datasets.PairPlan.draw
-def slow(plan):
-    time.sleep(60)
-    return _draw(plan)
-datasets.PairPlan.draw = slow"""
-
-
-def spread_dataset(samples, identities):
-    labels = np.arange(samples) % identities
-    return LabeledDataset(np.zeros((samples, 1)), labels)
-
-
-def refuse_fork():
-    raise AssertionError("forked")
-
-
-class TestPairDrawsBesideTraining:
-    @pytest.mark.parametrize("samples, identities, n_pairs", [
-        (60, 12, 40),        # desk size: 1,770 index pairs
-        (1600, 40, 20000),   # 1,248,000 different pairs
-    ])
-    def test_forked_draws_are_make_pairs(self, monkeypatch, samples, identities, n_pairs):
-        monkeypatch.setattr(candidate_workers, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(candidate_workers, "FORKED_DRAWS_MIN_POOL", 0)
-        data = spread_dataset(samples, identities)
-        expected = make_pairs(data, n_pairs, seed=5)
-        with PairDraws(plan_pairs(data, n_pairs, seed=5)) as draws:
-            assert draws.forked
-            pairs = draws.pairs
-        for name in ("first", "second", "same"):
-            got, want = getattr(pairs, name), getattr(expected, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert draws.wait_s >= 0.0
-
-    @pytest.mark.parametrize("fallback", ["no fork", "one cpu", "fork fails", "small pool"])
-    def test_in_process_fallback(self, monkeypatch, fallback):
-        data = spread_dataset(200, 10)
-        expected = make_pairs(data, 100, seed=2)
-        monkeypatch.setattr(candidate_workers, "usable_cpus",
-                            lambda: 1 if fallback == "one cpu" else 2)
-        if fallback != "small pool":  # 19,900 index pairs keep the default floor
-            monkeypatch.setattr(candidate_workers, "FORKED_DRAWS_MIN_POOL", 0)
-        if fallback == "no fork":
-            monkeypatch.delattr(os, "fork")
-        elif fallback == "fork fails":
-            def fail():
-                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-            monkeypatch.setattr(os, "fork", fail)
-        else:
-            monkeypatch.setattr(os, "fork", refuse_fork)
-        with PairDraws(plan_pairs(data, 100, seed=2)) as draws:
-            assert not draws.forked
-            for name in ("first", "second", "same"):
-                assert getattr(draws, name).tobytes() == getattr(expected, name).tobytes()
-        assert draws.wait_s == 0.0
-
-    def test_a_forked_train_fixed_writes_the_in_process_files(self, tmp_path):
-        config = write_config(tmp_path)
-        runs = []
-        for patch, forked in ((FORK, True),
-                              ("candidate_workers.usable_cpus = lambda: 1", False)):
-            out = tmp_path / str(forked)
-            code, left, _, stderr = run_and_reap(
-                ["train-fixed", "--config", config, "--out", str(out)], patch)
-            assert (code, left) == ("0", False), stderr
-            environment = json.loads((out / "environment.json").read_text(encoding="utf-8"))
-            assert environment["pairs_forked"] is forked
-            runs.append(run_files(out))
-        assert runs[0] == runs[1]
-
-    def test_only_train_fixed_forks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(candidate_workers, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(candidate_workers, "FORKED_DRAWS_MIN_POOL", 0)
-        monkeypatch.setattr(candidate_workers, "candidate_processes", lambda population: 1)
-        monkeypatch.setattr(os, "fork", refuse_fork)
-        config = write_config(tmp_path, schedule={"epochs": 1})
-        out = tmp_path / "search"
-        assert main(["search", "--config", config, "--out", str(out)]) == 0
-        runs = [out]
-        for command in (["random-schedule"], ["ablate-a", "--factors", "0,-1"]):
-            root = tmp_path / command[0]
-            assert main([*command, "--config", config, "--out", str(root)]) == 0
-            runs += [path.parent for path in root.rglob("environment.json")]
-        assert len(runs) == 4
-        for run in runs:
-            environment = json.loads((run / "environment.json").read_text(encoding="utf-8"))
-            assert environment["pairs_forked"] is False
-            assert read_jsonl(run / "timings.jsonl")[-1]["pairs_wait_s"] == 0.0
-        assert main(["eval", "--config", config, "--out", str(tmp_path / "eval"),
-                     "--checkpoint", str(out / "best.lfs")]) == 0
-
-    def test_a_config_error_forks_nothing_and_writes_no_epoch(self, tmp_path):
-        out = tmp_path / "x"
-        patch = FORK + """
-datasets.MAX_PAIR_POOL = 10
-def refuse():
-    raise AssertionError("forked")
-os.fork = refuse"""
-        code, left, _, stderr = run_and_reap(
-            ["train-fixed", "--config", write_config(tmp_path), "--out", str(out)], patch)
-        assert (code, left) == ("2", False)
-        assert stderr.startswith("config error: dataset: ") and "2**32" in stderr
-        assert not (out / "metrics.jsonl").exists()
-
-    def test_exit_4_kills_a_child_still_drawing(self, tmp_path):
-        config = write_config(tmp_path, sgd={"learning_rate": 1e300})
-        code, left, elapsed, stderr = run_and_reap(
-            ["train-fixed", "--config", config, "--out", str(tmp_path / "x")], SLOW_DRAWS)
-        assert (code, left) == ("4", False)
-        assert stderr.startswith("training error: training went non-finite in epoch 1")
-        assert elapsed < 30
-
-    def test_an_interrupt_kills_a_child_still_drawing(self, tmp_path):
-        patch = SLOW_DRAWS + """
-def interrupt(*args, **kwargs):
-    raise KeyboardInterrupt
-cli.train_epoch = interrupt"""
-        code, left, elapsed, _ = run_and_reap(
-            ["train-fixed", "--config", write_config(tmp_path), "--out",
-             str(tmp_path / "x")], patch)
-        assert (code, left) == ("interrupt", False)
-        assert elapsed < 30
-
-    def test_a_child_that_dies_fails_the_command(self, tmp_path):
-        patch = FORK + """
-def die(plan):
-    os.kill(os.getpid(), signal.SIGKILL)
-datasets.PairPlan.draw = die"""
-        code, left, elapsed, stderr = run_and_reap(
-            ["train-fixed", "--config", write_config(tmp_path), "--out",
-             str(tmp_path / "x")], patch)
-        assert (code, left) == ("1", False)
-        assert stderr.rstrip().splitlines()[-1].endswith(
-            f"ended (exit code {-signal.SIGKILL}) before returning the pairs")
-        assert elapsed < 30
-
 
 class TestExportCurves:
     def test_curve_table_values(self, tmp_path):

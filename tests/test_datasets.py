@@ -22,7 +22,7 @@ from lfsearch.datasets import (
     split_open_set,
 )
 from lfsearch.numerics import RngStream
-from oracles import save_flat_file
+from oracles import first_distinct, save_flat_file
 
 
 def small_synthetic(seed=0, classes=8, dim=16, spc=10, noise=0.2):
@@ -464,7 +464,8 @@ class TestMakePairs:
 
     def test_peak_memory_at_the_benchmark_validation_shape(self):
         # 500 identities x 8 samples: 7,984,000 different pairs, whose
-        # permutation takes about 32 MB as uint32 and 64 MB as int64.
+        # permutation would take about 32 MB as uint32. The rejection draw
+        # of 10,000 of them holds O(10,000) ranks.
         labels = np.repeat(np.arange(500), 8)
         data = LabeledDataset(np.zeros((labels.size, 1)), labels)
         tracemalloc.start()
@@ -473,7 +474,7 @@ class TestMakePairs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert peak < 8e6
 
     # 256/257 and 65,536/65,537 are where the pool type widens from uint8 to
     # uint16 and from uint16 to uint32.
@@ -489,6 +490,32 @@ class TestMakePairs:
                 ranks = datasets._draw_ranks(generator, size, count)
                 assert ranks.dtype == np.int64
                 assert np.array_equal(ranks, expected[:count])
+
+    # From 2**22 up, a request of at most half the pool is drawn by
+    # rejection; 2**21 of 2**22 is the largest such request, and 300,000 of
+    # a pool above 2**32 takes the 64-bit draws. The stream is twice the
+    # request, more than any of these needs.
+    @pytest.mark.parametrize("size, count", [
+        (1 << 22, 1), (1 << 22, 200_000), (1 << 22, 1 << 21), (5_000_000_000, 300_000),
+    ])
+    def test_large_pool_draws_the_first_distinct_values(self, size, count):
+        expected = first_distinct(RngStream(size, "pairs").child("diff").generator(),
+                                  size, count, 2 * count)
+        generator = RngStream(size, "pairs").child("diff").generator()
+        ranks = datasets._draw_ranks(generator, size, count)
+        assert ranks.dtype == np.int64
+        assert np.array_equal(ranks, expected)
+
+    # Below the floor, and for more than half of a pool above it, the ranks
+    # stay the permutation's prefix.
+    @pytest.mark.parametrize("size, count", [((1 << 22) - 1, 200_000),
+                                             (1 << 22, (1 << 21) + 1)])
+    def test_permutation_below_the_floor_or_past_half_the_pool(self, size, count):
+        expected = RngStream(3, "pairs").child("diff").generator().permutation(size)
+        generator = RngStream(3, "pairs").child("diff").generator()
+        ranks = datasets._draw_ranks(generator, size, count)
+        assert ranks.dtype == np.int64
+        assert np.array_equal(ranks, expected[:count])
 
     def test_half_same_half_different(self):
         data = traceable_dataset()
