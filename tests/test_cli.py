@@ -702,6 +702,26 @@ class TestExitCodes:
         assert "overflow encountered" in procs[0].stderr
         assert procs[0].stderr == procs[1].stderr
 
+
+class TestPairDrawsBesideTraining:
+    """The verification pairs are drawn in process before the first epoch."""
+
+    def test_a_config_error_forks_nothing_and_writes_no_epoch(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def refuse_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr("lfsearch.datasets.MAX_PAIR_POOL", 10)
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        out = tmp_path / "x"
+        assert main(["train-fixed", "--config", write_config(tmp_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dataset: ") and "2**32" in err
+        assert not (out / "metrics.jsonl").exists()
+        assert multiprocessing.active_children() == []
+
+
 class TestExportCurves:
     def test_curve_table_values(self, tmp_path):
         from lfsearch.margin_losses import modulating_function
