@@ -8,8 +8,7 @@ from .contracts import ContractViolation
 from .datasets import LabeledDataset, PairSet, SyntheticSpec, generate_synthetic
 from .margin_losses import MarginKind, MarginSpec, modulating_function
 from .numerics import RngStream
-from .search_engine import (FactorRange, SearchDistribution, SearchSettings,
-                            run_random_schedule, run_search)
+from .search_engine import FactorRange, SearchDistribution, SearchSettings, run_search
 from .sgd_trainer import LrSchedule, SgdConfig, TrainState, train_epoch
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "TrainState",
     "generate_synthetic",
     "modulating_function",
-    "run_random_schedule",
     "run_search",
     "train_epoch",
     "__version__",

@@ -32,10 +32,10 @@ from .embed_model import init_model
 from .eval_protocols import (FarUnresolvableError, embed_all, make_gallery_probe,
                              pair_similarities, rank1_identification, reward,
                              tpr_at_far, verification_accuracy)
-from .margin_losses import MarginKind, modulating_function
+from .margin_losses import MarginKind, MarginSpec, modulating_function
 from .numerics import RngStream, Workspace, blas_environment, one_blas_thread
 from .runio import MetricsWriter, dumps, format_float, run_id, write_xy_csv
-from .search_engine import run_random_schedule, run_search
+from .search_engine import run_search
 from .sgd_trainer import NonFiniteTrainingError, TrainState, train_epoch
 
 DEFAULT_ABLATION_FACTORS = "0,-1,-10,-100,-1000,-10000"
@@ -208,27 +208,38 @@ class _RunRecorder:
         return report
 
 
-def _run_fixed(config: ExperimentConfig, out_dir, data) -> dict:
-    """Train one fixed loss end to end on the prepared (train, val, pairs);
-    shared by train-fixed and ablate-a."""
-    spec = margin_spec(config.loss)
+def _run_fixed(config: ExperimentConfig, mode: str, out_dir, data) -> dict:
+    """Train one model end to end on the prepared (train, val, pairs). Mode
+    "fixed" trains the configured loss (train-fixed, ablate-a); mode
+    "random" trains the unified loss with a factor drawn from the random
+    range each epoch (random-schedule). The mode labels the metric lines
+    and roots the run's random streams."""
     train, val, pairs = data
     schedule = schedule_of(config)
-    loss_echo = _loss_echo(config)
-    root = RngStream(config.seed, "fixed")
+    if mode == "random":
+        factors = factor_range(config)
+    else:
+        spec, loss_echo = margin_spec(config.loss), _loss_echo(config)
+    root = RngStream(config.seed, mode)
     workspace = Workspace()
     final_reward = None
-    with _RunRecorder(out_dir, config, "fixed") as run:
+    with _RunRecorder(out_dir, config, mode) as run:
         state = _init_state(config, train)
         run.start()
         for epoch in range(1, config.schedule.epochs + 1):
             lr = schedule.lr_at(epoch)
-            state, mean_loss = train_epoch(state, spec, train, config.sgd, lr,
-                                           root.child(f"epoch{epoch}"), workspace)
+            epoch_stream = root.child(f"epoch{epoch}")
+            if mode == "random":
+                a = factors.draw(epoch_stream.child("factor"))
+                spec, echo = MarginSpec.unified(a), {"a": a}
+            else:
+                echo = {"loss": loss_echo, "lr": lr}
+            state, mean_loss = train_epoch(state, spec, train, config.sgd, lr, epoch_stream,
+                                           workspace)
             final_reward = reward(state.model, state.head, val, pairs, config.reward,
                                   workspace)
-            run.epoch(epoch, {"loss": loss_echo, "lr": lr, "mean_loss": mean_loss,
-                              "val_reward": final_reward}, mean_loss)
+            run.epoch(epoch, {**echo, "mean_loss": mean_loss, "val_reward": final_reward},
+                      mean_loss)
         return run.finish("model.lfs", state, val, pairs, final_val_reward=final_reward)
 
 
@@ -236,12 +247,17 @@ def _run_fixed(config: ExperimentConfig, out_dir, data) -> dict:
 # subcommands
 
 
-def _cmd_train_fixed(args) -> int:
+def _cmd_train(args) -> int:
+    """train-fixed (mode "fixed") and random-schedule (mode "random")."""
     config = _resolve_config(args)
-    report = _run_fixed(config, args.out, _prepare_data(config))
-    print(f"train-fixed done: loss={config.loss.kind} "
-          f"verification={report['verification_accuracy']:.4f} "
-          f"rank1={report['rank1']:.4f} -> {args.out}")
+    report = _run_fixed(config, args.mode, args.out, _prepare_data(config))
+    if args.mode == "random":
+        print(f"random-schedule done: final reward "
+              f"{report['final_val_reward']} -> {args.out}")
+    else:
+        print(f"train-fixed done: loss={config.loss.kind} "
+              f"verification={report['verification_accuracy']:.4f} "
+              f"rank1={report['rank1']:.4f} -> {args.out}")
     return 0
 
 
@@ -266,8 +282,9 @@ def _cmd_search(args) -> int:
                        "start_digest": record.start_digest,
                        "winner_digest": record.winner_digest},
                       record.mean_losses[record.winner],
-                      candidates=[{"train_s": c.train_s, "reward_s": c.reward_s}
-                                  for c in record.candidates])
+                      candidates=[{"train_s": train_s, "reward_s": reward_s}
+                                  for train_s, reward_s in zip(record.train_s,
+                                                               record.reward_s)])
             write_checkpoint(winners / f"epoch_{record.epoch:03d}.lfs",
                              winner_state.model, winner_state.head)
 
@@ -281,28 +298,6 @@ def _cmd_search(args) -> int:
     print(f"search done: best reward {result.best_reward} at epoch "
           f"{result.best_epoch} (candidate {result.best_candidate}), "
           f"final mu {result.final_mu:.6g} -> {args.out}")
-    return 0
-
-
-def _cmd_random_schedule(args) -> int:
-    config = _resolve_config(args)
-    train, val, pairs = _prepare_data(config)
-    with _RunRecorder(args.out, config, "random") as run:
-        state0 = _init_state(config, train)
-        run.start()
-
-        def on_epoch(record, _state):
-            run.epoch(record.epoch, {"a": record.factor, "mean_loss": record.mean_loss,
-                                     "val_reward": record.reward}, record.mean_loss)
-
-        state, history = run_random_schedule(
-            config.schedule.epochs, state0, train, val, pairs, config.sgd,
-            schedule_of(config), config.seed, factor_range(config),
-            config.reward, on_epoch=on_epoch)
-        report = run.finish("model.lfs", state, val, pairs,
-                            final_val_reward=history[-1].reward if history else None)
-    print(f"random-schedule done: final reward "
-          f"{report['final_val_reward']} -> {args.out}")
     return 0
 
 
@@ -340,7 +335,7 @@ def _cmd_ablate_a(args) -> int:
         tree["loss"]["kind"] = "unified"
         tree["loss"]["a"] = value
         sub_config = from_dict(tree)
-        report = _run_fixed(sub_config, base / name, data)
+        report = _run_fixed(sub_config, "fixed", base / name, data)
         summary.append({"a": value,
                         "verification_accuracy": report["verification_accuracy"],
                         "rank1": report["rank1"],
@@ -428,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m2", type=float, help="additive angle margin (radians)")
     p.add_argument("--m3", type=float, help="additive cosine margin")
     p.add_argument("--a", type=float, help="unified modulating factor (<= 0)")
-    p.set_defaults(handler=_cmd_train_fixed)
+    p.set_defaults(handler=_cmd_train, mode="fixed")
 
     p = sub.add_parser("search", parents=[train_opts],
                        help="reward-guided search over the factor")
@@ -445,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="low end of the factor magnitude range")
     p.add_argument("--mag-hi", dest="mag_hi", type=float,
                    help="high end of the factor magnitude range")
-    p.set_defaults(handler=_cmd_random_schedule)
+    p.set_defaults(handler=_cmd_train, mode="random")
 
     p = sub.add_parser("ablate-a", parents=[train_opts],
                        help="train one fixed factor per listed value")

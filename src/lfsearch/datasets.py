@@ -14,8 +14,9 @@ from .numerics import RngStream, l2_normalize_rows
 
 # Largest pair pool make_pairs draws from. It bounds the two parts of the
 # draws that grow with a pool rather than with the request: a permutation
-# (below REJECTION_MIN_POOL, or for more than half of a pool), held as uint32
-# at most, and the listing of the same-identity positions, 8 B per same pair.
+# (below REJECTION_MIN_POOL, or for more than an eighth of a pool), held as
+# uint32 at most, and the listing of the same-identity positions, 8 B per
+# same pair.
 # The different-identity pool passes it above about 92,682 samples.
 MAX_PAIR_POOL = 2 ** 32
 
@@ -261,18 +262,19 @@ def split_closed_set(dataset: LabeledDataset, train_frac: float, seed: int):
 def _draw_ranks(generator, size: int, count: int) -> np.ndarray:
     """count distinct ranks in [0, size), as int64.
 
-    From REJECTION_MIN_POOL up, where at most half the pool is asked for,
-    they are the first count distinct values of the stream of
+    From REJECTION_MIN_POOL up, where at most an eighth of the pool is asked
+    for, they are the first count distinct values of the stream of
     generator.integers(0, size), drawn in rounds that each top up what the
-    repeats removed, in O(count) memory. With at most half the pool held, a
-    draw is new with odds of 1/2 or better, so each round leaves on average
-    at most half of its draws to make again. Otherwise they are the first
-    count entries of generator.permutation(size): permutation shuffles
-    arange(size), and shuffle draws the same swaps whatever the item type,
-    so the pool is held in the narrowest unsigned type that fits it and is
-    released on return.
+    repeats removed, in O(count) memory. With at most an eighth of the pool
+    held, a draw is new with odds of 7/8 or better, so each round leaves on
+    average at most an eighth of its draws to make again; a larger request
+    is cheaper to permute, since each round sorts its draws. Otherwise they
+    are the first count entries of generator.permutation(size): permutation
+    shuffles arange(size), and shuffle draws the same swaps whatever the
+    item type, so the pool is held in the narrowest unsigned type that fits
+    it and is released on return.
     """
-    if size < REJECTION_MIN_POOL or 2 * count > size:
+    if size < REJECTION_MIN_POOL or 8 * count > size:
         pool = np.arange(size, dtype=np.min_scalar_type(size - 1))
         generator.shuffle(pool)
         # Widen before any arithmetic: uint64 with int64 promotes to float64.

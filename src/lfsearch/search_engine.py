@@ -1,6 +1,6 @@
 """Outer-loop factor search: Gaussian sampling of the modulating factor,
 reward-normalized score-function updates of the distribution mean, winner
-broadcast, and the per-epoch random-factor baseline.
+broadcast, and the factor range of the per-epoch random baseline.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from .checkpoint import param_digest
 from .contracts import require
 from .datasets import LabeledDataset, PairSet
 from .eval_protocols import reward
-from .numerics import RngStream, Workspace, sample_gaussian
+from .numerics import RngStream, sample_gaussian
 from .sgd_trainer import (InProcessCandidates, LrSchedule, SgdConfig, TrainState,
-                          train_candidates, train_epoch)
-from .margin_losses import MarginSpec
+                          train_candidates)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -64,6 +63,14 @@ class FactorRange:
     def collapsed(self) -> bool:
         return self.mag_lo == 0.0 and self.mag_hi == 0.0
 
+    def draw(self, stream: RngStream) -> float:
+        """One factor from `stream`'s generator; a collapsed range draws
+        nothing and gives 0."""
+        if self.collapsed:
+            return 0.0
+        magnitude = stream.generator().uniform(math.log(self.mag_lo), math.log(self.mag_hi))
+        return -math.exp(magnitude)
+
 
 @dataclass(frozen=True)
 class SearchSettings:
@@ -89,23 +96,6 @@ class SearchSettings:
 
 
 @dataclass(frozen=True)
-class CandidateRecord:
-    index: int
-    factor: float
-    digest: str
-    raw_reward: float
-    normalized_reward: float
-    mean_loss: float
-    # Seconds spent in the process that ran the candidate. They are left out
-    # of comparisons, so the records of two runs of one seed compare equal.
-    train_s: float = field(default=0.0, compare=False)
-    reward_s: float = field(default=0.0, compare=False)
-
-    def __post_init__(self):
-        require(self.factor <= 0, "candidate factor must be <= 0")
-
-
-@dataclass(frozen=True)
 class SearchEpochRecord:
     epoch: int
     mu_before: float
@@ -115,21 +105,21 @@ class SearchEpochRecord:
     normalized_rewards: tuple
     winner: int
     mean_losses: tuple
+    digests: tuple
     start_digest: str
-    winner_digest: str
-    candidates: tuple
+    # Seconds each candidate spent training and scoring in the process that
+    # ran it. They are left out of comparisons, so the records of two runs
+    # of one seed compare equal.
+    train_s: tuple = field(compare=False)
+    reward_s: tuple = field(compare=False)
 
     def __post_init__(self):
         require(self.raw_rewards[self.winner] == max(self.raw_rewards),
                 "winner must maximize the raw reward")
 
-
-@dataclass(frozen=True)
-class RandomEpochRecord:
-    epoch: int
-    factor: float
-    mean_loss: float
-    reward: float
+    @property
+    def winner_digest(self) -> str:
+        return self.digests[self.winner]
 
 
 @dataclass(frozen=True)
@@ -269,22 +259,17 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
             else:
                 mu_after = reinforce_update(current, drawn, signed)
             winner = select_best(raw)
-            candidates = tuple(
-                CandidateRecord(index=i, factor=float(factors[i]),
-                                digest=outcome.digest,
-                                raw_reward=float(raw[i]),
-                                normalized_reward=float(normalized[i]),
-                                mean_loss=float(outcome.mean_loss),
-                                train_s=outcome.train_s, reward_s=outcome.reward_s)
-                for i, outcome in enumerate(outcomes))
             record = SearchEpochRecord(
                 epoch=epoch, mu_before=mu, mu_after=mu_after,
                 factors=tuple(float(a) for a in factors),
                 raw_rewards=tuple(float(r) for r in raw),
                 normalized_rewards=tuple(float(r) for r in normalized),
-                winner=winner, mean_losses=tuple(c.mean_loss for c in candidates),
-                start_digest=start_digest, winner_digest=candidates[winner].digest,
-                candidates=candidates)
+                winner=winner,
+                mean_losses=tuple(float(outcome.mean_loss) for outcome in outcomes),
+                digests=tuple(outcome.digest for outcome in outcomes),
+                start_digest=start_digest,
+                train_s=tuple(outcome.train_s for outcome in outcomes),
+                reward_s=tuple(outcome.reward_s for outcome in outcomes))
             history.append(record)
             state = outcomes[winner].state
             if best_reward is None or raw[winner] > best_reward:
@@ -299,35 +284,3 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
                         best_epoch=best_epoch, best_candidate=best_candidate,
                         final_mu=mu, history=tuple(history))
 
-
-def run_random_schedule(epochs: int, state0: TrainState, train_set: LabeledDataset,
-                        val_set: LabeledDataset, val_pairs: PairSet,
-                        sgd: SgdConfig, schedule: LrSchedule, seed: int,
-                        factors: FactorRange = FactorRange(),
-                        reward_kind: str = SearchSettings.reward_kind, on_epoch=None):
-    """Train one model with the factor resampled each epoch from `factors`,
-    no reward guidance. Returns the final state plus per-epoch records.
-    """
-    require(epochs >= 0, "epochs must be >= 0")
-    require(val_set.sample_count >= 1, "validation set must be non-empty")
-    root = RngStream(seed, "random")
-    state = state0
-    workspace = Workspace()
-    history = []
-    for epoch in range(1, epochs + 1):
-        epoch_stream = root.child(f"epoch{epoch}")
-        if factors.collapsed:
-            factor = 0.0
-        else:
-            magnitude = epoch_stream.child("factor").generator().uniform(
-                math.log(factors.mag_lo), math.log(factors.mag_hi))
-            factor = -math.exp(magnitude)
-        state, mean_loss = train_epoch(state, MarginSpec.unified(factor), train_set,
-                                       sgd, schedule.lr_at(epoch), epoch_stream, workspace)
-        score = reward(state.model, state.head, val_set, val_pairs, reward_kind, workspace)
-        record = RandomEpochRecord(epoch=epoch, factor=factor,
-                                   mean_loss=mean_loss, reward=score)
-        history.append(record)
-        if on_epoch is not None:
-            on_epoch(record, state)
-    return state, tuple(history)

@@ -9,7 +9,9 @@ import copy
 import json
 import math
 import statistics
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +28,7 @@ from lfsearch.eval_protocols import (embed_all, make_gallery_probe,
 from lfsearch.margin_losses import MarginSpec, batch_loss_and_grad, modulating_function
 from lfsearch.numerics import RngStream
 from lfsearch.search_engine import (SearchDistribution, SearchSettings,
-                                    normalize_rewards, reinforce_update,
-                                    run_random_schedule, run_search)
+                                    normalize_rewards, reinforce_update, run_search)
 from lfsearch.sgd_trainer import LrSchedule, SgdConfig, TrainState, train_epoch
 from oracles import (LogitRow, log_margin_probability, log_softmax_probability,
                      margin_transform, modulating_factor, unified_loss)
@@ -120,15 +121,17 @@ def _search_runs(population):
 
 
 def _random_histories():
+    """Per-epoch val_reward of a default random-schedule run of each seed,
+    read from its metrics.jsonl."""
     if "random" not in _CACHE:
         start = time.perf_counter()
-        sgd, sched = _default_sgd()
         histories = []
-        for seed in SEEDS:
-            train, val, pairs, state = _desk_problem(seed)
-            _, history = run_random_schedule(EPOCHS, state, train, val, pairs,
-                                             sgd, sched, seed)
-            histories.append(history)
+        with tempfile.TemporaryDirectory() as scratch:
+            for seed in SEEDS:
+                out = Path(scratch) / f"seed{seed}"
+                assert main(["random-schedule", "--out", str(out), "--seed", str(seed)]) == 0
+                lines = (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
+                histories.append([json.loads(line)["val_reward"] for line in lines])
         _CACHE["random"] = (histories, time.perf_counter() - start)
     return _CACHE["random"]
 
@@ -386,14 +389,14 @@ class TestDirectionalTrends:
         random_twins, random_twin_secs = _plain_twin_curves("random")
         elapsed = search_secs + random_secs + search_twin_secs + random_twin_secs
         search_mean = statistics.mean(r.best_reward for r in searched)
-        random_mean = statistics.mean(max(r.reward for r in h) for h in randomized)
+        random_mean = statistics.mean(max(h) for h in randomized)
         plain_search_mean = statistics.mean(max(c) for c in search_twins)
         plain_random_mean = statistics.mean(max(c) for c in random_twins)
         search_last_gap = statistics.mean(
             r.history[-1].raw_rewards[r.history[-1].winner] - c[-1]
             for r, c in zip(searched, search_twins))
         random_last_gap = statistics.mean(
-            h[-1].reward - c[-1] for h, c in zip(randomized, random_twins))
+            h[-1] - c[-1] for h, c in zip(randomized, random_twins))
         search_ok = search_mean >= plain_search_mean
         random_ok = random_mean >= plain_random_mean
         ok = search_ok and random_ok and elapsed < 1800.0

@@ -18,12 +18,19 @@ import pytest
 
 import lfsearch
 from lfsearch import candidate_workers, cli, numerics
+from lfsearch.checkpoint import param_digest, read_checkpoint
 from lfsearch.cli import main
-from lfsearch.config import ConfigError, ExperimentConfig
+from lfsearch.config import ConfigError, ExperimentConfig, from_dict, schedule_of
 from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import (DataFormatError, SyntheticSpec, generate_synthetic,
                                load_flat_file, make_pairs)
+from lfsearch.embed_model import init_model
+from lfsearch.eval_protocols import reward
+from lfsearch.margin_losses import MarginSpec
+from lfsearch.numerics import RngStream
 from lfsearch.runio import run_id
+from lfsearch.search_engine import FactorRange
+from lfsearch.sgd_trainer import TrainState, train_epoch
 from oracles import save_flat_file
 
 SRC = str(Path(lfsearch.__file__).resolve().parents[1])
@@ -402,6 +409,16 @@ class TestSearchCommand:
         assert multiprocessing.active_children() == []
 
 
+def initial_run(config_path):
+    """The data a run of the config file trains on, and its initial state."""
+    config = from_dict(json.loads(Path(config_path).read_text(encoding="utf-8")))
+    train, val, pairs = cli._prepare_data(config)
+    model, head = init_model([train.feature_dim, *config.model.hidden,
+                              config.model.embedding], train.identity_count,
+                             config.model.scale, RngStream(config.seed, "init"))
+    return config, (train, val, pairs), TrainState.fresh(model, head)
+
+
 class TestRandomSchedule:
     def test_factors_are_negative_and_logged(self, tmp_path):
         config = write_config(tmp_path)
@@ -412,7 +429,53 @@ class TestRandomSchedule:
         for record in records:
             assert record["mode"] == "random"
             assert -10000.0 <= record["a"] <= -1.0
+            assert 0.0 <= record["val_reward"] <= 1.0
+            assert record["mean_loss"] > 0.0
         assert (out / "model.lfs").exists()
+
+    def test_reruns_are_byte_identical(self, tmp_path):
+        config = write_config(tmp_path)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["random-schedule", "--config", config, "--out", str(out)]) == 0
+        assert run_files(outs[0]) == run_files(outs[1])
+
+    @pytest.mark.parametrize("mag_lo, mag_hi", [(1.0, 1e4), (0.0, 0.0)])
+    def test_epochs_are_the_unified_loss_at_the_drawn_factor(self, tmp_path, mag_lo,
+                                                             mag_hi):
+        """Each epoch trains from the previous one under the unified loss at
+        the factor FactorRange.draw takes from the epoch's "factor" child of
+        the "random" root stream; a collapsed range trains plain softmax."""
+        path = write_config(tmp_path, seed=7, random={"mag_lo": mag_lo, "mag_hi": mag_hi},
+                            schedule={"epochs": 3, "drop_epochs": [2]})
+        out = tmp_path / "run"
+        assert main(["random-schedule", "--config", path, "--out", str(out)]) == 0
+        config, (train, val, pairs), state = initial_run(path)
+        root = RngStream(7, "random")
+        expected = []
+        for epoch in (1, 2, 3):
+            stream = root.child(f"epoch{epoch}")
+            a = FactorRange(mag_lo, mag_hi).draw(stream.child("factor"))
+            state, mean_loss = train_epoch(state, MarginSpec.unified(a), train, config.sgd,
+                                           schedule_of(config).lr_at(epoch), stream)
+            expected.append((a, mean_loss, reward(state.model, state.head, val, pairs,
+                                                  config.reward)))
+        assert [(r["a"], r["mean_loss"], r["val_reward"])
+                for r in read_jsonl(out / "metrics.jsonl")] == expected
+        assert param_digest(*read_checkpoint(out / "model.lfs")) == \
+            param_digest(state.model, state.head)
+
+    def test_zero_epochs_keep_the_initial_model(self, tmp_path):
+        path = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["random-schedule", "--config", path, "--epochs", "0",
+                     "--out", str(out)]) == 0
+        assert read_jsonl(out / "metrics.jsonl") == []
+        report = json.loads((out / "eval.json").read_text(encoding="utf-8"))
+        assert report["final_val_reward"] is None
+        _config, _data, state = initial_run(path)
+        assert param_digest(*read_checkpoint(out / "model.lfs")) == \
+            param_digest(state.model, state.head)
 
     def test_curves_follow_metric_stream(self, tmp_path):
         config = write_config(tmp_path, schedule={"epochs": 3, "drop_epochs": []})

@@ -491,12 +491,12 @@ class TestMakePairs:
                 assert ranks.dtype == np.int64
                 assert np.array_equal(ranks, expected[:count])
 
-    # From 2**22 up, a request of at most half the pool is drawn by
-    # rejection; 2**21 of 2**22 is the largest such request, and 300,000 of
+    # From 2**22 up, a request of at most an eighth of the pool is drawn by
+    # rejection; 2**19 of 2**22 is the largest such request, and 300,000 of
     # a pool above 2**32 takes the 64-bit draws. The stream is twice the
     # request, more than any of these needs.
     @pytest.mark.parametrize("size, count", [
-        (1 << 22, 1), (1 << 22, 200_000), (1 << 22, 1 << 21), (5_000_000_000, 300_000),
+        (1 << 22, 1), (1 << 22, 200_000), (1 << 22, 1 << 19), (5_000_000_000, 300_000),
     ])
     def test_large_pool_draws_the_first_distinct_values(self, size, count):
         expected = first_distinct(RngStream(size, "pairs").child("diff").generator(),
@@ -506,11 +506,11 @@ class TestMakePairs:
         assert ranks.dtype == np.int64
         assert np.array_equal(ranks, expected)
 
-    # Below the floor, and for more than half of a pool above it, the ranks
-    # stay the permutation's prefix.
+    # Below the floor, and for more than an eighth of a pool above it, the
+    # ranks stay the permutation's prefix.
     @pytest.mark.parametrize("size, count", [((1 << 22) - 1, 200_000),
-                                             (1 << 22, (1 << 21) + 1)])
-    def test_permutation_below_the_floor_or_past_half_the_pool(self, size, count):
+                                             (1 << 22, (1 << 19) + 1)])
+    def test_permutation_below_the_floor_or_past_an_eighth(self, size, count):
         expected = RngStream(3, "pairs").child("diff").generator().permutation(size)
         generator = RngStream(3, "pairs").child("diff").generator()
         ranks = datasets._draw_ranks(generator, size, count)

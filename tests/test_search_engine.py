@@ -1,6 +1,6 @@
 """Tests for the outer search loop: factor sampling, reward normalization,
 the score-function update, winner selection and broadcast, and the
-random-factor baseline.
+random baseline's factor range.
 """
 
 import multiprocessing
@@ -29,7 +29,6 @@ from lfsearch.search_engine import (
     mu_gradient,
     normalize_rewards,
     reinforce_update,
-    run_random_schedule,
     run_search,
     sample_factors,
     select_best,
@@ -207,7 +206,7 @@ class TestRunSearch:
         for prev, cur in zip(result.history, result.history[1:]):
             assert cur.start_digest == prev.winner_digest
         for record in result.history:
-            assert record.winner_digest == record.candidates[record.winner].digest
+            assert record.winner_digest == record.digests[record.winner]
             assert record.raw_rewards[record.winner] == max(record.raw_rewards)
 
     def test_candidates_start_from_the_previous_winner(self, monkeypatch):
@@ -344,63 +343,14 @@ class TestRunSearch:
         assert 0.0 <= result.best_reward <= 1.0
 
 
-class TestRunRandomSchedule:
-    def test_deterministic(self):
-        train, val, pairs, state = search_fixture(seed=12)
-        a_state, a_hist = run_random_schedule(3, state, train, val, pairs,
-                                              SgdConfig(batch_size=16),
-                                              LrSchedule(0.05), seed=19)
-        b_state, b_hist = run_random_schedule(3, state, train, val, pairs,
-                                              SgdConfig(batch_size=16),
-                                              LrSchedule(0.05), seed=19)
-        assert a_hist == b_hist
-        assert param_digest(a_state.model, a_state.head) == \
-            param_digest(b_state.model, b_state.head)
-
-    def test_factors_stay_in_range(self):
-        train, val, pairs, state = search_fixture(seed=13)
-        _, history = run_random_schedule(5, state, train, val, pairs,
-                                         SgdConfig(batch_size=16), LrSchedule(0.05),
-                                         seed=20, factors=FactorRange(2.0, 50.0))
-        for record in history:
-            assert -50.0 <= record.factor <= -2.0
-
-    def test_collapsed_range_reproduces_plain_training(self):
-        from lfsearch.margin_losses import MarginSpec
-        from lfsearch.sgd_trainer import train_epoch
-
-        train, val, pairs, state = search_fixture(seed=14)
-        sgd = SgdConfig(batch_size=16)
-        schedule = LrSchedule(0.05)
-        final, history = run_random_schedule(3, state, train, val, pairs, sgd,
-                                             schedule, seed=21,
-                                             factors=FactorRange(0.0, 0.0))
-        assert all(r.factor == 0.0 for r in history)
-        manual = state.copy()
-        root = RngStream(21, "random")
-        for epoch in range(1, 4):
-            manual, _ = train_epoch(manual, MarginSpec.unified(0.0), train, sgd,
-                                    schedule.lr_at(epoch), root.child(f"epoch{epoch}"))
-        assert param_digest(final.model, final.head) == \
-            param_digest(manual.model, manual.head)
-
-    def test_zero_epochs(self):
-        train, val, pairs, state = search_fixture(seed=15)
-        before = param_digest(state.model, state.head)
-        final, history = run_random_schedule(0, state, train, val, pairs,
-                                             SgdConfig(batch_size=16),
-                                             LrSchedule(0.05), seed=22)
-        assert history == ()
-        assert param_digest(final.model, final.head) == before
-
-    def test_records_carry_scores(self):
-        train, val, pairs, state = search_fixture(seed=16)
-        _, history = run_random_schedule(2, state, train, val, pairs,
-                                         SgdConfig(batch_size=16),
-                                         LrSchedule(0.05), seed=23)
-        for record in history:
-            assert 0.0 <= record.reward <= 1.0
-            assert record.mean_loss > 0.0
+class TestFactorRange:
+    def test_draws_stay_in_range(self):
+        factors = FactorRange(2.0, 50.0)
+        draws = [factors.draw(RngStream(seed, "random").child("epoch1").child("factor"))
+                 for seed in range(500)]
+        assert all(-50.0 <= a <= -2.0 for a in draws)
+        # The draws spread over the range, not onto one value.
+        assert min(draws) < -40.0 and max(draws) > -3.0
 
     def test_default_range_is_the_config_default(self):
         config = ExperimentConfig()
@@ -535,7 +485,8 @@ class TestCandidateWorkers:
 
     def test_each_candidate_is_timed(self):
         for record in searched(2, population=3).history:
-            assert all(c.train_s > 0 and c.reward_s > 0 for c in record.candidates)
+            assert len(record.train_s) == len(record.reward_s) == 3
+            assert all(t > 0 for t in record.train_s + record.reward_s)
 
     @pytest.mark.parametrize("learning_rate", [1e300, 1e50, 1e20])
     def test_warnings_and_failures_match_in_process(self, learning_rate):
