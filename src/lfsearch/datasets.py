@@ -4,12 +4,17 @@ identity-disjoint splits, and verification-pair sampling.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import math
+import os
+import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .contracts import require
+from .contracts import ContractViolation, require
 from .numerics import RngStream, l2_normalize_rows
 
 # Largest pair pool make_pairs draws from. It bounds the two parts of the
@@ -27,6 +32,13 @@ REJECTION_MIN_POOL = 2 ** 22
 # float() and int() strip only ASCII whitespace around a number; numpy also
 # strips these information separators.
 _SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+# What load_flat_file keeps beside a CSV: `<name>.lfsearch.npz`, holding the
+# arrays it returned under the sha256 of CACHE_FORMAT and the CSV's bytes.
+# Change the tag whenever the parse or the relabelling changes, so that no
+# cache written before then ever matches.
+CACHE_SUFFIX = ".lfsearch.npz"
+CACHE_FORMAT = b"lfsearch flat-file cache 1: float64 features, first-appearance int64 labels\n"
 
 
 class DataFormatError(Exception):
@@ -132,10 +144,81 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
 def load_flat_file(path) -> LabeledDataset:
     """Load a CSV of float feature columns followed by an integer label column.
 
-    Labels are re-indexed densely in order of first appearance.
+    Labels are re-indexed densely in order of first appearance. A load keeps
+    its arrays in `<name>.lfsearch.npz` beside the file, keyed by the file's
+    bytes, and a later load of the same bytes reads them from there instead
+    of parsing. Without a valid cache for those bytes the file is parsed and
+    the cache rewritten, where the directory can be written.
     """
+    path = Path(path)
+    cache = path.with_name(path.name + CACHE_SUFFIX)
+    before = os.stat(path)
+    key, separators = _scan(path)
+    dataset = _read_cache(cache, key)
+    if dataset is None:
+        dataset = _parse(path, separators)
+        after = os.stat(path)
+        # A file rewritten while it was read may not match the key.
+        if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
+            _write_cache(cache, key, dataset)
+    return dataset
+
+
+def _scan(path):
+    """The cache key of a file's bytes, and whether they hold a separator byte
+    numpy would strip, in one chunked read."""
+    digest = hashlib.sha256(CACHE_FORMAT)
+    separators = False
+    with open(path, "rb") as raw:
+        for chunk in iter(lambda: raw.read(1 << 20), b""):
+            digest.update(chunk)
+            separators = separators or any(sep in chunk for sep in _SEPARATOR_BYTES)
+    return digest.digest(), separators
+
+
+def _read_cache(cache: Path, key: bytes):
+    """The dataset a cache holds under key, or None."""
     try:
-        features, raw_labels = _parse_columns(path)
+        # np.load leaves a file it opened itself open when the zip is damaged.
+        with open(cache, "rb") as handle:
+            stored = np.load(handle, allow_pickle=False)
+            if not isinstance(stored, np.lib.npyio.NpzFile):  # one bare .npy array
+                return None
+            if stored["key"].tobytes() != key:
+                return None
+            features, labels = stored["features"], stored["labels"]
+        if features.dtype != np.float64 or labels.dtype != np.int64:
+            return None
+        return LabeledDataset(features, labels)
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile,
+            ContractViolation):
+        return None
+
+
+def _write_cache(cache: Path, key: bytes, dataset: LabeledDataset) -> None:
+    """Replace cache with dataset's arrays under key, atomically, or leave it
+    as it was when the directory cannot be written; no temporary file stays."""
+    temp = cache.with_name(f"{cache.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        handle = open(temp, "xb")  # the mode open(path, "w") gives, 0o666 & ~umask
+    except OSError:
+        return
+    try:
+        with handle:
+            np.savez(handle, key=np.frombuffer(key, dtype=np.uint8),
+                     features=dataset.features, labels=dataset.labels)
+        os.replace(temp, cache)
+    except OSError:
+        pass  # a full disk, say: the load stands without a cache
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)  # already gone after the replace
+
+
+def _parse(path: Path, separators: bool) -> LabeledDataset:
+    """The one-pass numpy parse, or the line reader where it refuses the file."""
+    try:
+        features, raw_labels = _parse_columns(path, separators)
     except ValueError:
         features = None
     if features is None or not np.isfinite(features).all():
@@ -148,14 +231,13 @@ def load_flat_file(path) -> LabeledDataset:
     return LabeledDataset(features, rank[inverse])
 
 
-def _parse_columns(path):
+def _parse_columns(path, separators: bool):
     """Feature matrix and int64 labels in one streamed numpy parse, which is
     stricter than float() and int(); raises ValueError on anything it does
-    not take, including an empty file or one column."""
-    with open(path, "rb") as raw:
-        for chunk in iter(lambda: raw.read(1 << 20), b""):
-            if any(sep in chunk for sep in _SEPARATOR_BYTES):
-                raise ValueError("information separator byte")
+    not take, including an empty file, one column, a separator byte or
+    text that is not UTF-8."""
+    if separators:
+        raise ValueError("information separator byte")
     with open(path, "r", encoding="utf-8") as handle:
         first = next((line for line in handle if line.strip()), "")
         width = first.count(",") + 1
@@ -172,9 +254,13 @@ def _load_lines(path) -> LabeledDataset:
     rows = []
     raw_labels = []
     width = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
+    with open(path, "rb") as handle:
+        # bytes.splitlines breaks where text mode's universal newlines do.
+        for lineno, line in enumerate(handle.read().splitlines(), start=1):
+            try:
+                text = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{path}: line {lineno}: not UTF-8: {exc.reason}") from None
             if not text:
                 continue
             parts = text.split(",")

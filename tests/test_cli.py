@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import lfsearch
-from lfsearch import candidate_workers, cli, numerics
+from lfsearch import candidate_workers, cli, datasets, numerics
 from lfsearch.checkpoint import param_digest, read_checkpoint
 from lfsearch.cli import main
 from lfsearch.config import ConfigError, ExperimentConfig, from_dict, schedule_of
@@ -581,6 +581,21 @@ class TestEvalCommand:
                          "--checkpoint", str(out / "model.lfs"),
                          "--data", str(bad)]) == 3
 
+    @pytest.mark.parametrize("body, message", [
+        (b"0.1,0.2,0\n0.3,0.4,1\n0.5,\xff,1\n", "line 3: not UTF-8: invalid start byte"),
+        (b"1.0,oops\n", "line 1: invalid literal for int() with base 10: 'oops'"),
+        (b"1.0,0\nnan,1\n", "line 2: non-finite feature value"),
+        (b"1.0,2.0,0\n1.0,1\n", "line 2: expected 3 columns, got 2"),
+    ])
+    def test_malformed_data_file_exits_3_and_writes_no_cache(self, tmp_path, capsys,
+                                                              body, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(body)
+        assert main(["train-fixed", "--config", write_config(tmp_path), "--epochs", "1",
+                     "--out", str(tmp_path / "x"), "--data", str(bad)]) == 3
+        assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
+        assert not list(tmp_path.glob("*.npz")) and not list(tmp_path.glob("*.tmp"))
+
     def test_input_dim_mismatch_is_a_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -764,6 +779,34 @@ class TestExitCodes:
         assert [proc.returncode for proc in procs] == [code, code]
         assert "overflow encountered" in procs[0].stderr
         assert procs[0].stderr == procs[1].stderr
+
+
+class TestDataFileCache:
+    def test_a_miss_a_hit_and_a_deleted_cache_write_the_same_run(self, tmp_path,
+                                                                 monkeypatch):
+        csv = tmp_path / "data.csv"
+        save_flat_file(csv, generate_synthetic(SyntheticSpec(8, 8, 8, 0.3, 0)))
+        cache = tmp_path / "data.csv.lfsearch.npz"
+        parses = []
+        parse = datasets._parse
+
+        def counted(*args):
+            parses.append(args[0])
+            return parse(*args)
+        monkeypatch.setattr(datasets, "_parse", counted)
+        config = write_config(tmp_path)
+        runs = []
+        for step in ("miss", "hit", "deleted"):
+            if step == "deleted":
+                cache.unlink()
+            out = tmp_path / step
+            assert main(["train-fixed", "--config", config, "--out", str(out),
+                         "--data", str(csv)]) == 0
+            assert cache.is_file()
+            runs.append(run_files(out))
+        assert parses == [csv, csv]
+        assert len(runs[0]) == 7
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestPairDrawsBesideTraining:

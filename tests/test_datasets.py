@@ -2,7 +2,9 @@
 flat-file round-trips, identity splits, and pair sampling.
 """
 
+import builtins
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -266,11 +268,245 @@ class TestFlatFile:
         with pytest.raises(DataFormatError, match="no samples"):
             load_flat_file(path)
 
+    def test_text_that_is_not_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"0.1,0.2,0\r\n0.3,0.4,1\r0.5,\xff,1\n0.7,0.8,0\n")
+        with pytest.raises(DataFormatError, match=r"line 3: not UTF-8: invalid start byte"):
+            load_flat_file(path)
+
     def test_label_only_rows(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("0\n1\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
             load_flat_file(path)
+
+
+def cache_of(path):
+    return path.with_name(path.name + datasets.CACHE_SUFFIX)
+
+
+def counting_parse(monkeypatch):
+    """Count the parses load_flat_file makes; a load that makes none read
+    its cache."""
+    calls = []
+    parse = datasets._parse
+
+    def counted(*args):
+        calls.append(args[0])
+        return parse(*args)
+    monkeypatch.setattr(datasets, "_parse", counted)
+    return calls
+
+
+def same_dataset(loaded, expected):
+    return (loaded.features.dtype == np.float64 and loaded.labels.dtype == np.int64
+            and loaded.features.shape == expected.features.shape
+            and loaded.features.tobytes() == expected.features.tobytes()
+            and loaded.labels.tobytes() == expected.labels.tobytes())
+
+
+def write_cache_file(cache, key, features, labels):
+    np.savez(cache, key=np.frombuffer(key, dtype=np.uint8), features=features,
+             labels=labels)
+
+
+# Files one of the two readers takes: the numpy parse, or the line reader alone.
+CACHED_BODIES = (
+    "0.12345678901234567,3\n-1.7976931348623157e+308,3\n5e-324,4\n",
+    "1_0.5,0\n2.0,1_0\n",
+    "1.5,7\x1c\n\x1f2.5,3\n",
+    "\u0661.5,\u0667\n",
+)
+
+
+class TestFlatFileCache:
+    @pytest.mark.parametrize("body", CACHED_BODIES)
+    def test_a_hit_equals_a_fresh_parse(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "data.csv"
+        path.write_text(body, encoding="utf-8")
+        expected = line_loop_load(path)
+        calls = counting_parse(monkeypatch)
+        first = load_flat_file(path)
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.lfsearch.npz"]
+        second = load_flat_file(path)
+        assert len(calls) == 1
+        assert same_dataset(first, expected) and same_dataset(second, expected)
+
+    def test_a_hit_equals_a_fresh_parse_at_the_benchmark_shape(self, tmp_path,
+                                                               monkeypatch):
+        rng = np.random.default_rng(3)
+        data = LabeledDataset(rng.normal(0.0, 1.0, (2000, 32)),
+                              np.repeat(np.arange(50), 40))
+        path = tmp_path / "data.csv"
+        save_flat_file(path, data)
+        calls = counting_parse(monkeypatch)
+        assert same_dataset(load_flat_file(path), data)
+        assert same_dataset(load_flat_file(path), data)
+        assert len(calls) == 1
+
+    def test_a_one_byte_edit_misses_and_rewrites_the_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text("1.25,7\n2.5,3\n3.5,7\n", encoding="utf-8")
+        load_flat_file(path)
+        path.write_text("1.25,7\n2.5,3\n3.5,3\n", encoding="utf-8")
+        calls = counting_parse(monkeypatch)
+        edited = load_flat_file(path)
+        assert len(calls) == 1
+        assert same_dataset(edited, line_loop_load(path))
+        assert same_dataset(load_flat_file(path), edited)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "garbage", "empty", "wrong key", "labels not dense",
+        "float32 features", "missing labels", "one npy array", "directory"])
+    def test_a_bad_cache_falls_back_and_is_rewritten(self, tmp_path, monkeypatch, damage):
+        path = tmp_path / "data.csv"
+        # 0.1 is not a float32 value, so a float32 copy differs from the parse.
+        path.write_text("0.1,7\n2.5,3\n3.5,7\n4.5,3\n", encoding="utf-8")
+        expected = line_loop_load(path)
+        cache = cache_of(path)
+        key = datasets._scan(path)[0]
+        if damage == "truncated":
+            load_flat_file(path)
+            cache.write_bytes(cache.read_bytes()[:-40])
+        elif damage == "garbage":
+            cache.write_bytes(os.urandom(600))
+        elif damage == "empty":
+            cache.write_bytes(b"")
+        elif damage == "wrong key":
+            write_cache_file(cache, bytes(32), expected.features * 2, expected.labels)
+        elif damage == "labels not dense":
+            write_cache_file(cache, key, expected.features, np.array([0, 2, 0, 2]))
+        elif damage == "float32 features":
+            write_cache_file(cache, key, expected.features.astype(np.float32),
+                             expected.labels)
+        elif damage == "missing labels":
+            np.savez(cache, key=np.frombuffer(key, dtype=np.uint8),
+                     features=expected.features)
+        elif damage == "one npy array":
+            with open(cache, "wb") as handle:
+                np.save(handle, expected.features)
+        else:
+            cache.mkdir()
+        calls = counting_parse(monkeypatch)
+        assert same_dataset(load_flat_file(path), expected)
+        assert len(calls) == 1
+        if damage == "directory":
+            assert cache.is_dir()
+            return
+        assert same_dataset(load_flat_file(path), expected)
+        assert len(calls) == 1
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.lfsearch.npz"]
+
+    def test_the_cache_keeps_no_pickle(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1.25,7\n2.5,3\n", encoding="utf-8")
+        load_flat_file(path)
+        with np.load(cache_of(path), allow_pickle=False) as stored:
+            assert sorted(stored.files) == ["features", "key", "labels"]
+            assert stored["key"].tobytes() == datasets._scan(path)[0]
+
+    def test_the_key_covers_the_format_tag(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text("1.25,7\n2.5,3\n", encoding="utf-8")
+        load_flat_file(path)
+        monkeypatch.setattr(datasets, "CACHE_FORMAT", datasets.CACHE_FORMAT + b"next\n")
+        calls = counting_parse(monkeypatch)
+        load_flat_file(path)
+        assert len(calls) == 1
+
+    def test_the_cache_has_the_mode_of_a_plain_write(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1.25,7\n2.5,3\n", encoding="utf-8")
+        old = os.umask(0o027)
+        try:
+            load_flat_file(path)
+            with open(tmp_path / "plain", "w", encoding="utf-8"):
+                pass
+        finally:
+            os.umask(old)
+        assert os.stat(cache_of(path)).st_mode == os.stat(tmp_path / "plain").st_mode
+
+    @pytest.mark.parametrize("refusal", ["read-only directory", "create refused"])
+    def test_an_unwritable_directory_loads_and_leaves_no_file(self, tmp_path,
+                                                              monkeypatch, refusal):
+        folder = tmp_path / "data"
+        folder.mkdir()
+        path = folder / "data.csv"
+        path.write_text("1.25,7\n2.5,3\n", encoding="utf-8")
+        if refusal == "read-only directory":
+            folder.chmod(0o555)
+            if os.access(folder, os.W_OK):  # a superuser writes anyway
+                folder.chmod(0o755)
+                pytest.skip("the mode bits do not stop this user writing")
+        else:
+            # What the system says to a process that may not write the folder.
+            real_open = builtins.open
+
+            def refusing_open(file, mode="r", *args, **kwargs):
+                if "x" in mode:
+                    raise PermissionError(13, "Permission denied", str(file))
+                return real_open(file, mode, *args, **kwargs)
+            monkeypatch.setattr(builtins, "open", refusing_open)
+        try:
+            for _ in range(2):
+                assert same_dataset(load_flat_file(path), line_loop_load(path))
+            assert os.listdir(folder) == ["data.csv"]
+        finally:
+            folder.chmod(0o755)
+
+    @pytest.mark.parametrize("failing", ["savez", "replace"])
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch,
+                                                     failing):
+        path = tmp_path / "data.csv"
+        path.write_text("1.25,7\n2.5,3\n", encoding="utf-8")
+
+        def full_disk(file, *args, **kwargs):
+            file.write(b"PK")
+            raise OSError(28, "No space left on device")
+
+        def refused(*args):
+            raise PermissionError(13, "Permission denied")
+        if failing == "savez":
+            monkeypatch.setattr(datasets.np, "savez", full_disk)
+        else:
+            monkeypatch.setattr(datasets.os, "replace", refused)
+        assert same_dataset(load_flat_file(path), line_loop_load(path))
+        assert os.listdir(tmp_path) == ["data.csv"]
+
+    def test_an_interrupted_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text("1.25,7\n2.5,3\n", encoding="utf-8")
+
+        def interrupted(file, *args, **kwargs):
+            file.write(b"PK")
+            raise KeyboardInterrupt
+        monkeypatch.setattr(datasets.np, "savez", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_flat_file(path)
+        assert os.listdir(tmp_path) == ["data.csv"]
+
+    def test_a_file_changed_while_it_was_read_keeps_no_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text("1.25,7\n2.5,3\n", encoding="utf-8")
+        parse = datasets._parse
+
+        def rewritten_during_parse(*args):
+            loaded = parse(*args)
+            path.write_text("1.25,7\n2.5,3\n9.5,3\n", encoding="utf-8")
+            return loaded
+        monkeypatch.setattr(datasets, "_parse", rewritten_during_parse)
+        assert load_flat_file(path).sample_count == 2
+        assert os.listdir(tmp_path) == ["data.csv"]
+
+    @pytest.mark.parametrize("body", [
+        "1.0,0\nfoo,1\n", "1.0,2.0,0\n1.0,1\n", "", "0\n1\n", "0.1,0\n0.5,\xff,1\n"])
+    def test_a_malformed_file_writes_no_cache(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_bytes(body.encode("latin-1"))
+        with pytest.raises(DataFormatError):
+            load_flat_file(path)
+        assert os.listdir(tmp_path) == ["data.csv"]
 
 
 def original_identity(dataset):
