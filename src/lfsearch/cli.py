@@ -21,8 +21,7 @@ import numpy as np
 
 from . import candidate_workers
 from .checkpoint import CheckpointFormatError, read_checkpoint, write_checkpoint
-from .config import (FACTOR_TRANSFORMS, LOSS_ALIASES, LOSS_KINDS, LOSS_KNOBS,
-                     OUTER_OPTIMIZERS, REWARD_KINDS, SCORE_GRAD_MODES, ConfigError,
+from .config import (LOSS_ALIASES, LOSS_KINDS, LOSS_KNOBS, REWARD_KINDS, ConfigError,
                      ExperimentConfig, factor_range, from_dict, load_config_file,
                      margin_spec, schedule_of, search_settings, set_path)
 from .contracts import ContractViolation
@@ -51,9 +50,7 @@ _OVERRIDES = (("seed", "seed"), ("data", "dataset.path"), ("reward", "reward"),
               ("epochs", "schedule.epochs"), ("loss", "loss.kind"), ("m1", "loss.m1"),
               ("m2", "loss.m2"), ("m3", "loss.m3"), ("a", "loss.a"),
               ("population", "search.population"), ("mu", "search.mu"),
-              ("score_grad", "search.score_grad"), ("outer", "search.outer"),
-              ("transform", "search.transform"), ("mag_lo", "random.mag_lo"),
-              ("mag_hi", "random.mag_hi"))
+              ("mag_lo", "random.mag_lo"), ("mag_hi", "random.mag_hi"))
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -270,6 +267,9 @@ def _cmd_search(args) -> int:
         state0 = _init_state(config, train)
         winners = run.out / "checkpoints"
         winners.mkdir(exist_ok=True)
+        # A rerun into the directory keeps no winner of an earlier run.
+        for stale in winners.glob("epoch_*.lfs"):
+            stale.unlink()
 
         def on_epoch(record, winner_state):
             run.epoch(record.epoch,
@@ -429,9 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="reward-guided search over the factor")
     p.add_argument("--population", type=int, help="candidates per epoch")
     p.add_argument("--mu", type=float, help="initial distribution mean")
-    p.add_argument("--score-grad", dest="score_grad", choices=SCORE_GRAD_MODES)
-    p.add_argument("--outer", choices=OUTER_OPTIMIZERS)
-    p.add_argument("--transform", choices=FACTOR_TRANSFORMS)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("random-schedule", parents=[train_opts],

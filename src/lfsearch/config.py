@@ -23,10 +23,7 @@ from .datasets import SyntheticSpec
 from .margin_losses import MarginKind, MarginSpec
 from .numerics import RngStream
 from .sgd_trainer import LrSchedule, SgdConfig
-# The search choices are checked by SearchSettings; the command line offers
-# them from here.
-from .search_engine import (FACTOR_TRANSFORMS, OUTER_OPTIMIZERS, SCORE_GRAD_MODES,
-                            FactorRange, SearchDistribution, SearchSettings)
+from .search_engine import FactorRange, SearchDistribution, SearchSettings
 
 LOSS_KINDS = tuple(kind.value for kind in MarginKind)
 LOSS_ALIASES = {"am": "additive", "arc": "additive-angular"}
@@ -91,13 +88,11 @@ class SearchConfig:
     sigma: float = SearchDistribution.sigma
     eta: float = SearchDistribution.eta
     population: int = SearchDistribution.population
-    score_grad: str = SearchSettings.score_grad
-    outer: str = SearchSettings.outer
-    transform: str = SearchSettings.transform
 
     def __post_init__(self):
-        require(self.transform != "identity" or self.mu <= 0,
-                "mu must be <= 0 when sampling the factor directly")
+        # Checked here, not by SearchDistribution: a run rebuilds the
+        # distribution each epoch, and mu may step above 0 after clipped draws.
+        require(self.mu <= 0, "mu must be <= 0")
 
 
 @dataclass(frozen=True)
@@ -271,5 +266,4 @@ def factor_range(config: ExperimentConfig) -> FactorRange:
 def search_settings(config: ExperimentConfig) -> SearchSettings:
     return SearchSettings(distribution=distribution_of(config), epochs=config.schedule.epochs,
                           sgd=config.sgd, schedule=schedule_of(config),
-                          reward_kind=config.reward, score_grad=config.search.score_grad,
-                          outer=config.search.outer, transform=config.search.transform)
+                          reward_kind=config.reward)

@@ -20,14 +20,7 @@ from .numerics import RngStream, sample_gaussian
 from .sgd_trainer import (InProcessCandidates, LrSchedule, SgdConfig, TrainState,
                           train_candidates)
 
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPSILON = 1e-8
 ZERO_VARIANCE_GUARD = 1e-12
-
-SCORE_GRAD_MODES = ("mu", "a")
-OUTER_OPTIMIZERS = ("sgd", "adam")
-FACTOR_TRANSFORMS = ("identity", "negexp")
 
 
 @dataclass(frozen=True)
@@ -81,18 +74,9 @@ class SearchSettings:
     sgd: SgdConfig
     schedule: LrSchedule
     reward_kind: str = "verification"
-    score_grad: str = "mu"
-    outer: str = "sgd"
-    transform: str = "identity"
 
     def __post_init__(self):
         require(self.epochs >= 0, "epochs must be >= 0")
-        require(self.score_grad in SCORE_GRAD_MODES,
-                f"score_grad must be one of {SCORE_GRAD_MODES}")
-        require(self.outer in OUTER_OPTIMIZERS,
-                f"outer must be one of {OUTER_OPTIMIZERS}")
-        require(self.transform in FACTOR_TRANSFORMS,
-                f"transform must be one of {FACTOR_TRANSFORMS}")
 
 
 @dataclass(frozen=True)
@@ -174,31 +158,14 @@ def select_best(raw_rewards) -> int:
     return int(np.argmax(raw_rewards))
 
 
-class _AdamState:
-    """First/second moment accumulators for the optional outer optimizer."""
-
-    def __init__(self):
-        self.m = 0.0
-        self.v = 0.0
-        self.t = 0
-
-    def step(self, mu: float, gradient: float, eta: float) -> float:
-        self.t += 1
-        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * gradient
-        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * gradient ** 2
-        m_hat = self.m / (1 - ADAM_BETA1 ** self.t)
-        v_hat = self.v / (1 - ADAM_BETA2 ** self.t)
-        return mu + eta * m_hat / (math.sqrt(v_hat) + ADAM_EPSILON)
-
-
 def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledDataset,
                val_set: LabeledDataset, val_pairs: PairSet, seed: int,
                on_epoch=None, on_start=None) -> SearchResult:
     """Reward-guided search over the modulating factor.
 
     Per epoch: sample factors, train one candidate per factor from the current
-    snapshot under a shared shuffle, score each on the validation pairs, update
-    mu by the normalized score-function step, and broadcast the winner's
+    snapshot under a shared shuffle, score each on the validation pairs, move
+    mu by one plain ascent step (reinforce_update), and broadcast the winner's
     parameters as the next epoch's start. The returned best_state is the
     highest-reward candidate across the whole run.
 
@@ -214,7 +181,6 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
     mu = dist.mu
     root = RngStream(seed, "search")
     state = state0
-    adam = _AdamState()
     history = []
     best_state = state0
     best_reward: float | None = None
@@ -240,24 +206,12 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
             start_digest = (history[-1].winner_digest if history
                             else param_digest(state.model, state.head))
             current = replace(dist, mu=mu)
-            if settings.transform == "negexp":
-                drawn = sample_gaussian(epoch_stream.child("factors"), mu, dist.sigma,
-                                        dist.population)
-                factors = -np.exp(drawn)
-            else:
-                drawn = sample_factors(current, epoch_stream.child("factors"))
-                factors = drawn
+            factors = sample_factors(current, epoch_stream.child("factors"))
             lr = settings.schedule.lr_at(epoch)
             outcomes = train_candidates(state, factors, lr, epoch_stream, runner)
             raw = np.array([outcome.reward for outcome in outcomes])
             normalized = normalize_rewards(raw)
-            # score_grad "a" is the opposite sign convention. Negating the rewards
-            # negates the step exactly, since IEEE negation does not round.
-            signed = -normalized if settings.score_grad == "a" else normalized
-            if settings.outer == "adam":
-                mu_after = adam.step(mu, mu_gradient(mu, dist.sigma, drawn, signed), dist.eta)
-            else:
-                mu_after = reinforce_update(current, drawn, signed)
+            mu_after = reinforce_update(current, factors, normalized)
             winner = select_best(raw)
             record = SearchEpochRecord(
                 epoch=epoch, mu_before=mu, mu_after=mu_after,

@@ -325,6 +325,17 @@ class TestSearchCommand:
                      for out in outs]
             assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_a_shorter_rerun_leaves_no_stale_winner(self, tmp_path):
+        longer = write_config(tmp_path, "longer.json",
+                              schedule={"epochs": 3, "drop_epochs": []})
+        shorter = write_config(tmp_path)
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        for config, out in ((longer, rerun), (shorter, rerun), (shorter, fresh)):
+            assert main(["search", "--config", config, "--out", str(out)]) == 0
+        assert sorted(path.name for path in (rerun / "checkpoints").iterdir()) == \
+            ["epoch_001.lfs", "epoch_002.lfs"]
+        assert run_files(rerun) == run_files(fresh)
+
     def test_metric_stream_chains_winner_digests(self, tmp_path):
         config = write_config(tmp_path, schedule={"epochs": 3, "drop_epochs": []})
         out = tmp_path / "run"
@@ -623,6 +634,14 @@ class TestExitCodes:
         config = write_config(tmp_path)
         assert main(["search", "--config", config, "--out", str(tmp_path / "x"),
                      "--mu", "1.0"]) == 2
+
+    def test_deleted_search_knobs_are_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path, search={"score_grad": "mu"})
+        assert main(["search", "--config", config, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "config error: search.score_grad: unknown setting\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--outer", "adam", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
 
     def test_odd_pair_count(self, tmp_path):
         config = write_config(tmp_path, dataset={"n_pairs": 7})

@@ -88,9 +88,6 @@ LEAF_OVERRIDES = {
     "search.sigma": 0.5,
     "search.eta": 0.1,
     "search.population": 2,
-    "search.score_grad": "a",
-    "search.outer": "adam",
-    "search.transform": "negexp",
     "random.mag_lo": 2,
     "random.mag_hi": 20.0,
 }
@@ -194,7 +191,7 @@ class TestRejection:
         ({"sgd": {"momentum": 1.0}}, "sgd.momentum", "momentum must lie in [0, 1)"),
         ({"search": {"sigma": 0}}, "search.sigma", "sigma must be > 0"),
         ({"search": {"population": 0}}, "search.population", "population must be >= 1"),
-        ({"search": {"score_grad": "b"}}, "search.score_grad", "score_grad must be one of"),
+        ({"search": {"mu": 1.0}}, "search.mu", "mu must be <= 0"),
         ({"schedule": {"epochs": -1}}, "schedule.epochs", "epochs must be >= 0"),
         ({"schedule": {"drop_epochs": [0]}}, "schedule.drop_epochs", "1-based"),
         ({"dataset": {"noise_sigma": 0}}, "dataset.noise_sigma", "noise_sigma must be > 0"),
@@ -221,10 +218,6 @@ class TestRejection:
         # Each kind takes only its own knobs, so a plain loss ignores m1.
         assert from_dict({"loss": {"kind": "plain", "m1": 0}}).loss.m1 == 0
         assert from_dict({"loss": {"kind": "additive", "m2": -1.0}}).loss.m2 == -1.0
-
-    def test_positive_mu_allowed_under_negexp(self):
-        config = from_dict({"search": {"transform": "negexp", "mu": 2.0}})
-        assert config.search.mu == 2.0
 
     def test_collapsed_random_range_allowed(self):
         config = from_dict({"random": {"mag_lo": 0.0, "mag_hi": 0.0}})

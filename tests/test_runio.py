@@ -123,7 +123,7 @@ class TestRunId:
         assert run_id({}) == "44136fa355b3"
 
     def test_default_experiment_pin(self):
-        assert run_id(ExperimentConfig().to_dict()) == "e4ec5e77de85"
+        assert run_id(ExperimentConfig().to_dict()) == "71991403623b"
 
     def test_shape_and_stability(self):
         value = run_id({"seed": 1})
