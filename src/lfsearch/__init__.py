@@ -4,24 +4,23 @@ network trains underneath."""
 
 __version__ = "0.1.0"
 
+from .config import ExperimentConfig
 from .contracts import ContractViolation
 from .datasets import LabeledDataset, PairSet, SyntheticSpec, generate_synthetic
 from .margin_losses import MarginKind, MarginSpec, modulating_function
 from .numerics import RngStream
-from .search_engine import FactorRange, SearchDistribution, SearchSettings, run_search
+from .search_engine import run_search
 from .sgd_trainer import LrSchedule, SgdConfig, TrainState, train_epoch
 
 __all__ = [
     "ContractViolation",
-    "FactorRange",
+    "ExperimentConfig",
     "LabeledDataset",
     "LrSchedule",
     "MarginKind",
     "MarginSpec",
     "PairSet",
     "RngStream",
-    "SearchDistribution",
-    "SearchSettings",
     "SgdConfig",
     "SyntheticSpec",
     "TrainState",

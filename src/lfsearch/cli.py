@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import shutil
 import sys
 import time
 import traceback
@@ -22,8 +23,8 @@ import numpy as np
 from . import candidate_workers
 from .checkpoint import CheckpointFormatError, read_checkpoint, write_checkpoint
 from .config import (LOSS_ALIASES, LOSS_KINDS, LOSS_KNOBS, REWARD_KINDS, ConfigError,
-                     ExperimentConfig, factor_range, from_dict, load_config_file,
-                     margin_spec, schedule_of, search_settings, set_path)
+                     ExperimentConfig, from_dict, load_config_file, margin_spec,
+                     schedule_of, set_path)
 from .contracts import ContractViolation
 from .datasets import (DataFormatError, SyntheticSpec, generate_synthetic,
                        load_flat_file, make_pairs, split_closed_set, split_open_set)
@@ -213,9 +214,7 @@ def _run_fixed(config: ExperimentConfig, mode: str, out_dir, data) -> dict:
     and roots the run's random streams."""
     train, val, pairs = data
     schedule = schedule_of(config)
-    if mode == "random":
-        factors = factor_range(config)
-    else:
+    if mode != "random":
         spec, loss_echo = margin_spec(config.loss), _loss_echo(config)
     root = RngStream(config.seed, mode)
     workspace = Workspace()
@@ -227,7 +226,7 @@ def _run_fixed(config: ExperimentConfig, mode: str, out_dir, data) -> dict:
             lr = schedule.lr_at(epoch)
             epoch_stream = root.child(f"epoch{epoch}")
             if mode == "random":
-                a = factors.draw(epoch_stream.child("factor"))
+                a = config.random.draw(epoch_stream.child("factor"))
                 spec, echo = MarginSpec.unified(a), {"a": a}
             else:
                 echo = {"loss": loss_echo, "lr": lr}
@@ -260,9 +259,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_search(args) -> int:
     config = _resolve_config(args)
-    settings = search_settings(config)
     train, val, pairs = _prepare_data(config)
-    processes = candidate_workers.candidate_processes(settings.distribution.population)
+    processes = candidate_workers.candidate_processes(config.search.population)
     with _RunRecorder(args.out, config, "search", processes) as run:
         state0 = _init_state(config, train)
         winners = run.out / "checkpoints"
@@ -288,7 +286,7 @@ def _cmd_search(args) -> int:
             write_checkpoint(winners / f"epoch_{record.epoch:03d}.lfs",
                              winner_state.model, winner_state.head)
 
-        result = run_search(settings, state0, train, val, pairs, config.seed,
+        result = run_search(config, state0, train, val, pairs,
                             on_start=run.start, on_epoch=on_epoch)
         write_xy_csv(run.out / "mu_trajectory.csv",
                      [(float(record.epoch), record.mu_after) for record in result.history])
@@ -329,6 +327,10 @@ def _cmd_ablate_a(args) -> int:
     data = _prepare_data(config)
     base = Path(args.out)
     base.mkdir(parents=True, exist_ok=True)
+    # A rerun into the directory keeps no run of a factor this list drops.
+    for stale in base.glob("a_*"):
+        if stale.name not in run_dirs and (stale / "config.json").is_file():
+            shutil.rmtree(stale)
     summary = []
     for name, value in run_dirs.items():
         tree = config.to_dict()

@@ -4,10 +4,10 @@ field-path diagnostics and echoed back in canonical form.
 The dataclasses below are the one statement of every setting's name, type
 and default (a default the domain object already holds is taken from it);
 `from_dict` walks their fields. Ranges are checked where the values are used:
-each section builds the domain object it feeds (a loss spec, the SGD and
-schedule settings, the search settings, the random schedule's factor range,
-a synthetic-data recipe), and the few
-settings no such object takes are checked in their config dataclass.
+a section that feeds a domain object builds it (a loss spec, the SGD and
+schedule settings, a synthetic-data recipe), and the settings no such object
+takes, the search and random sections' among them, are checked in their
+config dataclass.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .datasets import SyntheticSpec
 from .margin_losses import MarginKind, MarginSpec
 from .numerics import RngStream
 from .sgd_trainer import LrSchedule, SgdConfig
-from .search_engine import FactorRange, SearchDistribution, SearchSettings
 
 LOSS_KINDS = tuple(kind.value for kind in MarginKind)
 LOSS_ALIASES = {"am": "additive", "arc": "additive-angular"}
@@ -72,6 +71,9 @@ class ScheduleConfig:
     drop_epochs: tuple[int, ...] = (15, 25)
     drop_factor: float = LrSchedule.drop_factor
 
+    def __post_init__(self):
+        require(self.epochs >= 0, "epochs must be >= 0")
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -84,27 +86,53 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Gaussian proposal over the factor: initial mean mu, fixed sigma, step
+    eta, and the number of candidates drawn per epoch."""
+
     mu: float = -10.0
-    sigma: float = SearchDistribution.sigma
-    eta: float = SearchDistribution.eta
-    population: int = SearchDistribution.population
+    sigma: float = 0.2
+    eta: float = 0.05
+    population: int = 4
 
     def __post_init__(self):
-        # Checked here, not by SearchDistribution: a run rebuilds the
-        # distribution each epoch, and mu may step above 0 after clipped draws.
+        # Only the initial mean is checked: mu may step above 0 after
+        # clipped draws.
         require(self.mu <= 0, "mu must be <= 0")
+        require(self.sigma > 0, "sigma must be > 0")
+        require(self.eta > 0, "eta must be > 0")
+        require(self.population >= 1, "population must be >= 1")
 
 
 @dataclass(frozen=True)
 class RandomConfig:
-    mag_lo: float = FactorRange.mag_lo
-    mag_hi: float = FactorRange.mag_hi
+    """The random schedule's factor magnitudes: log-uniform over
+    [mag_lo, mag_hi], negated; both ends 0 pin the factor to 0 (plain
+    softmax)."""
+
+    mag_lo: float = 1.0
+    mag_hi: float = 1e4
+
+    def __post_init__(self):
+        require(self.collapsed or 0.0 < self.mag_lo <= self.mag_hi,
+                "need 0 < mag_lo <= mag_hi, or both 0")
+
+    @property
+    def collapsed(self) -> bool:
+        return self.mag_lo == 0.0 and self.mag_hi == 0.0
+
+    def draw(self, stream: RngStream) -> float:
+        """One factor from `stream`'s generator; a collapsed range draws
+        nothing and gives 0."""
+        if self.collapsed:
+            return 0.0
+        magnitude = stream.generator().uniform(math.log(self.mag_lo), math.log(self.mag_hi))
+        return -math.exp(magnitude)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
-    reward: Reward = SearchSettings.reward_kind
+    reward: Reward = "verification"
     dataset: DatasetConfig = DatasetConfig()
     model: ModelConfig = ModelConfig()
     sgd: SgdConfig = SgdConfig()
@@ -211,8 +239,7 @@ def from_dict(data: dict) -> ExperimentConfig:
                       samples_per_class=config.dataset.samples_per_class,
                       noise_sigma=config.dataset.noise_sigma, seed=config.seed)
         margin_spec(config.loss)
-        search_settings(config)
-        factor_range(config)
+        schedule_of(config)
     except ContractViolation as exc:
         raise _config_error(exc) from None
     return config
@@ -253,17 +280,3 @@ def schedule_of(config: ExperimentConfig) -> LrSchedule:
                       drop_epochs=config.schedule.drop_epochs,
                       drop_factor=config.schedule.drop_factor)
 
-
-def distribution_of(config: ExperimentConfig) -> SearchDistribution:
-    return SearchDistribution(mu=config.search.mu, sigma=config.search.sigma,
-                              eta=config.search.eta, population=config.search.population)
-
-
-def factor_range(config: ExperimentConfig) -> FactorRange:
-    return FactorRange(mag_lo=config.random.mag_lo, mag_hi=config.random.mag_hi)
-
-
-def search_settings(config: ExperimentConfig) -> SearchSettings:
-    return SearchSettings(distribution=distribution_of(config), epochs=config.schedule.epochs,
-                          sgd=config.sgd, schedule=schedule_of(config),
-                          reward_kind=config.reward)

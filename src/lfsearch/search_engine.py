@@ -1,82 +1,25 @@
 """Outer-loop factor search: Gaussian sampling of the modulating factor,
-reward-normalized score-function updates of the distribution mean, winner
-broadcast, and the factor range of the per-epoch random baseline.
+reward-normalized score-function updates of the distribution mean, and
+winner broadcast.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import candidate_workers
 from .checkpoint import param_digest
+from .config import ExperimentConfig, SearchConfig, schedule_of
 from .contracts import require
 from .datasets import LabeledDataset, PairSet
 from .eval_protocols import reward
 from .numerics import RngStream, sample_gaussian
-from .sgd_trainer import (InProcessCandidates, LrSchedule, SgdConfig, TrainState,
-                          train_candidates)
+from .sgd_trainer import InProcessCandidates, TrainState, train_candidates
 
 ZERO_VARIANCE_GUARD = 1e-12
-
-
-@dataclass(frozen=True)
-class SearchDistribution:
-    """Gaussian proposal over the factor: mean mu, fixed sigma, step eta,
-    and the number of candidates drawn per epoch."""
-
-    mu: float
-    sigma: float = 0.2
-    eta: float = 0.05
-    population: int = 4
-
-    def __post_init__(self):
-        require(self.sigma > 0, "sigma must be > 0")
-        require(self.eta > 0, "eta must be > 0")
-        require(self.population >= 1, "population must be >= 1")
-
-
-@dataclass(frozen=True)
-class FactorRange:
-    """The random schedule's factor magnitudes: log-uniform over
-    [mag_lo, mag_hi], negated; both ends 0 pin the factor to 0 (plain
-    softmax)."""
-
-    mag_lo: float = 1.0
-    mag_hi: float = 1e4
-
-    def __post_init__(self):
-        require(self.collapsed or 0.0 < self.mag_lo <= self.mag_hi,
-                "need 0 < mag_lo <= mag_hi, or both 0")
-
-    @property
-    def collapsed(self) -> bool:
-        return self.mag_lo == 0.0 and self.mag_hi == 0.0
-
-    def draw(self, stream: RngStream) -> float:
-        """One factor from `stream`'s generator; a collapsed range draws
-        nothing and gives 0."""
-        if self.collapsed:
-            return 0.0
-        magnitude = stream.generator().uniform(math.log(self.mag_lo), math.log(self.mag_hi))
-        return -math.exp(magnitude)
-
-
-@dataclass(frozen=True)
-class SearchSettings:
-    """Everything run_search needs beyond data and the initial state."""
-
-    distribution: SearchDistribution
-    epochs: int
-    sgd: SgdConfig
-    schedule: LrSchedule
-    reward_kind: str = "verification"
-
-    def __post_init__(self):
-        require(self.epochs >= 0, "epochs must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -119,9 +62,9 @@ class SearchResult:
     history: tuple
 
 
-def sample_factors(dist: SearchDistribution, stream: RngStream) -> np.ndarray:
+def sample_factors(search: SearchConfig, mu: float, stream: RngStream) -> np.ndarray:
     """Draw the population from N(mu, sigma^2), clipping each draw to <= 0."""
-    draws = sample_gaussian(stream, dist.mu, dist.sigma, dist.population)
+    draws = sample_gaussian(stream, mu, search.sigma, search.population)
     return np.minimum(draws, 0.0)
 
 
@@ -146,9 +89,9 @@ def mu_gradient(mu: float, sigma: float, factors, normalized_rewards) -> float:
     return float(np.mean(rewards * (factors - mu)) / sigma ** 2)
 
 
-def reinforce_update(dist: SearchDistribution, factors, normalized_rewards) -> float:
+def reinforce_update(search: SearchConfig, mu: float, factors, normalized_rewards) -> float:
     """Plain ascent step on mu from one population's normalized rewards."""
-    return dist.mu + dist.eta * mu_gradient(dist.mu, dist.sigma, factors, normalized_rewards)
+    return mu + search.eta * mu_gradient(mu, search.sigma, factors, normalized_rewards)
 
 
 def select_best(raw_rewards) -> int:
@@ -158,10 +101,11 @@ def select_best(raw_rewards) -> int:
     return int(np.argmax(raw_rewards))
 
 
-def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledDataset,
-               val_set: LabeledDataset, val_pairs: PairSet, seed: int,
+def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledDataset,
+               val_set: LabeledDataset, val_pairs: PairSet,
                on_epoch=None, on_start=None) -> SearchResult:
-    """Reward-guided search over the modulating factor.
+    """Reward-guided search over the modulating factor, set by the config's
+    search section, schedule, sgd settings, reward kind and seed.
 
     Per epoch: sample factors, train one candidate per factor from the current
     snapshot under a shared shuffle, score each on the validation pairs, move
@@ -177,9 +121,10 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
     this process through one workspace; the results are the same bits.
     """
     require(val_set.sample_count >= 1, "validation set must be non-empty")
-    dist = settings.distribution
-    mu = dist.mu
-    root = RngStream(seed, "search")
+    search = config.search
+    schedule = schedule_of(config)
+    mu = search.mu
+    root = RngStream(config.seed, "search")
     state = state0
     history = []
     best_state = state0
@@ -189,29 +134,28 @@ def run_search(settings: SearchSettings, state0: TrainState, train_set: LabeledD
 
     def score(trained, workspace):
         return reward(trained.model, trained.head, val_set, val_pairs,
-                      settings.reward_kind, workspace)
+                      config.reward, workspace)
 
-    processes = candidate_workers.candidate_processes(dist.population)
-    if processes > 1 and settings.epochs > 0:
-        workers = candidate_workers.CandidateWorkers(processes, state0, dist.population,
-                                                     train_set, settings.sgd, score)
+    processes = candidate_workers.candidate_processes(search.population)
+    if processes > 1 and config.schedule.epochs > 0:
+        workers = candidate_workers.CandidateWorkers(processes, state0, search.population,
+                                                     train_set, config.sgd, score)
     else:
-        workers = contextlib.nullcontext(InProcessCandidates(train_set, settings.sgd, score))
+        workers = contextlib.nullcontext(InProcessCandidates(train_set, config.sgd, score))
     with workers as runner:
         if on_start is not None:
             on_start()
-        for epoch in range(1, settings.epochs + 1):
+        for epoch in range(1, config.schedule.epochs + 1):
             epoch_stream = root.child(f"epoch{epoch}")
             # From epoch 2 the start is the previous winner, already hashed.
             start_digest = (history[-1].winner_digest if history
                             else param_digest(state.model, state.head))
-            current = replace(dist, mu=mu)
-            factors = sample_factors(current, epoch_stream.child("factors"))
-            lr = settings.schedule.lr_at(epoch)
+            factors = sample_factors(search, mu, epoch_stream.child("factors"))
+            lr = schedule.lr_at(epoch)
             outcomes = train_candidates(state, factors, lr, epoch_stream, runner)
             raw = np.array([outcome.reward for outcome in outcomes])
             normalized = normalize_rewards(raw)
-            mu_after = reinforce_update(current, factors, normalized)
+            mu_after = reinforce_update(search, mu, factors, normalized)
             winner = select_best(raw)
             record = SearchEpochRecord(
                 epoch=epoch, mu_before=mu, mu_after=mu_after,

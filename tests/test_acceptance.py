@@ -19,6 +19,7 @@ import pytest
 from lfsearch.checkpoint import (CheckpointFormatError, param_digest,
                                  read_checkpoint, write_checkpoint)
 from lfsearch.cli import main
+from lfsearch.config import ExperimentConfig, ScheduleConfig, SearchConfig
 from lfsearch.datasets import (PairSet, SyntheticSpec, generate_synthetic,
                                make_pairs, split_open_set)
 from lfsearch.embed_model import backward, forward, init_model, unflatten
@@ -27,8 +28,7 @@ from lfsearch.eval_protocols import (embed_all, make_gallery_probe,
                                      reward, tpr_at_far, verification_accuracy)
 from lfsearch.margin_losses import MarginSpec, batch_loss_and_grad, modulating_function
 from lfsearch.numerics import RngStream
-from lfsearch.search_engine import (SearchDistribution, SearchSettings,
-                                    normalize_rewards, reinforce_update, run_search)
+from lfsearch.search_engine import normalize_rewards, reinforce_update, run_search
 from lfsearch.sgd_trainer import LrSchedule, SgdConfig, TrainState, train_epoch
 from oracles import (LogitRow, log_margin_probability, log_softmax_probability,
                      margin_transform, modulating_factor, unified_loss)
@@ -108,14 +108,15 @@ def _search_runs(population):
     if key not in _CACHE:
         start = time.perf_counter()
         sgd, sched = _default_sgd()
-        settings = SearchSettings(
-            distribution=SearchDistribution(mu=-10.0, sigma=0.2, eta=0.05,
-                                            population=population),
-            epochs=EPOCHS, sgd=sgd, schedule=sched)
         results = []
         for seed in SEEDS:
+            config = ExperimentConfig(
+                seed=seed, sgd=sgd,
+                schedule=ScheduleConfig(epochs=EPOCHS, drop_epochs=sched.drop_epochs,
+                                        drop_factor=sched.drop_factor),
+                search=SearchConfig(mu=-10.0, sigma=0.2, eta=0.05, population=population))
             train, val, pairs, state = _desk_problem(seed)
-            results.append(run_search(settings, state, train, val, pairs, seed))
+            results.append(run_search(config, state, train, val, pairs))
         _CACHE[key] = (results, time.perf_counter() - start)
     return _CACHE[key]
 
@@ -315,9 +316,9 @@ class TestSearchArithmetic:
     def test_criterion_04_reinforce_hand_arithmetic(self, capsys):
         """The worked two-candidate update and the zero-variance guard."""
         normalized = normalize_rewards([0.9, 0.7])
-        dist = SearchDistribution(mu=-1.0, sigma=0.2, eta=0.05, population=2)
-        updated = reinforce_update(dist, [-0.8, -1.2], normalized)
-        flat = reinforce_update(dist, [-0.8, -1.2], normalize_rewards([0.4, 0.4]))
+        search = SearchConfig(sigma=0.2, eta=0.05, population=2)
+        updated = reinforce_update(search, -1.0, [-0.8, -1.2], normalized)
+        flat = reinforce_update(search, -1.0, [-0.8, -1.2], normalize_rewards([0.4, 0.4]))
         norm_err = max(abs(normalized[0] - 1.0), abs(normalized[1] + 1.0))
         update_err = abs(updated - (-0.75))
         ok = norm_err <= 1e-12 and update_err <= 1e-12 and flat == -1.0

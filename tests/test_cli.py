@@ -20,7 +20,7 @@ import lfsearch
 from lfsearch import candidate_workers, cli, datasets, numerics
 from lfsearch.checkpoint import param_digest, read_checkpoint
 from lfsearch.cli import main
-from lfsearch.config import ConfigError, ExperimentConfig, from_dict, schedule_of
+from lfsearch.config import ConfigError, ExperimentConfig, RandomConfig, from_dict, schedule_of
 from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import (DataFormatError, SyntheticSpec, generate_synthetic,
                                load_flat_file, make_pairs)
@@ -29,7 +29,6 @@ from lfsearch.eval_protocols import reward
 from lfsearch.margin_losses import MarginSpec
 from lfsearch.numerics import RngStream
 from lfsearch.runio import run_id
-from lfsearch.search_engine import FactorRange
 from lfsearch.sgd_trainer import TrainState, train_epoch
 from oracles import save_flat_file
 
@@ -455,7 +454,7 @@ class TestRandomSchedule:
     def test_epochs_are_the_unified_loss_at_the_drawn_factor(self, tmp_path, mag_lo,
                                                              mag_hi):
         """Each epoch trains from the previous one under the unified loss at
-        the factor FactorRange.draw takes from the epoch's "factor" child of
+        the factor RandomConfig.draw takes from the epoch's "factor" child of
         the "random" root stream; a collapsed range trains plain softmax."""
         path = write_config(tmp_path, seed=7, random={"mag_lo": mag_lo, "mag_hi": mag_hi},
                             schedule={"epochs": 3, "drop_epochs": [2]})
@@ -466,7 +465,7 @@ class TestRandomSchedule:
         expected = []
         for epoch in (1, 2, 3):
             stream = root.child(f"epoch{epoch}")
-            a = FactorRange(mag_lo, mag_hi).draw(stream.child("factor"))
+            a = RandomConfig(mag_lo, mag_hi).draw(stream.child("factor"))
             state, mean_loss = train_epoch(state, MarginSpec.unified(a), train, config.sgd,
                                            schedule_of(config).lr_at(epoch), stream)
             expected.append((a, mean_loss, reward(state.model, state.head, val, pairs,
@@ -536,6 +535,30 @@ class TestAblate:
                      f"--factors={factors}"]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_rerun_keeps_no_run_of_a_dropped_factor(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "ablation"
+
+        def ablate(factors, directory=out, *flags):
+            return main(["ablate-a", "--config", config, "--out", str(directory),
+                         "--epochs", "0", f"--factors={factors}", *flags])
+
+        (out / "a_notes").mkdir(parents=True)
+        (out / "a_notes" / "notes.txt").write_text("kept\n", encoding="utf-8")
+        assert ablate("0,-1") == 0
+        # A list or a config that fails validation deletes nothing.
+        assert ablate("0,5") == 2
+        assert ablate("0", out, "--seed", "-1") == 2
+        assert (out / "a_-1" / "config.json").is_file()
+        assert ablate("0") == 0
+        assert sorted(path.name for path in out.iterdir()) == ["a_0", "a_notes",
+                                                               "summary.json"]
+        assert (out / "a_notes" / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+        assert [row["a"] for row in json.loads(
+            (out / "summary.json").read_text(encoding="utf-8"))] == [0.0]
+        assert ablate("0", tmp_path / "fresh") == 0
+        assert run_files(out / "a_0") == run_files(tmp_path / "fresh" / "a_0")
 
     def test_prepares_the_data_once(self, tmp_path, monkeypatch):
         calls = []

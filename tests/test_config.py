@@ -1,5 +1,5 @@
 """Tests for configuration parsing: defaults, validation diagnostics,
-canonical echo, and the bridges into loss/schedule/search objects.
+canonical echo, and the bridges into loss and schedule objects.
 """
 
 import pytest
@@ -9,7 +9,6 @@ from lfsearch.config import (
     ConfigError,
     ExperimentConfig,
     LossConfig,
-    distribution_of,
     from_dict,
     load_config_file,
     margin_spec,
@@ -199,6 +198,9 @@ class TestRejection:
         ({"loss": {"kind": "angular", "m1": 0}}, "loss.m1", "m1 must be an integer >= 1"),
         ({"seed": 2 ** 64}, "config.seed", "64 unsigned bits"),
         ({"model": {"scale": 0}}, "model.scale", "scale must be > 0"),
+        ({"search": {"eta": 0}}, "search.eta", "eta must be > 0"),
+        ({"random": {"mag_lo": 5.0, "mag_hi": 2.0}}, "random.mag_lo",
+         "need 0 < mag_lo <= mag_hi, or both 0"),
     ])
     def test_domain_checks_name_section_and_field(self, tree, path, words):
         with pytest.raises(ConfigError) as exc:
@@ -269,15 +271,6 @@ class TestBridges:
         assert schedule.initial == 0.2
         assert schedule.drop_epochs == (3, 7)
         assert schedule.lr_at(3) == pytest.approx(0.04, rel=1e-15)
-
-    def test_distribution_of(self):
-        config = from_dict({"search": {"mu": -3.0, "sigma": 0.5, "eta": 0.1,
-                                       "population": 6}})
-        dist = distribution_of(config)
-        assert dist.mu == -3.0
-        assert dist.sigma == 0.5
-        assert dist.eta == 0.1
-        assert dist.population == 6
 
 
 class TestSetPath:

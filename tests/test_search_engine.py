@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lfsearch.checkpoint import param_digest
-from lfsearch.config import ExperimentConfig
+from lfsearch.config import ExperimentConfig, RandomConfig, ScheduleConfig, SearchConfig
 from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import SyntheticSpec, generate_synthetic, make_pairs
 from lfsearch.embed_model import init_model
@@ -23,9 +23,6 @@ from lfsearch.candidate_workers import (CandidateWorkerError, CandidateWorkers,
                                         candidate_processes, cgroup_cpu_quota)
 from lfsearch.numerics import RngStream, one_blas_thread
 from lfsearch.search_engine import (
-    FactorRange,
-    SearchDistribution,
-    SearchSettings,
     mu_gradient,
     normalize_rewards,
     reinforce_update,
@@ -33,8 +30,8 @@ from lfsearch.search_engine import (
     sample_factors,
     select_best,
 )
-from lfsearch.sgd_trainer import (InProcessCandidates, LrSchedule, NonFiniteTrainingError,
-                                  SgdConfig, TrainState, train_candidates)
+from lfsearch.sgd_trainer import (InProcessCandidates, NonFiniteTrainingError, SgdConfig,
+                                  TrainState, train_candidates)
 
 
 def search_fixture(seed=0):
@@ -45,51 +42,35 @@ def search_fixture(seed=0):
     return train, val, pairs, TrainState.fresh(model, head)
 
 
-def default_settings(**overrides):
-    base = dict(
-        distribution=SearchDistribution(mu=-10.0, sigma=0.2, eta=0.05, population=2),
-        epochs=3,
-        sgd=SgdConfig(batch_size=16),
-        schedule=LrSchedule(0.05),
-    )
-    base.update(overrides)
-    return SearchSettings(**base)
-
-
-class TestSearchDistribution:
-    def test_validation(self):
-        with pytest.raises(ContractViolation):
-            SearchDistribution(mu=-1.0, sigma=0.0)
-        with pytest.raises(ContractViolation):
-            SearchDistribution(mu=-1.0, eta=0.0)
-        with pytest.raises(ContractViolation):
-            SearchDistribution(mu=-1.0, population=0)
-
-
-class TestSearchSettings:
-    def test_validation(self):
-        with pytest.raises(ContractViolation):
-            default_settings(epochs=-1)
+def default_settings(seed, epochs=3, learning_rate=0.05, reward="verification", **search):
+    """The search tests' config: small batches, a constant learning rate,
+    and the search section's defaults at population 2 unless `search` sets
+    them."""
+    return ExperimentConfig(seed=seed, reward=reward,
+                            sgd=SgdConfig(learning_rate=learning_rate, batch_size=16),
+                            schedule=ScheduleConfig(epochs=epochs, drop_epochs=()),
+                            search=SearchConfig(**{"population": 2, **search}))
 
 
 class TestSampleFactors:
     def test_clipped_at_zero(self):
-        dist = SearchDistribution(mu=5.0, sigma=0.2, population=64)
-        draws = sample_factors(dist, RngStream(0, "factors"))
+        # The config refuses an initial mu above 0, but mu may step there.
+        search = SearchConfig(sigma=0.2, population=64)
+        draws = sample_factors(search, 5.0, RngStream(0, "factors"))
         assert draws.shape == (64,)
         assert np.all(draws == 0.0)
 
     def test_deterministic(self):
-        dist = SearchDistribution(mu=-1.0, sigma=0.2, population=16)
-        a = sample_factors(dist, RngStream(1, "factors"))
-        b = sample_factors(dist, RngStream(1, "factors"))
+        search = SearchConfig(sigma=0.2, population=16)
+        a = sample_factors(search, -1.0, RngStream(1, "factors"))
+        b = sample_factors(search, -1.0, RngStream(1, "factors"))
         assert np.array_equal(a, b)
 
     def test_monte_carlo_mean(self):
         # At mu = -1 the clip at zero is a 5-sigma event and cannot move the
         # mean by more than the sampling error.
-        dist = SearchDistribution(mu=-1.0, sigma=0.2, population=100000)
-        draws = sample_factors(dist, RngStream(2, "factors"))
+        search = SearchConfig(sigma=0.2, population=100000)
+        draws = sample_factors(search, -1.0, RngStream(2, "factors"))
         assert abs(draws.mean() - (-1.0)) < 0.01
         assert abs(draws.std() - 0.2) < 0.01
 
@@ -125,24 +106,24 @@ class TestMuGradientAndUpdate:
         # factors -0.8 / -1.2 about mu = -1 with normalized rewards +1 / -1:
         # both terms contribute +0.2, so the gradient is 0.2 / 0.04 = 5 and
         # one eta = 0.05 step lands on -0.75.
-        dist = SearchDistribution(mu=-1.0, sigma=0.2, eta=0.05, population=2)
+        search = SearchConfig(sigma=0.2, eta=0.05, population=2)
         grad = mu_gradient(-1.0, 0.2, [-0.8, -1.2], [1.0, -1.0])
         assert abs(grad - 5.0) < 1e-12
-        assert abs(reinforce_update(dist, [-0.8, -1.2], [1.0, -1.0]) - (-0.75)) < 1e-12
+        assert abs(reinforce_update(search, -1.0, [-0.8, -1.2], [1.0, -1.0]) - (-0.75)) < 1e-12
 
     def test_hand_example_from_raw_rewards(self):
-        dist = SearchDistribution(mu=-1.0, sigma=0.2, eta=0.05, population=2)
+        search = SearchConfig(sigma=0.2, eta=0.05, population=2)
         normalized = normalize_rewards([0.9, 0.7])
-        assert abs(reinforce_update(dist, [-0.8, -1.2], normalized) - (-0.75)) < 1e-12
+        assert abs(reinforce_update(search, -1.0, [-0.8, -1.2], normalized) - (-0.75)) < 1e-12
 
     def test_eta_linearity(self):
         rng = np.random.default_rng(4)
-        dist = SearchDistribution(mu=-2.0, sigma=0.3, eta=0.05, population=4)
+        search = SearchConfig(sigma=0.3, eta=0.05, population=4)
         for _ in range(20):
             factors = rng.normal(-2.0, 0.3, 4)
             rewards = normalize_rewards(rng.uniform(0.0, 1.0, 4))
-            small = reinforce_update(dist, factors, rewards) - dist.mu
-            big = reinforce_update(replace(dist, eta=0.1), factors, rewards) - dist.mu
+            small = reinforce_update(search, -2.0, factors, rewards) + 2.0
+            big = reinforce_update(replace(search, eta=0.1), -2.0, factors, rewards) + 2.0
             assert abs(big - 2.0 * small) < 1e-12
 
     def test_translation_invariance(self):
@@ -184,9 +165,9 @@ class TestSelectBest:
 class TestRunSearch:
     def test_deterministic(self):
         train, val, pairs, state = search_fixture()
-        settings = default_settings()
-        a = run_search(settings, state, train, val, pairs, seed=7)
-        b = run_search(settings, state, train, val, pairs, seed=7)
+        config = default_settings(seed=7)
+        a = run_search(config, state, train, val, pairs)
+        b = run_search(config, state, train, val, pairs)
         assert a.history == b.history
         assert a.final_mu == b.final_mu
         assert param_digest(a.best_state.model, a.best_state.head) == \
@@ -194,7 +175,7 @@ class TestRunSearch:
 
     def test_winner_broadcast_chains_digests(self):
         train, val, pairs, state = search_fixture(seed=2)
-        result = run_search(default_settings(), state, train, val, pairs, seed=9)
+        result = run_search(default_settings(seed=9), state, train, val, pairs)
         first = result.history[0]
         assert first.start_digest == param_digest(state.model, state.head)
         for prev, cur in zip(result.history, result.history[1:]):
@@ -215,7 +196,7 @@ class TestRunSearch:
 
         monkeypatch.setattr(search_engine, "train_candidates", recording)
         train, val, pairs, state = search_fixture(seed=2)
-        result = run_search(default_settings(), state, train, val, pairs, seed=9)
+        result = run_search(default_settings(seed=9), state, train, val, pairs)
         assert starts == [record.start_digest for record in result.history]
 
     def test_each_parameter_set_is_hashed_once(self, monkeypatch):
@@ -236,12 +217,12 @@ class TestRunSearch:
             monkeypatch.setattr(search_engine, "param_digest", counted)
             monkeypatch.setattr(sgd_trainer, "param_digest", counted)
             with processes_forced(processes):
-                run_search(default_settings(epochs=3), state, train, val, pairs, seed=9)
+                run_search(default_settings(seed=9, epochs=3), state, train, val, pairs)
             assert calls.value == 1 + 3 * 2
 
     def test_best_is_argmax_over_history(self):
         train, val, pairs, state = search_fixture(seed=3)
-        result = run_search(default_settings(), state, train, val, pairs, seed=10)
+        result = run_search(default_settings(seed=10), state, train, val, pairs)
         per_epoch_best = [max(r.raw_rewards) for r in result.history]
         assert result.best_reward == max(per_epoch_best)
         top = result.history[result.best_epoch - 1]
@@ -252,7 +233,7 @@ class TestRunSearch:
     def test_zero_epochs(self):
         train, val, pairs, state = search_fixture(seed=4)
         before = param_digest(state.model, state.head)
-        result = run_search(default_settings(epochs=0), state, train, val, pairs, seed=11)
+        result = run_search(default_settings(seed=11, epochs=0), state, train, val, pairs)
         assert result.history == ()
         assert result.best_reward is None
         assert result.best_epoch == 0
@@ -263,15 +244,14 @@ class TestRunSearch:
     def test_input_state_is_untouched(self):
         train, val, pairs, state = search_fixture(seed=5)
         before = param_digest(state.model, state.head)
-        run_search(default_settings(), state, train, val, pairs, seed=12)
+        run_search(default_settings(seed=12), state, train, val, pairs)
         assert param_digest(state.model, state.head) == before
         assert state.epoch == 0
 
     def test_single_candidate_cannot_move_mu(self):
         train, val, pairs, state = search_fixture(seed=6)
-        settings = default_settings(distribution=SearchDistribution(
-            mu=-10.0, sigma=0.2, eta=0.05, population=1), epochs=2)
-        result = run_search(settings, state, train, val, pairs, seed=13)
+        config = default_settings(seed=13, epochs=2, population=1)
+        result = run_search(config, state, train, val, pairs)
         for record in result.history:
             assert record.mu_after == record.mu_before
         assert result.final_mu == -10.0
@@ -280,13 +260,12 @@ class TestRunSearch:
         # The wide sigma keeps the two candidates distinct enough to score
         # apart, so mu moves.
         train, val, pairs, state = search_fixture(seed=7)
-        wide = SearchDistribution(mu=-10.0, sigma=4.0, eta=0.05, population=2)
-        result = run_search(default_settings(epochs=3, distribution=wide),
-                            state, train, val, pairs, seed=14)
-        mu = wide.mu
+        config = default_settings(seed=14, epochs=3, sigma=4.0)
+        result = run_search(config, state, train, val, pairs)
+        mu = config.search.mu
         for record in result.history:
             assert record.mu_before == mu
-            assert record.mu_after == reinforce_update(replace(wide, mu=mu), record.factors,
+            assert record.mu_after == reinforce_update(config.search, mu, record.factors,
                                                        record.normalized_rewards)
             mu = record.mu_after
         assert result.final_mu == mu
@@ -295,7 +274,7 @@ class TestRunSearch:
     def test_on_epoch_callback_sees_every_record(self):
         train, val, pairs, state = search_fixture(seed=10)
         seen = []
-        result = run_search(default_settings(), state, train, val, pairs, seed=17,
+        result = run_search(default_settings(seed=17), state, train, val, pairs,
                             on_epoch=lambda record, winner: seen.append(
                                 (record, param_digest(winner.model, winner.head))))
         assert [r for r, _ in seen] == list(result.history)
@@ -307,7 +286,7 @@ class TestRunSearch:
         train, val, pairs, state = search_fixture(seed=10)
         calls = []
         with processes_forced(processes):
-            run_search(default_settings(), state, train, val, pairs, seed=17,
+            run_search(default_settings(seed=17), state, train, val, pairs,
                        on_start=lambda: calls.append(
                            ("start", len(multiprocessing.active_children()))),
                        on_epoch=lambda record, winner: calls.append(("epoch", None)))
@@ -315,14 +294,14 @@ class TestRunSearch:
 
     def test_classification_reward_kind(self):
         train, val, pairs, state = search_fixture(seed=11)
-        settings = default_settings(epochs=1, reward_kind="classification")
-        result = run_search(settings, state, train, train, pairs, seed=18)
+        config = default_settings(seed=18, epochs=1, reward="classification")
+        result = run_search(config, state, train, train, pairs)
         assert 0.0 <= result.best_reward <= 1.0
 
 
 class TestFactorRange:
     def test_draws_stay_in_range(self):
-        factors = FactorRange(2.0, 50.0)
+        factors = RandomConfig(2.0, 50.0)
         draws = [factors.draw(RngStream(seed, "random").child("epoch1").child("factor"))
                  for seed in range(500)]
         assert all(-50.0 <= a <= -2.0 for a in draws)
@@ -331,13 +310,12 @@ class TestFactorRange:
 
     def test_default_range_is_the_config_default(self):
         config = ExperimentConfig()
-        assert (config.random.mag_lo, config.random.mag_hi) == \
-            (FactorRange().mag_lo, FactorRange().mag_hi) == (1.0, 1e4)
+        assert (config.random.mag_lo, config.random.mag_hi) == (1.0, 1e4)
 
     def test_range_validation(self):
         for lo, hi in ((0.0, 5.0), (-1.0, 5.0), (5.0, 2.0)):
             with pytest.raises(ContractViolation):
-                FactorRange(mag_lo=lo, mag_hi=hi)
+                RandomConfig(mag_lo=lo, mag_hi=hi)
 
 
 def processes_forced(count):
@@ -349,10 +327,10 @@ def processes_forced(count):
 def searched(processes, population=2, epochs=3, seed=2, **overrides):
     """A search of the small fixture with `processes` candidate processes."""
     train, val, pairs, state = search_fixture(seed=seed)
-    settings = default_settings(epochs=epochs, distribution=SearchDistribution(
-        mu=-10.0, sigma=2.0, eta=0.05, population=population), **overrides)
+    config = default_settings(seed=9, epochs=epochs, sigma=2.0, population=population,
+                              **overrides)
     with processes_forced(processes):
-        return run_search(settings, state, train, val, pairs, seed=9)
+        return run_search(config, state, train, val, pairs)
 
 
 def unscored(trained, workspace):
@@ -425,7 +403,7 @@ class TestCandidateProcesses:
         monkeypatch.setattr(candidate_workers, "candidate_processes", lambda population: 1)
         monkeypatch.setattr(multiprocessing, "get_context", refuse)
         train, val, pairs, state = search_fixture(seed=2)
-        result = run_search(default_settings(), state, train, val, pairs, seed=9)
+        result = run_search(default_settings(seed=9), state, train, val, pairs)
         assert len(result.history) == 3
         assert multiprocessing.active_children() == []
 
@@ -440,7 +418,7 @@ class TestCandidateProcesses:
         monkeypatch.setattr(candidate_workers, "candidate_processes", lambda population: 2)
         monkeypatch.setattr(candidate_workers, "CandidateWorkers", counting)
         train, val, pairs, state = search_fixture(seed=2)
-        run_search(default_settings(), state, train, val, pairs, seed=9)
+        run_search(default_settings(seed=9), state, train, val, pairs)
         assert started == [2]
 
 
@@ -468,8 +446,7 @@ class TestCandidateWorkers:
     @pytest.mark.parametrize("learning_rate", [1e300, 1e50, 1e20])
     def test_warnings_and_failures_match_in_process(self, learning_rate):
         def run(processes):
-            return lambda: searched(processes, population=3,
-                                    schedule=LrSchedule(learning_rate))
+            return lambda: searched(processes, population=3, learning_rate=learning_rate)
 
         alone = recorded_warnings(run(1))
         forked = recorded_warnings(run(2))
@@ -485,7 +462,7 @@ class TestCandidateWorkers:
 
         train, val, pairs, state = search_fixture(seed=2)
         with processes_forced(2), pytest.raises(error):
-            run_search(default_settings(), state, train, val, pairs, seed=9,
+            run_search(default_settings(seed=9), state, train, val, pairs,
                        on_epoch=interrupt)
         assert multiprocessing.active_children() == []
 
