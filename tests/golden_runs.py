@@ -1,0 +1,97 @@
+"""Golden run digests: the sha256 of every file that a fixed matrix of small
+command-line runs writes, in a table keyed by the build the bytes depend on
+(numpy version, BLAS build, machine architecture).
+
+The matrix, at seeds 0 and 1: `search` with one and with two candidate
+processes, `train-fixed` with the plain, arc and unified losses,
+`random-schedule`, `ablate-a`, and `eval` of the one-process search's
+best.lfs. timings.jsonl and environment.json are left out: they describe
+the clock and the machine, not the result.
+
+Run as a script to rewrite this build's row of the table, after a change
+that moves run bytes on purpose:
+
+    PYTHONPATH=src python tests/golden_runs.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from lfsearch import candidate_workers, cli
+from lfsearch.numerics import blas_environment
+
+TABLE = Path(__file__).with_name("golden_runs.json")
+SEEDS = (0, 1)
+CONFIG = {
+    "dataset": {"classes": 10, "dim": 8, "samples_per_class": 10,
+                "noise_sigma": 0.3, "train_frac": 0.7, "n_pairs": 40},
+    "model": {"hidden": [16], "embedding": 8, "scale": 16.0},
+    "sgd": {"batch_size": 16},
+    "schedule": {"epochs": 3, "drop_epochs": [2]},
+    "search": {"population": 2},
+}
+SKIPPED = ("timings.jsonl", "environment.json")
+
+
+def build_key() -> str:
+    """The numpy version, its BLAS build and the machine architecture."""
+    environment = blas_environment()
+    blas = environment["blas"]
+    return (f"numpy {environment['numpy']}; blas {blas['name']} {blas['version']}; "
+            f"{platform.machine()}")
+
+
+def _commands(seed: int, config: str, root: Path):
+    """(run name, argv, candidate processes) of one seed's matrix."""
+    base = ["--config", config, "--seed", str(seed)]
+    best = root / f"seed{seed}" / "search-1" / "best.lfs"
+    return [("search-1", ["search", *base], 1),
+            ("search-2", ["search", *base], 2),
+            ("plain", ["train-fixed", *base], 1),
+            ("arc", ["train-fixed", "--loss", "arc", *base], 1),
+            ("unified", ["train-fixed", "--loss", "unified", "--a", "-10", *base], 1),
+            ("random", ["random-schedule", *base], 1),
+            ("ablate", ["ablate-a", "--factors", "0,-10", *base], 1),
+            ("eval", ["eval", "--checkpoint", str(best), *base], 1)]
+
+
+def run_digests(root) -> dict:
+    """Run the matrix under `root` and return the digest of each run file
+    by its path relative to `root`."""
+    root = Path(root)
+    config = root / "config.json"
+    config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    for seed in SEEDS:
+        for name, argv, processes in _commands(seed, str(config), root):
+            out = root / f"seed{seed}" / name
+            with mock.patch.object(candidate_workers, "candidate_processes",
+                                   lambda population, count=processes: count), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([*argv, "--out", str(out)])
+            if code != 0:
+                raise RuntimeError(f"seed {seed} {name}: exit code {code}")
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path != config and path.name not in SKIPPED}
+
+
+def main() -> int:
+    table = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.is_file() else {}
+    with tempfile.TemporaryDirectory() as root:
+        table[build_key()] = run_digests(root)
+    TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(table[build_key()])} digests for {build_key()!r} to {TABLE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
