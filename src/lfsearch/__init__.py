@@ -10,13 +10,12 @@ from .datasets import LabeledDataset, PairSet, SyntheticSpec, generate_synthetic
 from .margin_losses import MarginKind, MarginSpec, modulating_function
 from .numerics import RngStream
 from .search_engine import run_search
-from .sgd_trainer import LrSchedule, SgdConfig, TrainState, train_epoch
+from .sgd_trainer import SgdConfig, TrainState, train_epoch
 
 __all__ = [
     "ContractViolation",
     "ExperimentConfig",
     "LabeledDataset",
-    "LrSchedule",
     "MarginKind",
     "MarginSpec",
     "PairSet",

@@ -115,7 +115,7 @@ class _Slots:
         self.vectors[slot, 0] = state.params
         self.vectors[slot, 1] = state.velocity
 
-    def read(self, slot: int, epoch: int, warned: bool, copy: bool) -> TrainState:
+    def read(self, slot: int, epoch: int, copy: bool, warned: bool = False) -> TrainState:
         params, velocity = self.vectors[slot]
         if copy:
             params, velocity = params.copy(), velocity.copy()
@@ -144,21 +144,20 @@ def _serve(index, pipes, slots, data, config, score) -> None:
             warnings.simplefilter("always")
             while True:
                 try:
-                    lr, stream, epoch, warned, candidate, factor = conn.recv()
+                    lr, stream, epoch, candidate, factor = conn.recv()
                 except EOFError:
                     return
                 del log[:]
                 summary, error, trace = None, None, None
                 try:
-                    outcome = train_candidate(slots.read(0, epoch, warned, copy=False), factor,
+                    outcome = train_candidate(slots.read(0, epoch, copy=False), factor,
                                               data, config, lr, stream, workspace, score)
                 except Exception as exc:  # the parent raises it, as in process
                     error, trace = exc, traceback.format_exc()
                 else:
                     slots.write(candidate + 1, outcome.state)
                     summary = (outcome.digest, outcome.mean_loss, outcome.reward,
-                               outcome.train_s, outcome.reward_s,
-                               outcome.state.overshoot_warned)
+                               outcome.train_s, outcome.reward_s)
                 records = [(w.message, w.category, w.filename, w.lineno) for w in log]
                 conn.send((candidate, summary, error, trace, records))
     except (KeyboardInterrupt, BrokenPipeError, ConnectionResetError):
@@ -252,8 +251,8 @@ class CandidateWorkers:
                 return
             holding[w] = candidate
             try:
-                self._conns[w].send((lr, epoch_stream, state.epoch, state.overshoot_warned,
-                                     candidate, factors[candidate]))
+                self._conns[w].send((lr, epoch_stream, state.epoch, candidate,
+                                     factors[candidate]))
             except (BrokenPipeError, ConnectionResetError):
                 raise self._lost(w, candidate) from None
 
@@ -274,9 +273,11 @@ class CandidateWorkers:
             _reissue(records)
             if error is not None:
                 raise error from _WorkerTraceback(trace)
-            digest, mean_loss, value, train_s, reward_s, warned = summary
+            digest, mean_loss, value, train_s, reward_s = summary
+            # A unified candidate keeps the start state's overshoot flag.
             outcomes.append(CandidateOutcome(
-                self._slots.read(i + 1, state.epoch + 1, warned, copy=True),
+                self._slots.read(i + 1, state.epoch + 1, copy=True,
+                                 warned=state.overshoot_warned),
                 digest, mean_loss, value, train_s, reward_s))
         return outcomes
 

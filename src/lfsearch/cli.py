@@ -20,11 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import candidate_workers
 from .checkpoint import CheckpointFormatError, read_checkpoint, write_checkpoint
-from .config import (LOSS_ALIASES, LOSS_KINDS, LOSS_KNOBS, REWARD_KINDS, ConfigError,
-                     ExperimentConfig, from_dict, load_config_file, margin_spec,
-                     schedule_of, set_path)
+from .config import (REWARD_KINDS, ConfigError, ExperimentConfig, from_dict,
+                     load_config_file, set_path)
 from .contracts import ContractViolation
 from .datasets import (DataFormatError, SyntheticSpec, generate_synthetic,
                        load_flat_file, make_pairs, split_closed_set, split_open_set)
@@ -32,10 +30,11 @@ from .embed_model import init_model
 from .eval_protocols import (FarUnresolvableError, embed_all, make_gallery_probe,
                              pair_similarities, rank1_identification, reward,
                              tpr_at_far, verification_accuracy)
-from .margin_losses import MarginKind, MarginSpec, modulating_function
+from .margin_losses import (LOSS_ALIASES, LOSS_KNOBS, MarginKind, MarginSpec,
+                            modulating_function)
 from .numerics import RngStream, Workspace, blas_environment, one_blas_thread
 from .runio import MetricsWriter, dumps, format_float, run_id, write_xy_csv
-from .search_engine import run_search
+from .search_engine import run_search, search_processes
 from .sgd_trainer import NonFiniteTrainingError, TrainState, train_epoch
 
 DEFAULT_ABLATION_FACTORS = "0,-1,-10,-100,-1000,-10000"
@@ -97,8 +96,8 @@ def _init_state(config: ExperimentConfig, train) -> TrainState:
 def _loss_echo(config: ExperimentConfig) -> dict:
     """Loss description for metric lines: the kind plus only its own knobs."""
     loss = config.loss
-    return {"kind": loss.kind,
-            **{knob: getattr(loss, knob) for knob in LOSS_KNOBS[MarginKind(loss.kind)]}}
+    return {"kind": loss.kind.value,
+            **{knob: getattr(loss, knob) for knob in LOSS_KNOBS[loss.kind]}}
 
 
 def _write_evaluation(out: Path, model, head, val_set, val_pairs, **extra) -> dict:
@@ -213,9 +212,8 @@ def _run_fixed(config: ExperimentConfig, mode: str, out_dir, data) -> dict:
     range each epoch (random-schedule). The mode labels the metric lines
     and roots the run's random streams."""
     train, val, pairs = data
-    schedule = schedule_of(config)
     if mode != "random":
-        spec, loss_echo = margin_spec(config.loss), _loss_echo(config)
+        spec, loss_echo = config.loss, _loss_echo(config)
     root = RngStream(config.seed, mode)
     workspace = Workspace()
     final_reward = None
@@ -223,7 +221,7 @@ def _run_fixed(config: ExperimentConfig, mode: str, out_dir, data) -> dict:
         state = _init_state(config, train)
         run.start()
         for epoch in range(1, config.schedule.epochs + 1):
-            lr = schedule.lr_at(epoch)
+            lr = config.schedule.lr_at(config.sgd.learning_rate, epoch)
             epoch_stream = root.child(f"epoch{epoch}")
             if mode == "random":
                 a = config.random.draw(epoch_stream.child("factor"))
@@ -251,7 +249,7 @@ def _cmd_train(args) -> int:
         print(f"random-schedule done: final reward "
               f"{report['final_val_reward']} -> {args.out}")
     else:
-        print(f"train-fixed done: loss={config.loss.kind} "
+        print(f"train-fixed done: loss={config.loss.kind.value} "
               f"verification={report['verification_accuracy']:.4f} "
               f"rank1={report['rank1']:.4f} -> {args.out}")
     return 0
@@ -260,7 +258,7 @@ def _cmd_train(args) -> int:
 def _cmd_search(args) -> int:
     config = _resolve_config(args)
     train, val, pairs = _prepare_data(config)
-    processes = candidate_workers.candidate_processes(config.search.population)
+    processes = search_processes(config)
     with _RunRecorder(args.out, config, "search", processes) as run:
         state0 = _init_state(config, train)
         winners = run.out / "checkpoints"
@@ -419,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-fixed", parents=[train_opts],
                        help="train one fixed loss")
-    p.add_argument("--loss", choices=list(LOSS_KINDS) + list(LOSS_ALIASES),
+    p.add_argument("--loss", choices=[kind.value for kind in MarginKind] + list(LOSS_ALIASES),
                    help="loss family")
     p.add_argument("--m1", type=int, help="angular multiplier")
     p.add_argument("--m2", type=float, help="additive angle margin (radians)")

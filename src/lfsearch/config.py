@@ -1,35 +1,28 @@
 """Experiment configuration: JSON file plus flag overrides, validated with
 field-path diagnostics and echoed back in canonical form.
 
-The dataclasses below are the one statement of every setting's name, type
-and default (a default the domain object already holds is taken from it);
-`from_dict` walks their fields. Ranges are checked where the values are used:
-a section that feeds a domain object builds it (a loss spec, the SGD and
-schedule settings, a synthetic-data recipe), and the settings no such object
-takes, the search and random sections' among them, are checked in their
-config dataclass.
+The dataclasses below are the one statement of every setting's name, type,
+default and range check; `from_dict` walks their fields. Two sections are
+domain objects of their own modules: `loss` is margin_losses.MarginSpec and
+`sgd` is sgd_trainer.SgdConfig. The seed and the synthetic-data recipe are
+checked by building the objects they feed.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import Literal, get_args, get_origin, get_type_hints
 
 from .contracts import ContractViolation, require
 from .datasets import SyntheticSpec
 from .margin_losses import MarginKind, MarginSpec
 from .numerics import RngStream
-from .sgd_trainer import LrSchedule, SgdConfig
+from .sgd_trainer import SgdConfig
 
-LOSS_KINDS = tuple(kind.value for kind in MarginKind)
-LOSS_ALIASES = {"am": "additive", "arc": "additive-angular"}
-# The knobs each loss kind takes; the rest of the loss section is unused.
-LOSS_KNOBS = {MarginKind.PLAIN: (), MarginKind.ANGULAR: ("m1",),
-              MarginKind.ADDITIVE_ANGULAR: ("m2",), MarginKind.ADDITIVE: ("m3",),
-              MarginKind.COMBINED: ("m1", "m2", "m3"), MarginKind.UNIFIED: ("a",)}
 Reward = Literal["verification", "classification"]
 REWARD_KINDS = get_args(Reward)
 
@@ -67,21 +60,24 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ScheduleConfig:
+    """Step schedule: divide the learning rate by drop_factor at each drop epoch."""
+
     epochs: int = 30
     drop_epochs: tuple[int, ...] = (15, 25)
-    drop_factor: float = LrSchedule.drop_factor
+    drop_factor: float = 10.0
 
     def __post_init__(self):
         require(self.epochs >= 0, "epochs must be >= 0")
+        require(self.drop_factor > 1, "drop_factor must be > 1")
+        require(all(e >= 1 for e in self.drop_epochs), "drop_epochs are 1-based")
+        require(all(a < b for a, b in zip(self.drop_epochs, self.drop_epochs[1:])),
+                "drop_epochs must be strictly increasing")
 
-
-@dataclass(frozen=True)
-class LossConfig:
-    kind: Literal[LOSS_KINDS] = field(default="plain", metadata={"aliases": LOSS_ALIASES})
-    m1: int = 2
-    m2: float = 0.5
-    m3: float = 0.35
-    a: float = 0.0
+    def lr_at(self, initial: float, epoch: int) -> float:
+        """Learning rate in force during a 1-based epoch, from the initial rate."""
+        require(epoch >= 1, "epochs are 1-based")
+        drops = sum(1 for e in self.drop_epochs if e <= epoch)
+        return initial / self.drop_factor ** drops
 
 
 @dataclass(frozen=True)
@@ -137,7 +133,7 @@ class ExperimentConfig:
     model: ModelConfig = ModelConfig()
     sgd: SgdConfig = SgdConfig()
     schedule: ScheduleConfig = ScheduleConfig()
-    loss: LossConfig = LossConfig()
+    loss: MarginSpec = MarginSpec()
     search: SearchConfig = SearchConfig()
     random: RandomConfig = RandomConfig()
 
@@ -148,15 +144,17 @@ class ExperimentConfig:
 
 def _leaf(kind, spec, value, path: str):
     """One setting checked against its annotation: int, float (finite; an
-    integer is taken as a float), str, None-able, a Literal choice or a tuple."""
-    if get_origin(kind) is Literal:
+    integer is taken as a float), str, None-able, a Literal or Enum choice
+    (an Enum setting holds its member) or a tuple."""
+    is_enum = isinstance(kind, enum.EnumMeta)
+    if is_enum or get_origin(kind) is Literal:
+        choices = [member.value for member in kind] if is_enum else list(get_args(kind))
         aliases = spec.metadata.get("aliases", {})
         value = aliases.get(value, value) if isinstance(value, str) else value
-        if value not in get_args(kind):
+        if value not in choices:
             also = f" (aliases {list(aliases)})" if aliases else ""
-            raise ConfigError(f"{path}: must be one of {list(get_args(kind))}{also}, "
-                              f"got {value!r}")
-        return value
+            raise ConfigError(f"{path}: must be one of {choices}{also}, got {value!r}")
+        return kind(value) if is_enum else value
     if get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: must be a list, got {value!r}")
@@ -230,16 +228,14 @@ def from_dict(data: dict) -> ExperimentConfig:
     """Validate a settings tree; unknown keys and bad ranges are refused."""
     try:
         config = _section(ExperimentConfig, data, "config")
-        if config.loss.kind == "unified" and config.loss.a == 0.0:
+        if config.loss.kind is MarginKind.UNIFIED and config.loss.a == 0.0:
             # The zero factor is plain softmax; canonicalize so equivalent runs
             # resolve to identical configs and identical metric files.
-            config = replace(config, loss=replace(config.loss, kind="plain", a=0.0))
+            config = replace(config, loss=replace(config.loss, kind=MarginKind.PLAIN, a=0.0))
         RngStream(config.seed)
         SyntheticSpec(classes=config.dataset.classes, dim=config.dataset.dim,
                       samples_per_class=config.dataset.samples_per_class,
                       noise_sigma=config.dataset.noise_sigma, seed=config.seed)
-        margin_spec(config.loss)
-        schedule_of(config)
     except ContractViolation as exc:
         raise _config_error(exc) from None
     return config
@@ -264,19 +260,4 @@ def set_path(tree: dict, dotted_key: str, value) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"{dotted_key}: {part} is not a table")
     node[parts[-1]] = value
-
-
-def margin_spec(loss: LossConfig) -> MarginSpec:
-    """Build the loss from its config section: the kind and its own knobs."""
-    try:
-        kind = MarginKind(loss.kind)
-    except ValueError:
-        raise ConfigError(f"loss.kind: unknown kind {loss.kind!r}") from None
-    return MarginSpec(kind, **{knob: getattr(loss, knob) for knob in LOSS_KNOBS[kind]})
-
-
-def schedule_of(config: ExperimentConfig) -> LrSchedule:
-    return LrSchedule(initial=config.sgd.learning_rate,
-                      drop_epochs=config.schedule.drop_epochs,
-                      drop_factor=config.schedule.drop_factor)
 

@@ -19,7 +19,7 @@ cannot overflow, and gradients are exact closed forms.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .numerics import log_sum_exp_rows
 ARCCOS_GUARD = 1e-7
 
 
-class MarginKind(enum.Enum):
+class MarginKind(str, enum.Enum):
     PLAIN = "plain"
     ANGULAR = "angular"
     ADDITIVE_ANGULAR = "additive-angular"
@@ -39,19 +39,27 @@ class MarginKind(enum.Enum):
     UNIFIED = "unified"
 
 
+LOSS_ALIASES = {"am": "additive", "arc": "additive-angular"}
+# The knobs each loss kind takes; the rest of a spec is unused.
+LOSS_KNOBS = {MarginKind.PLAIN: (), MarginKind.ANGULAR: ("m1",),
+              MarginKind.ADDITIVE_ANGULAR: ("m2",), MarginKind.ADDITIVE: ("m3",),
+              MarginKind.COMBINED: ("m1", "m2", "m3"), MarginKind.UNIFIED: ("a",)}
+
+
 @dataclass(frozen=True)
 class MarginSpec:
-    """Tagged selection of a loss family.
+    """Tagged selection of a loss family; the `loss` section of the config.
 
     m1 is the integer angle multiplier, m2 the additive angle (radians),
     m3 the additive cosine margin, and a the unified modulating factor.
-    Unused parameters sit at their neutral values.
+    A kind reads and checks only its own knobs (LOSS_KNOBS); the others are
+    unused, and hold the config defaults unless set.
     """
 
-    kind: MarginKind
-    m1: int = 1
-    m2: float = 0.0
-    m3: float = 0.0
+    kind: MarginKind = field(default=MarginKind.PLAIN, metadata={"aliases": LOSS_ALIASES})
+    m1: int = 2
+    m2: float = 0.5
+    m3: float = 0.35
     a: float = 0.0
 
     def __post_init__(self):

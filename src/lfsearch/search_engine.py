@@ -12,7 +12,7 @@ import numpy as np
 
 from . import candidate_workers
 from .checkpoint import param_digest
-from .config import ExperimentConfig, SearchConfig, schedule_of
+from .config import ExperimentConfig, SearchConfig
 from .contracts import require
 from .datasets import LabeledDataset, PairSet
 from .eval_protocols import reward
@@ -101,6 +101,13 @@ def select_best(raw_rewards) -> int:
     return int(np.argmax(raw_rewards))
 
 
+def search_processes(config: ExperimentConfig) -> int:
+    """How many processes train the search's candidates: those of
+    candidate_workers.candidate_processes, or 1 for a search with no epochs."""
+    epochs, population = config.schedule.epochs, config.search.population
+    return candidate_workers.candidate_processes(population) if epochs else 1
+
+
 def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledDataset,
                val_set: LabeledDataset, val_pairs: PairSet,
                on_epoch=None, on_start=None) -> SearchResult:
@@ -116,13 +123,12 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
     on_start, when given, is called once the candidate processes have
     started, just before epoch 1; on_epoch, when given, is called with
     (record, winner_state) as each epoch completes. Each epoch's candidates
-    train and score in the forked workers that
-    candidate_workers.candidate_processes counts, or, with a count of one, in
-    this process through one workspace; the results are the same bits.
+    train and score in the forked workers that search_processes counts, or,
+    with a count of one, in this process through one workspace; the results
+    are the same bits.
     """
     require(val_set.sample_count >= 1, "validation set must be non-empty")
     search = config.search
-    schedule = schedule_of(config)
     mu = search.mu
     root = RngStream(config.seed, "search")
     state = state0
@@ -136,8 +142,8 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
         return reward(trained.model, trained.head, val_set, val_pairs,
                       config.reward, workspace)
 
-    processes = candidate_workers.candidate_processes(search.population)
-    if processes > 1 and config.schedule.epochs > 0:
+    processes = search_processes(config)
+    if processes > 1:
         workers = candidate_workers.CandidateWorkers(processes, state0, search.population,
                                                      train_set, config.sgd, score)
     else:
@@ -151,7 +157,7 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
             start_digest = (history[-1].winner_digest if history
                             else param_digest(state.model, state.head))
             factors = sample_factors(search, mu, epoch_stream.child("factors"))
-            lr = schedule.lr_at(epoch)
+            lr = config.schedule.lr_at(config.sgd.learning_rate, epoch)
             outcomes = train_candidates(state, factors, lr, epoch_stream, runner)
             raw = np.array([outcome.reward for outcome in outcomes])
             normalized = normalize_rewards(raw)

@@ -44,30 +44,6 @@ class SgdConfig:
 
 
 @dataclass(frozen=True)
-class LrSchedule:
-    """Step schedule: divide the initial rate by drop_factor at each drop epoch."""
-
-    initial: float
-    drop_epochs: tuple = ()
-    drop_factor: float = 10.0
-
-    def __post_init__(self):
-        require(self.initial > 0, "initial learning rate must be > 0")
-        require(self.drop_factor > 1, "drop_factor must be > 1")
-        drops = tuple(int(e) for e in self.drop_epochs)
-        require(all(e >= 1 for e in drops), "drop_epochs are 1-based")
-        require(all(a < b for a, b in zip(drops, drops[1:])),
-                "drop_epochs must be strictly increasing")
-        object.__setattr__(self, "drop_epochs", drops)
-
-    def lr_at(self, epoch: int) -> float:
-        """Learning rate in force during a 1-based epoch."""
-        require(epoch >= 1, "epochs are 1-based")
-        drops = sum(1 for e in self.drop_epochs if e <= epoch)
-        return self.initial / self.drop_factor ** drops
-
-
-@dataclass(frozen=True)
 class TrainState:
     """All parameters as one flat vector, with model and head as views of it,
     the momentum vector in the same layout, the epoch counter, and whether

@@ -29,7 +29,7 @@ from lfsearch.eval_protocols import (embed_all, make_gallery_probe,
 from lfsearch.margin_losses import MarginSpec, batch_loss_and_grad, modulating_function
 from lfsearch.numerics import RngStream
 from lfsearch.search_engine import normalize_rewards, reinforce_update, run_search
-from lfsearch.sgd_trainer import LrSchedule, SgdConfig, TrainState, train_epoch
+from lfsearch.sgd_trainer import SgdConfig, TrainState, train_epoch
 from oracles import (LogitRow, log_margin_probability, log_softmax_probability,
                      margin_transform, modulating_factor, unified_loss)
 
@@ -56,7 +56,7 @@ def _desk_problem(seed):
 
 
 def _default_sgd():
-    return SgdConfig(), LrSchedule(0.1, (15, 25), 10.0)
+    return SgdConfig(learning_rate=0.1), ScheduleConfig(EPOCHS, (15, 25), 10.0)
 
 
 def _fixed_run(spec, seed, stream_name, score_every_epoch):
@@ -70,8 +70,8 @@ def _fixed_run(spec, seed, stream_name, score_every_epoch):
     root = RngStream(seed, stream_name)
     scores = []
     for epoch in range(1, EPOCHS + 1):
-        state, _ = train_epoch(state, spec, train, sgd, sched.lr_at(epoch),
-                               root.child(f"epoch{epoch}"))
+        lr = sched.lr_at(sgd.learning_rate, epoch)
+        state, _ = train_epoch(state, spec, train, sgd, lr, root.child(f"epoch{epoch}"))
         if score_every_epoch or epoch == EPOCHS:
             scores.append(reward(state.model, state.head, val, pairs))
     return scores
@@ -111,9 +111,7 @@ def _search_runs(population):
         results = []
         for seed in SEEDS:
             config = ExperimentConfig(
-                seed=seed, sgd=sgd,
-                schedule=ScheduleConfig(epochs=EPOCHS, drop_epochs=sched.drop_epochs,
-                                        drop_factor=sched.drop_factor),
+                seed=seed, sgd=sgd, schedule=sched,
                 search=SearchConfig(mu=-10.0, sigma=0.2, eta=0.05, population=population))
             train, val, pairs, state = _desk_problem(seed)
             results.append(run_search(config, state, train, val, pairs))
@@ -519,8 +517,9 @@ class TestProtocolOracles:
         sgd, sched = _default_sgd()
         root = RngStream(0, "fixed")
         for epoch in (1, 2):
-            state, _ = train_epoch(state, MarginSpec.unified(-10.0), train, sgd,
-                                   sched.lr_at(epoch), root.child(f"epoch{epoch}"))
+            lr = sched.lr_at(sgd.learning_rate, epoch)
+            state, _ = train_epoch(state, MarginSpec.unified(-10.0), train, sgd, lr,
+                                   root.child(f"epoch{epoch}"))
         before_reward = reward(state.model, state.head, val, pairs)
         split = make_gallery_probe(val)
         emb = embed_all(state.model, state.head, val)

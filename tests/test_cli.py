@@ -6,6 +6,7 @@ checked).
 import argparse
 import copy
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -20,7 +21,7 @@ import lfsearch
 from lfsearch import candidate_workers, cli, datasets, numerics
 from lfsearch.checkpoint import param_digest, read_checkpoint
 from lfsearch.cli import main
-from lfsearch.config import ConfigError, ExperimentConfig, RandomConfig, from_dict, schedule_of
+from lfsearch.config import ConfigError, ExperimentConfig, RandomConfig, from_dict
 from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import (DataFormatError, SyntheticSpec, generate_synthetic,
                                load_flat_file, make_pairs)
@@ -190,6 +191,24 @@ class TestTrainFixed:
         assert (out_a / "model.lfs").read_bytes() == (out_b / "model.lfs").read_bytes()
         assert (out_a / "metrics.jsonl").read_bytes() == (out_b / "metrics.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_additive_margin_equals_its_unified_factor(self, tmp_path, seed):
+        """At desk defaults, the additive margin m3 and the unified loss at
+        a = 1 - exp(s * m3) train the same model: every epoch's reward is
+        equal and its mean loss equal to rounding."""
+        config = ExperimentConfig()
+        a = 1.0 - math.exp(config.model.scale * config.loss.m3)
+        records = []
+        for name, flags in (("am", ["--loss", "am", "--m3", repr(config.loss.m3)]),
+                            ("unified", ["--loss", "unified", "--a", repr(a)])):
+            out = tmp_path / name
+            assert main(["train-fixed", *flags, "--seed", str(seed), "--out", str(out)]) == 0
+            records.append(read_jsonl(out / "metrics.jsonl"))
+        additive, unified = records
+        assert len(additive) == len(unified) == config.schedule.epochs
+        assert [r["val_reward"] for r in additive] == [r["val_reward"] for r in unified]
+        assert [r["mean_loss"] for r in additive] == \
+            pytest.approx([r["mean_loss"] for r in unified], rel=1e-12, abs=0)
 
     def test_angular_overshoot_warns_once_per_run(self, tmp_path):
         # Overshoot happens in each of the three epochs; the warning does not
@@ -387,6 +406,16 @@ class TestSearchCommand:
         assert len(runs[0]) == 11
         assert runs[0] == runs[1]
 
+    def test_a_search_with_no_epochs_records_one_process(self, tmp_path, force_processes):
+        """A search with no epochs starts no worker, and environment.json
+        records the one process that ran."""
+        force_processes(2)
+        out = tmp_path / "run"
+        config = write_config(tmp_path, schedule={"epochs": 0, "drop_epochs": []})
+        assert main(["search", "--config", config, "--out", str(out)]) == 0
+        environment = json.loads((out / "environment.json").read_text(encoding="utf-8"))
+        assert environment["candidate_processes"] == 1
+
     def test_timings_time_each_candidate(self, tmp_path):
         config = write_config(tmp_path, search={"population": 3})
         out = tmp_path / "run"
@@ -467,7 +496,8 @@ class TestRandomSchedule:
             stream = root.child(f"epoch{epoch}")
             a = RandomConfig(mag_lo, mag_hi).draw(stream.child("factor"))
             state, mean_loss = train_epoch(state, MarginSpec.unified(a), train, config.sgd,
-                                           schedule_of(config).lr_at(epoch), stream)
+                                           config.schedule.lr_at(config.sgd.learning_rate,
+                                                                 epoch), stream)
             expected.append((a, mean_loss, reward(state.model, state.head, val, pairs,
                                                   config.reward)))
         assert [(r["a"], r["mean_loss"], r["val_reward"])

@@ -1,5 +1,6 @@
 """Tests for configuration parsing: defaults, validation diagnostics,
-canonical echo, and the bridges into loss and schedule objects.
+canonical echo, and the loss and schedule sections as the objects the run
+reads.
 """
 
 import pytest
@@ -8,14 +9,13 @@ from lfsearch.cli import main
 from lfsearch.config import (
     ConfigError,
     ExperimentConfig,
-    LossConfig,
+    ScheduleConfig,
     from_dict,
     load_config_file,
-    margin_spec,
-    schedule_of,
     set_path,
 )
-from lfsearch.margin_losses import MarginKind
+from lfsearch.contracts import ContractViolation
+from lfsearch.margin_losses import MarginKind, MarginSpec
 
 
 class TestDefaults:
@@ -201,6 +201,11 @@ class TestRejection:
         ({"search": {"eta": 0}}, "search.eta", "eta must be > 0"),
         ({"random": {"mag_lo": 5.0, "mag_hi": 2.0}}, "random.mag_lo",
          "need 0 < mag_lo <= mag_hi, or both 0"),
+        ({"schedule": {"drop_factor": 1.0}}, "schedule.drop_factor",
+         "drop_factor must be > 1"),
+        ({"schedule": {"drop_epochs": [25, 15]}}, "schedule.drop_epochs",
+         "strictly increasing"),
+        ({"loss": {"kind": "arc", "m2": 0}}, "loss.m2", "m2 must be positive"),
     ])
     def test_domain_checks_name_section_and_field(self, tree, path, words):
         with pytest.raises(ConfigError) as exc:
@@ -253,24 +258,48 @@ class TestLossHandling:
             ({"kind": "unified", "a": -7.0}, MarginKind.UNIFIED, ("a", -7.0)),
         ]
         for tree, kind, check in cases:
-            spec = margin_spec(from_dict({"loss": tree}).loss)
+            spec = from_dict({"loss": tree}).loss
             assert spec.kind is kind
             if check is not None:
                 assert getattr(spec, check[0]) == check[1]
 
     def test_margin_spec_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            margin_spec(LossConfig(kind="mystery"))
+        with pytest.raises(ContractViolation):
+            MarginSpec(kind="mystery")
 
 
 class TestBridges:
     def test_schedule_of(self):
         config = from_dict({"sgd": {"learning_rate": 0.2},
                             "schedule": {"drop_epochs": [3, 7], "drop_factor": 5.0}})
-        schedule = schedule_of(config)
-        assert schedule.initial == 0.2
+        schedule = config.schedule
         assert schedule.drop_epochs == (3, 7)
-        assert schedule.lr_at(3) == pytest.approx(0.04, rel=1e-15)
+        assert schedule.lr_at(config.sgd.learning_rate, 3) == pytest.approx(0.04, rel=1e-15)
+
+
+class TestScheduleConfig:
+    def test_step_drops(self):
+        sched = ScheduleConfig(drop_epochs=(15, 25), drop_factor=10.0)
+        assert sched.lr_at(0.1, 1) == 0.1
+        assert sched.lr_at(0.1, 14) == 0.1
+        assert sched.lr_at(0.1, 15) == pytest.approx(0.01, rel=1e-15)
+        assert sched.lr_at(0.1, 24) == pytest.approx(0.01, rel=1e-15)
+        assert sched.lr_at(0.1, 25) == pytest.approx(0.001, rel=1e-15)
+        assert sched.lr_at(0.1, 100) == pytest.approx(0.001, rel=1e-15)
+
+    def test_no_drops_is_constant(self):
+        sched = ScheduleConfig(drop_epochs=())
+        assert sched.lr_at(0.05, 1) == sched.lr_at(0.05, 50) == 0.05
+
+    def test_validation(self):
+        with pytest.raises(ContractViolation):
+            ScheduleConfig(drop_factor=1.0)
+        with pytest.raises(ContractViolation):
+            ScheduleConfig(drop_epochs=(25, 15))
+        with pytest.raises(ContractViolation):
+            ScheduleConfig(drop_epochs=(0,))
+        with pytest.raises(ContractViolation):
+            ScheduleConfig().lr_at(0.1, 0)
 
 
 class TestSetPath:

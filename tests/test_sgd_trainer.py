@@ -18,7 +18,6 @@ from lfsearch.margin_losses import MarginSpec, batch_loss_and_grad, margin_trans
 from lfsearch.numerics import RngStream, Workspace
 from lfsearch.sgd_trainer import (
     InProcessCandidates,
-    LrSchedule,
     NonFiniteTrainingError,
     SgdConfig,
     TrainState,
@@ -75,33 +74,6 @@ class TestSgdConfig:
             SgdConfig(weight_decay=-0.1)
         with pytest.raises(ContractViolation):
             SgdConfig(batch_size=0)
-
-
-class TestLrSchedule:
-    def test_step_drops(self):
-        sched = LrSchedule(0.1, (15, 25), 10.0)
-        assert sched.lr_at(1) == 0.1
-        assert sched.lr_at(14) == 0.1
-        assert sched.lr_at(15) == pytest.approx(0.01, rel=1e-15)
-        assert sched.lr_at(24) == pytest.approx(0.01, rel=1e-15)
-        assert sched.lr_at(25) == pytest.approx(0.001, rel=1e-15)
-        assert sched.lr_at(100) == pytest.approx(0.001, rel=1e-15)
-
-    def test_no_drops_is_constant(self):
-        sched = LrSchedule(0.05)
-        assert sched.lr_at(1) == sched.lr_at(50) == 0.05
-
-    def test_validation(self):
-        with pytest.raises(ContractViolation):
-            LrSchedule(0.0)
-        with pytest.raises(ContractViolation):
-            LrSchedule(0.1, drop_factor=1.0)
-        with pytest.raises(ContractViolation):
-            LrSchedule(0.1, (25, 15))
-        with pytest.raises(ContractViolation):
-            LrSchedule(0.1, (0,))
-        with pytest.raises(ContractViolation):
-            LrSchedule(0.1).lr_at(0)
 
 
 class TestSgdStep:
