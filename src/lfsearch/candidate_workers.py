@@ -115,13 +115,13 @@ class _Slots:
         self.vectors[slot, 0] = state.params
         self.vectors[slot, 1] = state.velocity
 
-    def read(self, slot: int, epoch: int, copy: bool, warned: bool = False) -> TrainState:
+    def read(self, slot: int, epoch: int, copy: bool) -> TrainState:
         params, velocity = self.vectors[slot]
         if copy:
             params, velocity = params.copy(), velocity.copy()
         return TrainState(params, velocity,
                           *unflatten(params, self._template.model, self._template.head),
-                          epoch, warned)
+                          epoch)
 
 
 def _serve(index, pipes, slots, data, config, score) -> None:
@@ -274,10 +274,8 @@ class CandidateWorkers:
             if error is not None:
                 raise error from _WorkerTraceback(trace)
             digest, mean_loss, value, train_s, reward_s = summary
-            # A unified candidate keeps the start state's overshoot flag.
             outcomes.append(CandidateOutcome(
-                self._slots.read(i + 1, state.epoch + 1, copy=True,
-                                 warned=state.overshoot_warned),
+                self._slots.read(i + 1, state.epoch + 1, copy=True),
                 digest, mean_loss, value, train_s, reward_s))
         return outcomes
 

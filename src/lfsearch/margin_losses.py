@@ -1,10 +1,14 @@
 """Margin-softmax loss mathematics.
 
-The classic margin families (multiplicative-angular, additive-angular,
-additive, and their combination) all act by replacing the target logit
-cos(theta_y) with a margin value f <= cos(theta_y).  Every such family is
-equivalent to multiplying the plain softmax probability p by a modulating
-function
+The classic margin families (multiplicative-angular, additive-angular and
+additive) all act by replacing the target logit cos(theta_y) with a margin
+value f <= cos(theta_y).  The two angular families keep f <= cos(theta_y)
+on the whole of [0, pi] through their published monotone forms: SphereFace's
+psi(theta) = (-1)^k cos(m1 theta) - 2k on [k pi/m1, (k+1) pi/m1]
+(arXiv:1704.08063), and ArcFace's cos(theta + m2), which falls back to
+cos(theta) - m2 sin(m2) once theta + m2 reaches pi (arXiv:1801.07698).
+Every such family is equivalent to multiplying the plain softmax
+probability p by a modulating function
 
     h(a, p) = 1 / (a * p + (1 - a)),    a = 1 - exp(s * (cos(theta_y) - f)),
 
@@ -35,7 +39,6 @@ class MarginKind(str, enum.Enum):
     ANGULAR = "angular"
     ADDITIVE_ANGULAR = "additive-angular"
     ADDITIVE = "additive"
-    COMBINED = "combined"
     UNIFIED = "unified"
 
 
@@ -43,7 +46,7 @@ LOSS_ALIASES = {"am": "additive", "arc": "additive-angular"}
 # The knobs each loss kind takes; the rest of a spec is unused.
 LOSS_KNOBS = {MarginKind.PLAIN: (), MarginKind.ANGULAR: ("m1",),
               MarginKind.ADDITIVE_ANGULAR: ("m2",), MarginKind.ADDITIVE: ("m3",),
-              MarginKind.COMBINED: ("m1", "m2", "m3"), MarginKind.UNIFIED: ("a",)}
+              MarginKind.UNIFIED: ("a",)}
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,6 @@ class MarginSpec:
             require(self.m2 > 0, "MarginSpec: m2 must be positive")
         elif self.kind is MarginKind.ADDITIVE:
             require(self.m3 > 0, "MarginSpec: m3 must be positive")
-        elif self.kind is MarginKind.COMBINED:
-            require(int(self.m1) == self.m1 and self.m1 >= 1, "MarginSpec: m1 must be an integer >= 1")
-            require(self.m2 >= 0 and self.m3 >= 0, "MarginSpec: m2 and m3 must be non-negative")
         elif self.kind is MarginKind.UNIFIED:
             require(self.a <= 0, "MarginSpec: unified factor a must be <= 0")
 
@@ -93,16 +93,12 @@ class MarginSpec:
         return cls(MarginKind.ADDITIVE, m3=m3)
 
     @classmethod
-    def combined(cls, m1: int, m2: float, m3: float) -> "MarginSpec":
-        return cls(MarginKind.COMBINED, m1=m1, m2=m2, m3=m3)
-
-    @classmethod
     def unified(cls, a: float) -> "MarginSpec":
         return cls(MarginKind.UNIFIED, a=a)
 
 
 def margin_transform_batch(spec: MarginSpec, cos_y: np.ndarray) -> np.ndarray:
-    """The margin value f that replaces each target cosine."""
+    """The margin value f <= cos_y that replaces each target cosine."""
     require(spec.kind is not MarginKind.UNIFIED, "margin_transform_batch: unified spec has no margin function")
     c = np.asarray(cos_y, dtype=np.float64)
     if spec.kind is MarginKind.PLAIN:
@@ -111,10 +107,12 @@ def margin_transform_batch(spec: MarginSpec, cos_y: np.ndarray) -> np.ndarray:
         return c - spec.m3
     theta = np.arccos(np.clip(c, -1.0 + ARCCOS_GUARD, 1.0 - ARCCOS_GUARD))
     if spec.kind is MarginKind.ANGULAR:
-        return np.cos(spec.m1 * theta)
-    if spec.kind is MarginKind.ADDITIVE_ANGULAR:
-        return np.cos(theta + spec.m2)
-    return np.cos(spec.m1 * theta + spec.m2) - spec.m3
+        k = np.floor(spec.m1 * theta / np.pi)
+        # psi touches cos(theta) only at theta = 0 and, for m1 = 1, everywhere;
+        # the minimum keeps arccos and cos rounding from lifting f above c.
+        return np.minimum((1.0 - 2.0 * (k % 2)) * np.cos(spec.m1 * theta) - 2.0 * k, c)
+    return np.where(theta + spec.m2 < np.pi, np.cos(theta + spec.m2),
+                    c - spec.m2 * np.sin(spec.m2))
 
 
 def _margin_slope(spec: MarginSpec, cos_y: np.ndarray) -> np.ndarray:
@@ -126,10 +124,10 @@ def _margin_slope(spec: MarginSpec, cos_y: np.ndarray) -> np.ndarray:
     theta = np.arccos(cc)
     sin_theta = np.sqrt(1.0 - cc * cc)
     if spec.kind is MarginKind.ANGULAR:
-        return spec.m1 * np.sin(spec.m1 * theta) / sin_theta
-    if spec.kind is MarginKind.ADDITIVE_ANGULAR:
-        return np.sin(theta + spec.m2) / sin_theta
-    return spec.m1 * np.sin(spec.m1 * theta + spec.m2) / sin_theta
+        # (-1)^k sin(m1 theta) on piece k is |sin(m1 theta)|, which stays
+        # non-negative where rounding puts theta on the wrong side of a piece.
+        return spec.m1 * np.abs(np.sin(spec.m1 * theta)) / sin_theta
+    return np.where(theta + spec.m2 < np.pi, np.sin(theta + spec.m2) / sin_theta, 1.0)
 
 
 def modulating_function(a: float, p: float) -> float:

@@ -4,7 +4,6 @@ training passes, and training of factor candidates.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, replace
@@ -15,14 +14,8 @@ from .checkpoint import param_digest
 from .contracts import require
 from .datasets import LabeledDataset
 from .embed_model import ClassifierHead, EmbeddingModel, backward, flatten, forward, unflatten
-from .margin_losses import MarginKind, MarginSpec, batch_loss_and_grad, margin_transform_batch
+from .margin_losses import MarginKind, MarginSpec, batch_loss_and_grad
 from .numerics import RngStream, Workspace
-
-logger = logging.getLogger(__name__)
-
-# Margin kinds that pass through arccos and can overshoot the target cosine
-# at large angles, turning the implied modulating factor positive.
-_ANGULAR_KINDS = (MarginKind.ANGULAR, MarginKind.ADDITIVE_ANGULAR, MarginKind.COMBINED)
 
 
 class NonFiniteTrainingError(Exception):
@@ -46,15 +39,13 @@ class SgdConfig:
 @dataclass(frozen=True)
 class TrainState:
     """All parameters as one flat vector, with model and head as views of it,
-    the momentum vector in the same layout, the epoch counter, and whether
-    the angular-overshoot warning has fired, so that it fires once a run."""
+    the momentum vector in the same layout, and the epoch counter."""
 
     params: np.ndarray
     velocity: np.ndarray
     model: EmbeddingModel
     head: ClassifierHead
     epoch: int = 0
-    overshoot_warned: bool = False
 
     @classmethod
     def fresh(cls, model: EmbeddingModel, head: ClassifierHead) -> "TrainState":
@@ -64,8 +55,7 @@ class TrainState:
     def copy(self) -> "TrainState":
         params = self.params.copy()
         return TrainState(params, self.velocity.copy(),
-                          *unflatten(params, self.model, self.head), self.epoch,
-                          self.overshoot_warned)
+                          *unflatten(params, self.model, self.head), self.epoch)
 
 
 def sgd_step(state: TrainState, grads: np.ndarray, config: SgdConfig, lr: float,
@@ -89,9 +79,7 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
     """One shuffled pass over the dataset, on a copy of the input state.
 
     Returns the updated state and the mean per-sample loss, each sample's loss
-    taken at the moment its batch was processed. An angular margin that
-    overshoots the target cosine is logged once per run: the check stops
-    once the state records the warning. Raises
+    taken at the moment its batch was processed. Raises
     NonFiniteTrainingError when a parameter or the mean loss ends non-finite.
     Each step gathers its batch into, and writes its intermediates to, the
     arrays of `workspace` (None: a new Workspace for this epoch).
@@ -101,7 +89,6 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
     workspace = Workspace() if workspace is None else workspace
     order = stream.child("shuffle").generator().permutation(data.sample_count)
     total_loss = 0.0
-    warned = state.overshoot_warned
     for start in range(0, data.sample_count, config.batch_size):
         batch_idx = order[start:start + config.batch_size]
         n = batch_idx.size
@@ -112,14 +99,6 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
         labels = np.take(data.labels, batch_idx, mode="wrap",
                          out=workspace.array("batch_labels", (n,), np.int64))
         cosines, cache = forward(state.model, state.head, features, workspace)
-        if loss.kind in _ANGULAR_KINDS and not warned:
-            target = cosines[np.arange(labels.size), labels]
-            overshoot = int((margin_transform_batch(loss, target) > target).sum())
-            if overshoot:
-                logger.warning(
-                    "margin transform exceeds the target cosine on %d sample(s); "
-                    "the implied modulating factor is positive there", overshoot)
-                warned = True
         losses, d_cosines = batch_loss_and_grad(loss, cosines, labels, state.head.scale,
                                                 workspace.array("d_cosines", cosines.shape))
         d_cosines /= n
@@ -131,7 +110,7 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
         factor = f" at a={loss.a:g}" if loss.kind is MarginKind.UNIFIED else ""
         raise NonFiniteTrainingError(f"training went non-finite in epoch {state.epoch + 1}"
                                      f"{factor}: mean loss {mean_loss}")
-    return replace(state, epoch=state.epoch + 1, overshoot_warned=warned), mean_loss
+    return replace(state, epoch=state.epoch + 1), mean_loss
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ command-line runs writes, in a table keyed by the build the bytes depend on
 (numpy version, BLAS build, machine architecture).
 
 The matrix, at seeds 0 and 1: `search` with one and with two candidate
-processes, `train-fixed` with the plain, arc and unified losses,
+processes, `train-fixed` with the plain, arc, angular and unified losses,
 `random-schedule`, `ablate-a`, and `eval` of the one-process search's
 best.lfs. timings.jsonl and environment.json are left out: they describe
 the clock and the machine, not the result.
@@ -58,6 +58,7 @@ def _commands(seed: int, config: str, root: Path):
             ("search-2", ["search", *base], 2),
             ("plain", ["train-fixed", *base], 1),
             ("arc", ["train-fixed", "--loss", "arc", *base], 1),
+            ("angular", ["train-fixed", "--loss", "angular", *base], 1),
             ("unified", ["train-fixed", "--loss", "unified", "--a", "-10", *base], 1),
             ("random", ["random-schedule", *base], 1),
             ("ablate", ["ablate-a", "--factors", "0,-10", *base], 1),

@@ -83,10 +83,14 @@ def margin_transform(spec: MarginSpec, cos_y: float) -> float:
         return float(cos_y - spec.m3)
     theta = float(np.arccos(np.clip(cos_y, -1.0 + ARCCOS_GUARD, 1.0 - ARCCOS_GUARD)))
     if spec.kind is MarginKind.ANGULAR:
-        return math.cos(spec.m1 * theta)
-    if spec.kind is MarginKind.ADDITIVE_ANGULAR:
+        # SphereFace's psi: (-1)^k cos(m1 theta) - 2k on [k pi/m1, (k+1) pi/m1],
+        # never above cos_y, not even by rounding.
+        k = math.floor(spec.m1 * theta / math.pi)
+        return min((1.0 - 2.0 * (k % 2)) * math.cos(spec.m1 * theta) - 2.0 * k, float(cos_y))
+    # ArcFace: cos(theta + m2) until theta + m2 reaches pi, then cos_y - m2 sin(m2).
+    if theta + spec.m2 < math.pi:
         return math.cos(theta + spec.m2)
-    return math.cos(spec.m1 * theta + spec.m2) - spec.m3
+    return float(cos_y - spec.m2 * math.sin(spec.m2))
 
 
 def _log_target_probability(z: np.ndarray, label: int) -> float:

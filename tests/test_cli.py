@@ -26,7 +26,7 @@ from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import (DataFormatError, SyntheticSpec, generate_synthetic,
                                load_flat_file, make_pairs)
 from lfsearch.embed_model import init_model
-from lfsearch.eval_protocols import reward
+from lfsearch.eval_protocols import classification_accuracy, reward
 from lfsearch.margin_losses import MarginSpec
 from lfsearch.numerics import RngStream
 from lfsearch.runio import run_id
@@ -210,16 +210,21 @@ class TestTrainFixed:
         assert [r["mean_loss"] for r in additive] == \
             pytest.approx([r["mean_loss"] for r in unified], rel=1e-12, abs=0)
 
-    def test_angular_overshoot_warns_once_per_run(self, tmp_path):
-        # Overshoot happens in each of the three epochs; the warning does not
-        # repeat.
-        config = write_config(tmp_path)
-        proc = run_cli(["train-fixed", "--config", config, "--loss", "angular",
-                        "--epochs", "3", "--out", str(tmp_path / "x")])
-        assert proc.returncode == 0
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("margin transform exceeds the target cosine on ")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("flags", [["--loss", "plain"], ["--loss", "unified", "--a", "-10"],
+                                       ["--loss", "am", "--m3", "0.35"],
+                                       ["--loss", "arc", "--m2", "0.2"],
+                                       ["--loss", "arc", "--m2", "0.5"],
+                                       ["--loss", "angular", "--m1", "2"]],
+                             ids=["plain", "unified-10", "am-0.35", "arc-0.2", "arc-0.5",
+                                  "angular-2"])
+    def test_margin_arms_train_at_desk_defaults(self, tmp_path, flags, seed):
+        """Every margin arm fits its training split: the argmax of the final
+        cosines is right on at least half of it (chance is 1/40)."""
+        out = tmp_path / "run"
+        assert main(["train-fixed", *flags, "--seed", str(seed), "--out", str(out)]) == 0
+        train, _val, _pairs = cli._prepare_data(from_dict({"seed": seed}))
+        assert classification_accuracy(*read_checkpoint(out / "model.lfs"), train) >= 0.5
 
     @pytest.mark.parametrize("source", ["csv", "synthetic"])
     def test_full_dataset_is_released_before_the_pair_draws(self, tmp_path, monkeypatch,
@@ -694,6 +699,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: search.score_grad: unknown setting\n"
         with pytest.raises(SystemExit) as exc:
             main(["search", "--outer", "adam", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+
+    def test_deleted_loss_kind_is_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path, loss={"kind": "combined"})
+        assert main(["train-fixed", "--config", config, "--out", str(tmp_path / "x")]) == 2
+        assert "loss.kind: must be one of " in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["train-fixed", "--loss", "combined", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
     def test_odd_pair_count(self, tmp_path):

@@ -78,7 +78,7 @@ LEAF_OVERRIDES = {
     "schedule.epochs": 3,
     "schedule.drop_epochs": [1, 2],
     "schedule.drop_factor": 5,
-    "loss.kind": "combined",
+    "loss.kind": "angular",
     "loss.m1": 3,
     "loss.m2": 0.25,
     "loss.m3": 0.1,
@@ -164,7 +164,7 @@ class TestRejection:
             {"loss": {"kind": "nope"}},
             {"loss": {"kind": "additive", "m3": 0.0}},
             {"loss": {"kind": "additive-angular", "m2": 0.0}},
-            {"loss": {"kind": "combined", "m2": -0.1}},
+            {"loss": {"kind": "angular", "m1": 0}},
             {"loss": {"kind": "unified", "a": 0.5}},
             {"reward": "bogus"},
             {"search": {"sigma": 0.0}},
@@ -253,8 +253,7 @@ class TestLossHandling:
             ({"kind": "additive-angular", "m2": 0.4}, MarginKind.ADDITIVE_ANGULAR,
              ("m2", 0.4)),
             ({"kind": "additive", "m3": 0.2}, MarginKind.ADDITIVE, ("m3", 0.2)),
-            ({"kind": "combined", "m1": 2, "m2": 0.3, "m3": 0.1}, MarginKind.COMBINED,
-             ("m2", 0.3)),
+            ({"kind": "angular", "m1": 1}, MarginKind.ANGULAR, ("m1", 1)),
             ({"kind": "unified", "a": -7.0}, MarginKind.UNIFIED, ("a", -7.0)),
         ]
         for tree, kind, check in cases:

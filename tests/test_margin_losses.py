@@ -11,6 +11,7 @@ import pytest
 
 from lfsearch.contracts import ContractViolation
 from lfsearch.margin_losses import (
+    LOSS_KNOBS,
     MarginKind,
     MarginSpec,
     batch_loss_and_grad,
@@ -35,11 +36,39 @@ ALL_MARGINS = (
     MarginSpec.angular(2),
     MarginSpec.additive_angular(0.5),
     MarginSpec.additive(0.35),
-    MarginSpec.combined(2, 0.3, 0.2),
 )
 
 
-SIX_KINDS = ALL_MARGINS + (MarginSpec.unified(-10.0),)
+EVERY_KIND = ALL_MARGINS + (MarginSpec.unified(-10.0),)
+
+# Every margin form the invariant f <= cos(theta) is checked on.
+BELOW_COSINE = (MarginSpec.plain(), MarginSpec.additive(0.35),
+                *(MarginSpec.angular(m1) for m1 in (1, 2, 3, 4)),
+                *(MarginSpec.additive_angular(m2) for m2 in (0.2, 0.5, 1.0)))
+
+
+def spec_id(spec):
+    """The kind and its own knobs, e.g. angular-2."""
+    return "-".join([spec.kind.value, *(f"{getattr(spec, knob):g}"
+                                        for knob in LOSS_KNOBS[spec.kind])])
+
+
+def piece_angles(spec):
+    """The angles where a margin form changes piece: k pi/m1 for angular,
+    pi - m2 for additive-angular."""
+    if spec.kind is MarginKind.ANGULAR:
+        return [k * math.pi / spec.m1 for k in range(1, spec.m1)]
+    if spec.kind is MarginKind.ADDITIVE_ANGULAR:
+        return [math.pi - spec.m2]
+    return []
+
+
+def cosine_grid(spec):
+    """A dense grid on [-1, 1], ends included, with the cosine of each piece
+    boundary and its neighbouring floats."""
+    edges = np.cos(piece_angles(spec))
+    near = np.concatenate([edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0)])
+    return np.concatenate([np.linspace(-1.0, 1.0, 100_001), near])
 
 
 def read_only(array):
@@ -132,9 +161,16 @@ class TestMarginTransform:
         f = margin_transform(MarginSpec.additive_angular(0.5), 0.7)
         assert abs(f - math.cos(math.acos(0.7) + 0.5)) < 1e-12
 
-    def test_combined_scalar_oracle(self):
-        f = margin_transform(MarginSpec.combined(2, 0.3, 0.2), 0.5)
-        assert abs(f - (math.cos(2.0 * math.acos(0.5) + 0.3) - 0.2)) < 1e-12
+    def test_angular_second_piece_hand_value(self):
+        # arccos(-0.5) = 2 pi/3 lies on piece k = 1 of m1 = 2:
+        # -cos(4 pi/3) - 2 = -3/2.
+        f = margin_transform(MarginSpec.angular(2), -0.5)
+        assert abs(f - (-1.5)) < 1e-12
+
+    def test_additive_angular_fallback_hand_value(self):
+        # arccos(-0.95) > pi - 0.5, so ArcFace's cos(theta) - m2 sin(m2).
+        f = margin_transform(MarginSpec.additive_angular(0.5), -0.95)
+        assert f == -0.95 - 0.5 * math.sin(0.5)
 
     def test_boundaries_stay_finite(self):
         for spec in ALL_MARGINS:
@@ -233,27 +269,30 @@ class TestModulatingFactor:
         expected = 1.0 - math.exp(32.0 * (0.7 - math.cos(math.acos(0.7) + 0.5)))
         assert abs(a - expected) / abs(expected) < 1e-10
 
-    def test_angular_overshoot_returned_as_is(self):
-        # cos(2 theta) > cos(theta) once cos(theta) < -1/2, so the factor
-        # goes positive and must come back honestly.
-        a = modulating_factor(MarginSpec.angular(2), -0.8, 32.0)
-        assert a > 0.0
-
     def test_additive_always_nonpositive(self):
         rng = np.random.default_rng(10)
         spec = MarginSpec.additive(0.35)
         for c in rng.uniform(-1.0, 1.0, 100):
             assert modulating_factor(spec, float(c), 32.0) <= 0.0
 
-    def test_additive_angular_nonpositive_below_wrap(self):
-        # cos(theta + m2) stays below cos(theta) only while theta + m2 <= pi;
-        # past the wrap the factor goes positive just like the angular case.
-        rng = np.random.default_rng(10)
-        spec = MarginSpec.additive_angular(0.5)
-        wrap = math.cos(math.pi - 0.5)
-        for c in rng.uniform(wrap + 1e-6, 1.0, 100):
+
+class TestMarginBelowCosine:
+    """f <= cos(theta) and df/dcos(theta) >= 0 on all of [-1, 1], so the
+    implied factor a is never positive."""
+
+    @pytest.mark.parametrize("spec", BELOW_COSINE, ids=spec_id)
+    def test_on_a_dense_cosine_grid(self, spec):
+        c = cosine_grid(spec)
+        assert (margin_transform_batch(spec, c) <= c).all()
+        assert (_margin_slope(spec, c) >= 0.0).all()
+
+    @pytest.mark.parametrize("spec", [MarginSpec.angular(2), MarginSpec.additive_angular(0.5)],
+                             ids=spec_id)
+    def test_factor_nonpositive_everywhere(self, spec):
+        # Bare cos(2 theta) rises above cos(theta) once cos(theta) < -1/2, and
+        # bare cos(theta + 0.5) past theta = pi - 0.5: the factor went positive.
+        for c in cosine_grid(spec)[::97]:
             assert modulating_factor(spec, float(c), 32.0) <= 0.0
-        assert modulating_factor(spec, -0.999, 32.0) > 0.0
 
 
 class TestModulatingFunction:
@@ -443,14 +482,24 @@ class TestBatchLossAndGrad:
                 assert abs(losses[i] - expected) / max(abs(expected), 1e-12) < 1e-11
 
     def test_margin_gradients_match_central_differences(self):
+        # Target angles on both sides of every piece boundary, past
+        # theta = pi - m2, and at random. The stencil (1e-6 in the cosine)
+        # stays 1e-3 in angle off ArcFace's jump at theta = pi - m2.
         rng = np.random.default_rng(22)
         eps = 1e-6
-        for spec in (MarginSpec.additive(0.35), MarginSpec.additive_angular(0.5),
-                     MarginSpec.combined(2, 0.3, 0.2)):
-            cosines = rng.uniform(-0.9, 0.9, (4, 5))
-            labels = rng.integers(0, 5, 4)
+        for spec in (MarginSpec.additive(0.35),
+                     *(MarginSpec.angular(m1) for m1 in (2, 3, 4)),
+                     *(MarginSpec.additive_angular(m2) for m2 in (0.2, 0.5, 1.0))):
+            angles = [b + side for b in piece_angles(spec) for side in (-1e-3, 1e-3)]
+            if spec.kind is MarginKind.ADDITIVE_ANGULAR:
+                angles.append(math.pi - spec.m2 / 2.0)
+            angles.extend(rng.uniform(0.2, 2.0, 2))
+            n = len(angles)
+            cosines = rng.uniform(-0.9, 0.9, (n, 5))
+            labels = rng.integers(0, 5, n)
+            cosines[np.arange(n), labels] = np.cos(angles)
             _, grads = batch_loss_and_grad(spec, cosines, labels, 32.0)
-            for i in range(4):
+            for i in range(n):
                 for j in range(5):
                     up = cosines.copy()
                     up[i, j] += eps
@@ -462,7 +511,7 @@ class TestBatchLossAndGrad:
                     assert abs(grads[i, j] - fd) <= 1e-5 * abs(fd) + 1e-7
 
     @pytest.mark.parametrize("k", [2, 40, 500])
-    @pytest.mark.parametrize("spec", SIX_KINDS, ids=lambda spec: spec.kind.value)
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda spec: spec.kind.value)
     def test_matches_the_allocating_form_bit_for_bit(self, spec, k):
         rng = np.random.default_rng(k)
         n = 128
