@@ -3,7 +3,8 @@ command-line runs writes, in a table keyed by the build the bytes depend on
 (numpy version, BLAS build, machine architecture).
 
 The matrix, at seeds 0 and 1: `search` with one and with two candidate
-processes, `train-fixed` with the plain, arc, angular and unified losses,
+processes, `search` of three candidates with two processes (so that one
+worker trains two candidates from one epoch start), `train-fixed` with the plain, arc, angular and unified losses,
 `random-schedule`, `ablate-a`, and `eval` of the one-process search's
 best.lfs. timings.jsonl and environment.json are left out: they describe
 the clock and the machine, not the result.
@@ -56,6 +57,7 @@ def _commands(seed: int, config: str, root: Path):
     best = root / f"seed{seed}" / "search-1" / "best.lfs"
     return [("search-1", ["search", *base], 1),
             ("search-2", ["search", *base], 2),
+            ("search-3", ["search", "--population", "3", *base], 2),
             ("plain", ["train-fixed", *base], 1),
             ("arc", ["train-fixed", "--loss", "arc", *base], 1),
             ("angular", ["train-fixed", "--loss", "angular", *base], 1),
