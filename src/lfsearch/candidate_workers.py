@@ -3,13 +3,17 @@
 A search forks its workers once, after its data is prepared, so they inherit
 the training and validation sets, the pairs and the settings without a copy.
 Each epoch the parent writes the start parameters and velocity into an
-anonymous shared mapping and sends each idle worker the index and factor of
-the next candidate down its pipe. The worker runs `train_candidate`, writes
-the trained parameters and velocity into the candidate's slot of the mapping,
-and sends back their hash, the mean loss, reward, timings and the warnings it
-raised. Each candidate does the arithmetic it does in process, so every
-result is bit-identical. The workers are forked, not spawned, so that they
-inherit the data; the command line forks them from its one thread.
+anonymous shared mapping and sends each of its W workers one message down
+its pipe: the epoch's learning rate and stream and the worker's share of the
+candidates, candidate i going to worker i mod W. Every candidate does the
+same arithmetic on the same shapes, so the fixed shares balance the load.
+The worker reads the start once and runs `train_candidate` for each
+candidate of its share in turn, writes the trained parameters and velocity
+into the candidate's slot of the mapping, and sends back their hash, the
+mean loss, reward, timings and the warnings it raised. Each candidate does
+the arithmetic it does in process, so every result is bit-identical. The
+workers are forked, not spawned, so that they inherit the data; the command
+line forks them from its one thread.
 """
 
 from __future__ import annotations
@@ -125,10 +129,11 @@ class _Slots:
 
 
 def _serve(index, pipes, slots, data, config, score) -> None:
-    """A worker: train and score each candidate it is sent, recording its
-    warnings, until its pipe closes. Exits quietly on SIGINT. Its OpenBLAS
-    runs on one thread, as under the command line: workers already share
-    the CPUs, and BLAS threads of their own would spin against each other.
+    """A worker: train and score each epoch's share of candidates it is
+    sent, in order, recording each one's warnings, until its pipe closes.
+    Exits quietly on SIGINT. Its OpenBLAS runs on one thread, as under the
+    command line: workers already share the CPUs, and BLAS threads of their
+    own would spin against each other.
     A worker forked from a pinned process keeps the pin as it is, with no
     pool thread (see one_blas_thread)."""
     conn = pipes[index][1]
@@ -144,22 +149,24 @@ def _serve(index, pipes, slots, data, config, score) -> None:
             warnings.simplefilter("always")
             while True:
                 try:
-                    lr, stream, epoch, candidate, factor = conn.recv()
+                    lr, stream, epoch, share = conn.recv()
                 except EOFError:
                     return
-                del log[:]
-                summary, error, trace = None, None, None
-                try:
-                    outcome = train_candidate(slots.read(0, epoch, copy=False), factor,
-                                              data, config, lr, stream, workspace, score)
-                except Exception as exc:  # the parent raises it, as in process
-                    error, trace = exc, traceback.format_exc()
-                else:
-                    slots.write(candidate + 1, outcome.state)
-                    summary = (outcome.digest, outcome.mean_loss, outcome.reward,
-                               outcome.train_s, outcome.reward_s)
-                records = [(w.message, w.category, w.filename, w.lineno) for w in log]
-                conn.send((candidate, summary, error, trace, records))
+                start = slots.read(0, epoch, copy=False)
+                for candidate, factor in share:
+                    del log[:]
+                    summary, error, trace = None, None, None
+                    try:
+                        outcome = train_candidate(start, factor, data, config, lr, stream,
+                                                  workspace, score)
+                    except Exception as exc:  # the parent raises it, as in process
+                        error, trace = exc, traceback.format_exc()
+                    else:
+                        slots.write(candidate + 1, outcome.state)
+                        summary = (outcome.digest, outcome.mean_loss, outcome.reward,
+                                   outcome.train_s, outcome.reward_s)
+                    records = [(w.message, w.category, w.filename, w.lineno) for w in log]
+                    conn.send((summary, error, trace, records))
     except (KeyboardInterrupt, BrokenPipeError, ConnectionResetError):
         return
 
@@ -186,7 +193,7 @@ def _reissue(records) -> None:
 
 class CandidateWorkers:
     """`processes` forked workers that train and score the candidates of one
-    search, each worker one candidate at a time. Leaving the context
+    search, each worker a fixed share of every epoch. Leaving the context
     closes every pipe and joins every worker, and on an exception
     terminates them first."""
 
@@ -236,40 +243,27 @@ class CandidateWorkers:
 
     def run(self, state: TrainState, factors, lr: float, epoch_stream):
         """Outcomes of the candidates in the order of `factors`, trained on
-        the data and settings the workers were forked with. Warnings come
-        back in candidate order, and the first failing candidate's error is
-        raised after its warnings, as in process."""
-        from multiprocessing.connection import wait
-
+        the data and settings the workers were forked with. Each of the W
+        workers gets one message with its share, candidates w, w + W, ...,
+        and replies once per candidate, in order. Every reply is in before
+        warnings come back in candidate order, and the first failing
+        candidate's error is raised after its warnings, as in process."""
         self._slots.write(0, state)
-        queue = iter(range(len(factors)))
-        holding = {}  # worker -> the candidate it trains
-
-        def give(w):
-            candidate = next(queue, None)
-            if candidate is None:
-                return
-            holding[w] = candidate
+        count = len(self._conns)
+        candidates = list(enumerate(factors))
+        for w, conn in enumerate(self._conns):
             try:
-                self._conns[w].send((lr, epoch_stream, state.epoch, candidate,
-                                     factors[candidate]))
-            except (BrokenPipeError, ConnectionResetError):
-                raise self._lost(w, candidate) from None
-
-        for w in range(len(self._procs)):
-            give(w)
-        replies = {}
-        while holding:
-            ready = wait([self._conns[w] for w in holding]
-                         + [self._procs[w].sentinel for w in holding])
-            for w in list(holding):
-                if self._conns[w] in ready or self._procs[w].sentinel in ready:
-                    reply = self._receive(w, holding.pop(w))
-                    replies[reply[0]] = reply
-                    give(w)
-        outcomes = []
+                conn.send((lr, epoch_stream, state.epoch, candidates[w::count]))
+            except OSError:
+                pass  # a dead worker is named where its first reply is missing
+        replies = []
         for i in range(len(factors)):
-            _, summary, error, trace, records = replies[i]
+            try:
+                replies.append(self._conns[i % count].recv())
+            except (EOFError, OSError):
+                raise self._lost(i % count, i) from None
+        outcomes = []
+        for i, (summary, error, trace, records) in enumerate(replies):
             _reissue(records)
             if error is not None:
                 raise error from _WorkerTraceback(trace)
@@ -278,15 +272,6 @@ class CandidateWorkers:
                 self._slots.read(i + 1, state.epoch + 1, copy=True),
                 digest, mean_loss, value, train_s, reward_s))
         return outcomes
-
-    def _receive(self, w: int, candidate: int):
-        conn = self._conns[w]
-        try:
-            if conn.poll():
-                return conn.recv()
-        except (EOFError, OSError):
-            pass
-        raise self._lost(w, candidate)
 
     def _lost(self, w: int, candidate: int) -> CandidateWorkerError:
         proc = self._procs[w]

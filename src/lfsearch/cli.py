@@ -39,6 +39,10 @@ from .sgd_trainer import NonFiniteTrainingError, TrainState, train_epoch
 
 DEFAULT_ABLATION_FACTORS = "0,-1,-10,-100,-1000,-10000"
 FAR_LADDER = (0.1, 0.01, 0.001, 0.0001, 1e-05, 1e-06)
+# Every file a run directory's finished run writes, but the resolved config
+# and the environment, which a run writes first, and its winner checkpoints.
+RUN_FILES = ("metrics.jsonl", "timings.jsonl", "model.lfs", "best.lfs", "eval.json",
+             "roc.csv", "cmc.csv", "convergence.csv", "mu_trajectory.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +146,9 @@ class _RunRecorder:
     timing streams, the epoch clock and convergence curve, then the final
     checkpoint and evaluation. timings.jsonl holds a start line (opening the
     run to epoch 1: the model init and any candidate workers' start), one
-    line per epoch and a finish line. A rerun into the same directory
-    replaces both streams."""
+    line per epoch and a finish line. A rerun into the same directory first
+    deletes every file and winner checkpoint an earlier run wrote, so that
+    a rerun that fails leaves no result of the earlier one."""
 
     def __init__(self, out_dir, config: ExperimentConfig, mode: str, processes: int = 1):
         self.out = Path(out_dir)
@@ -155,8 +160,10 @@ class _RunRecorder:
         environment = {**blas_environment(), "candidate_processes": processes}
         (self.out / "environment.json").write_text(dumps(environment) + "\n",
                                                    encoding="utf-8")
-        for name in ("metrics.jsonl", "timings.jsonl"):
+        for name in RUN_FILES:
             (self.out / name).unlink(missing_ok=True)
+        for stale in self.out.glob("checkpoints/epoch_*.lfs"):
+            stale.unlink()
         self._metrics = MetricsWriter(self.out / "metrics.jsonl")
         self._timings = MetricsWriter(self.out / "timings.jsonl")
         self._convergence = []
@@ -263,9 +270,6 @@ def _cmd_search(args) -> int:
         state0 = _init_state(config, train)
         winners = run.out / "checkpoints"
         winners.mkdir(exist_ok=True)
-        # A rerun into the directory keeps no winner of an earlier run.
-        for stale in winners.glob("epoch_*.lfs"):
-            stale.unlink()
 
         def on_epoch(record, winner_state):
             run.epoch(record.epoch,
@@ -298,7 +302,8 @@ def _cmd_search(args) -> int:
 
 
 def _parse_factor_list(text: str, field: str) -> list:
-    """Comma-separated modulating factors, each finite and <= 0."""
+    """Comma-separated modulating factors, each finite and <= 0; -0 reads
+    as 0, the factor it names."""
     try:
         values = [float(token) for token in text.split(",") if token.strip()]
     except ValueError:
@@ -308,7 +313,7 @@ def _parse_factor_list(text: str, field: str) -> list:
     for value in values:
         if not math.isfinite(value) or value > 0:
             raise ConfigError(f"{field}: {value:g} is not a finite factor <= 0")
-    return values
+    return [value + 0.0 for value in values]
 
 
 def _cmd_ablate_a(args) -> int:
@@ -325,10 +330,11 @@ def _cmd_ablate_a(args) -> int:
     data = _prepare_data(config)
     base = Path(args.out)
     base.mkdir(parents=True, exist_ok=True)
-    # A rerun into the directory keeps no run of a factor this list drops.
+    # A rerun into the directory keeps no run or summary of an earlier one.
     for stale in base.glob("a_*"):
-        if stale.name not in run_dirs and (stale / "config.json").is_file():
+        if (stale / "config.json").is_file():
             shutil.rmtree(stale)
+    (base / "summary.json").unlink(missing_ok=True)
     summary = []
     for name, value in run_dirs.items():
         tree = config.to_dict()

@@ -560,6 +560,7 @@ class TestAblate:
     @pytest.mark.parametrize("factors, named", [
         ("-1e-7,-1.0000001e-7", "-1e-07 and -1.0000001e-07"),
         ("0,-10,-10", "-10.0 and -10.0"),
+        ("0,-0", "0.0 and 0.0 would share the run directory a_0"),
     ])
     def test_factors_sharing_a_run_directory(self, tmp_path, capsys, factors, named):
         # "a_{value:g}" prints both factors alike; the later run would
@@ -766,6 +767,18 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         records = read_jsonl(out / "metrics.jsonl")
         assert [r["epoch"] for r in records] == list(range(1, failed_epoch))
+
+    @pytest.mark.parametrize("command", ["train-fixed", "search", "ablate-a"])
+    def test_a_failed_rerun_keeps_no_result_of_the_earlier_run(self, tmp_path, command):
+        good = write_config(tmp_path, "good.json")
+        bad = write_config(tmp_path, "bad.json", sgd={"learning_rate": 1e300})
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        factors = ["--factors", "0,-1"] if command == "ablate-a" else []
+        with np.errstate(all="ignore"):
+            for config, out, code in ((good, rerun, 0), (bad, rerun, 4), (bad, fresh, 4)):
+                assert main([command, "--config", config, "--out", str(out),
+                             *factors]) == code
+        assert run_files(rerun) == run_files(fresh)
 
     @pytest.mark.parametrize("processes", [1, 2])
     @pytest.mark.parametrize("learning_rate, failed_epoch", [(1e300, 1), (1e50, 2)])

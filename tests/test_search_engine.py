@@ -438,6 +438,37 @@ class TestCandidateWorkers:
             assert got.epoch == want.epoch
         assert multiprocessing.active_children() == []
 
+    def test_candidate_i_trains_on_worker_i_mod_w(self):
+        def worker(trained, workspace):
+            return int(multiprocessing.current_process().name.rsplit("-", 1)[1])
+
+        train, val, pairs, state = search_fixture(seed=2)
+        with CandidateWorkers(2, state, 5, train, SgdConfig(), worker) as workers:
+            outcomes = workers.run(state, [-1.0, -2.0, -3.0, -4.0, -5.0], 0.05,
+                                   RngStream(1, "epoch"))
+        assert [outcome.reward for outcome in outcomes] == [0, 1, 0, 1, 0]
+        assert multiprocessing.active_children() == []
+
+    def test_an_epoch_of_two_thousand_candidates_finishes(self):
+        # Two thousand replies outgrow a pipe's buffer; a parent that sent
+        # every candidate before reading a reply would wait on the workers
+        # while they wait on it.
+        def stuck(*_):
+            raise TimeoutError("the epoch is stuck")
+
+        train, val, pairs, state = search_fixture(seed=2)
+        factors = [-float(i % 7) for i in range(2000)]
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(60)
+        try:
+            with CandidateWorkers(2, state, 2000, train, SgdConfig(), unscored) as workers:
+                outcomes = workers.run(state, factors, 0.05, RngStream(1, "epoch"))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(outcomes) == 2000
+        assert multiprocessing.active_children() == []
+
     def test_each_candidate_is_timed(self):
         for record in searched(2, population=3).history:
             assert len(record.train_s) == len(record.reward_s) == 3
