@@ -9,9 +9,9 @@ candidates, candidate i going to worker i mod W. Every candidate does the
 same arithmetic on the same shapes, so the fixed shares balance the load.
 The worker reads the start once and runs `train_candidate` for each
 candidate of its share in turn, writes the trained parameters and velocity
-into the candidate's slot of the mapping, and sends back their hash, the
-mean loss, reward, timings and the warnings it raised. Each candidate does
-the arithmetic it does in process, so every result is bit-identical. The
+into the candidate's slot of the mapping, and sends back the mean loss,
+reward, timings and the warnings it raised. Each candidate does the
+arithmetic it does in process, so every result is bit-identical. The
 workers are forked, not spawned, so that they inherit the data; the command
 line forks them from its one thread.
 """
@@ -163,8 +163,8 @@ def _serve(index, pipes, slots, data, config, score) -> None:
                         error, trace = exc, traceback.format_exc()
                     else:
                         slots.write(candidate + 1, outcome.state)
-                        summary = (outcome.digest, outcome.mean_loss, outcome.reward,
-                                   outcome.train_s, outcome.reward_s)
+                        summary = (outcome.mean_loss, outcome.reward, outcome.train_s,
+                                   outcome.reward_s)
                     records = [(w.message, w.category, w.filename, w.lineno) for w in log]
                     conn.send((summary, error, trace, records))
     except (KeyboardInterrupt, BrokenPipeError, ConnectionResetError):
@@ -267,10 +267,8 @@ class CandidateWorkers:
             _reissue(records)
             if error is not None:
                 raise error from _WorkerTraceback(trace)
-            digest, mean_loss, value, train_s, reward_s = summary
             outcomes.append(CandidateOutcome(
-                self._slots.read(i + 1, state.epoch + 1, copy=True),
-                digest, mean_loss, value, train_s, reward_s))
+                self._slots.read(i + 1, state.epoch + 1, copy=True), *summary))
         return outcomes
 
     def _lost(self, w: int, candidate: int) -> CandidateWorkerError:

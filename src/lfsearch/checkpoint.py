@@ -1,4 +1,4 @@
-"""Binary model checkpoints.
+"""The binary model checkpoint format.
 
 Layout (all little-endian): magic b"LFS1", u32 layer count, then per layer
 u32 rows, u32 cols, rows*cols f64 weights row-major, rows f64 biases; then

@@ -2,9 +2,9 @@
 
 Subcommands: train-fixed, search, random-schedule, ablate-a, eval,
 export-curves. Every run directory gets the resolved config, an append-only
-metric stream, checkpoints, and plot-ready CSV curves. Exit codes: 0 success,
-1 internal error, 2 config error, 3 data/format error, 4 training went
-non-finite (metrics.jsonl keeps the epochs that completed).
+metric stream, the final model, and plot-ready CSV curves. Exit codes: 0
+success, 1 internal error, 2 config error, 3 data/format error, 4 training
+went non-finite (metrics.jsonl keeps the epochs that completed).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .sgd_trainer import NonFiniteTrainingError, TrainState, train_epoch
 DEFAULT_ABLATION_FACTORS = "0,-1,-10,-100,-1000,-10000"
 FAR_LADDER = (0.1, 0.01, 0.001, 0.0001, 1e-05, 1e-06)
 # Every file a run directory's finished run writes, but the resolved config
-# and the environment, which a run writes first, and its winner checkpoints.
+# and the environment, which a run writes first.
 RUN_FILES = ("metrics.jsonl", "timings.jsonl", "model.lfs", "best.lfs", "eval.json",
              "roc.csv", "cmc.csv", "convergence.csv", "mu_trajectory.csv")
 
@@ -55,6 +55,17 @@ _OVERRIDES = (("seed", "seed"), ("data", "dataset.path"), ("reward", "reward"),
               ("m2", "loss.m2"), ("m3", "loss.m3"), ("a", "loss.a"),
               ("population", "search.population"), ("mu", "search.mu"),
               ("mag_lo", "random.mag_lo"), ("mag_hi", "random.mag_hi"))
+
+
+def _make_run_dir(path) -> Path:
+    """Make a run directory and its parents; a path that cannot be one is a
+    config error of --out."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: cannot make the directory: {exc.strerror}") from None
+    return out
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -147,12 +158,12 @@ class _RunRecorder:
     checkpoint and evaluation. timings.jsonl holds a start line (opening the
     run to epoch 1: the model init and any candidate workers' start), one
     line per epoch and a finish line. A rerun into the same directory first
-    deletes every file and winner checkpoint an earlier run wrote, so that
-    a rerun that fails leaves no result of the earlier one."""
+    deletes every file an earlier run wrote, and the per-epoch winner
+    checkpoints of searches by earlier builds, so that a rerun that fails
+    leaves no result of the earlier one."""
 
     def __init__(self, out_dir, config: ExperimentConfig, mode: str, processes: int = 1):
-        self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
+        self.out = _make_run_dir(out_dir)
         resolved = config.to_dict()
         self._run_id = run_id(resolved)
         self._mode = mode
@@ -268,10 +279,8 @@ def _cmd_search(args) -> int:
     processes = search_processes(config)
     with _RunRecorder(args.out, config, "search", processes) as run:
         state0 = _init_state(config, train)
-        winners = run.out / "checkpoints"
-        winners.mkdir(exist_ok=True)
 
-        def on_epoch(record, winner_state):
+        def on_epoch(record, _winner_state):
             run.epoch(record.epoch,
                       {"mu_before": record.mu_before, "mu_after": record.mu_after,
                        "factors": list(record.factors),
@@ -285,8 +294,6 @@ def _cmd_search(args) -> int:
                       candidates=[{"train_s": train_s, "reward_s": reward_s}
                                   for train_s, reward_s in zip(record.train_s,
                                                                record.reward_s)])
-            write_checkpoint(winners / f"epoch_{record.epoch:03d}.lfs",
-                             winner_state.model, winner_state.head)
 
         result = run_search(config, state0, train, val, pairs,
                             on_start=run.start, on_epoch=on_epoch)
@@ -328,8 +335,7 @@ def _cmd_ablate_a(args) -> int:
     config = _resolve_config(args)
     # Every factor trains on the same data: the loss is all that differs.
     data = _prepare_data(config)
-    base = Path(args.out)
-    base.mkdir(parents=True, exist_ok=True)
+    base = _make_run_dir(args.out)
     # A rerun into the directory keeps no run or summary of an earlier one.
     for stale in base.glob("a_*"):
         if (stale / "config.json").is_file():
@@ -357,15 +363,14 @@ def _cmd_ablate_a(args) -> int:
 def _cmd_eval(args) -> int:
     config = _resolve_config(args)
     path = Path(args.checkpoint)
-    if not path.exists():
+    if not path.is_file():
         raise CheckpointFormatError(f"checkpoint not found: {path}")
     model, head = read_checkpoint(path)
     _train, val, pairs = _prepare_data(config)
     if val.feature_dim != model.layer_dims[0]:
         raise DataFormatError(f"dataset feature dim {val.feature_dim} does not match "
                               f"the checkpoint input dim {model.layer_dims[0]}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_run_dir(args.out)
     report = _write_evaluation(out, model, head, val, pairs)
     print(f"verification_accuracy {report['verification_accuracy']:.6f}")
     print(f"rank1 {report['rank1']:.6f}")
@@ -376,8 +381,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_export_curves(args) -> int:
     factors = _parse_factor_list(args.a_list, "a-list")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_run_dir(args.out)
     header = ["p"]
     for value in factors:
         header.append(f"h[a={value:g}]")

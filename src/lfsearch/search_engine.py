@@ -32,8 +32,8 @@ class SearchEpochRecord:
     normalized_rewards: tuple
     winner: int
     mean_losses: tuple
-    digests: tuple
     start_digest: str
+    winner_digest: str
     # Seconds each candidate spent training and scoring in the process that
     # ran it. They are left out of comparisons, so the records of two runs
     # of one seed compare equal.
@@ -43,10 +43,6 @@ class SearchEpochRecord:
     def __post_init__(self):
         require(self.raw_rewards[self.winner] == max(self.raw_rewards),
                 "winner must maximize the raw reward")
-
-    @property
-    def winner_digest(self) -> str:
-        return self.digests[self.winner]
 
 
 @dataclass(frozen=True)
@@ -163,6 +159,7 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
             normalized = normalize_rewards(raw)
             mu_after = reinforce_update(search, mu, factors, normalized)
             winner = select_best(raw)
+            state = outcomes[winner].state
             record = SearchEpochRecord(
                 epoch=epoch, mu_before=mu, mu_after=mu_after,
                 factors=tuple(float(a) for a in factors),
@@ -170,12 +167,11 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
                 normalized_rewards=tuple(float(r) for r in normalized),
                 winner=winner,
                 mean_losses=tuple(float(outcome.mean_loss) for outcome in outcomes),
-                digests=tuple(outcome.digest for outcome in outcomes),
                 start_digest=start_digest,
+                winner_digest=param_digest(state.model, state.head),
                 train_s=tuple(outcome.train_s for outcome in outcomes),
                 reward_s=tuple(outcome.reward_s for outcome in outcomes))
             history.append(record)
-            state = outcomes[winner].state
             if best_reward is None or raw[winner] > best_reward:
                 best_reward = float(raw[winner])
                 best_epoch = epoch

@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import param_digest
 from .contracts import require
 from .datasets import LabeledDataset
 from .embed_model import ClassifierHead, EmbeddingModel, backward, flatten, forward, unflatten
@@ -115,12 +114,10 @@ def train_epoch(state: TrainState, loss: MarginSpec, data: LabeledDataset,
 
 @dataclass(frozen=True)
 class CandidateOutcome:
-    """One trained candidate: its state and the state's param_digest, its
-    mean loss and score, and the seconds its training and scoring took in
-    the process that ran them."""
+    """One trained candidate: its state, its mean loss and score, and the
+    seconds its training and scoring took in the process that ran them."""
 
     state: TrainState
-    digest: str
     mean_loss: float
     reward: float
     train_s: float
@@ -131,16 +128,14 @@ def train_candidate(state: TrainState, factor: float, data: LabeledDataset,
                     config: SgdConfig, lr: float, epoch_stream: RngStream, workspace,
                     score) -> CandidateOutcome:
     """One candidate: an epoch of the unified loss with `factor` from
-    `state`, then score(trained_state, workspace), then the trained state's
-    hash, so that a search's workers hash their candidates in parallel."""
+    `state`, then score(trained_state, workspace)."""
     started = time.perf_counter()
     trained, mean_loss = train_epoch(state, MarginSpec.unified(factor), data, config, lr,
                                      epoch_stream, workspace)
     scored = time.perf_counter()
     value = score(trained, workspace)
     reward_s = time.perf_counter() - scored
-    return CandidateOutcome(trained, param_digest(trained.model, trained.head), mean_loss,
-                            value, scored - started, reward_s)
+    return CandidateOutcome(trained, mean_loss, value, scored - started, reward_s)
 
 
 class InProcessCandidates:

@@ -10,7 +10,8 @@ best.lfs. timings.jsonl and environment.json are left out: they describe
 the clock and the machine, not the result.
 
 Run as a script to rewrite this build's row of the table, after a change
-that moves run bytes on purpose:
+that moves run bytes on purpose; it prints the names of the digests it
+added, removed and changed against the old row:
 
     PYTHONPATH=src python tests/golden_runs.py
 """
@@ -51,7 +52,7 @@ def build_key() -> str:
             f"{platform.machine()}")
 
 
-def _commands(seed: int, config: str, root: Path):
+def commands(seed: int, config: str, root: Path):
     """(run name, argv, candidate processes) of one seed's matrix."""
     base = ["--config", config, "--seed", str(seed)]
     best = root / f"seed{seed}" / "search-1" / "best.lfs"
@@ -67,32 +68,56 @@ def _commands(seed: int, config: str, root: Path):
             ("eval", ["eval", "--checkpoint", str(best), *base], 1)]
 
 
+def write_config(root) -> Path:
+    """Write the matrix's config file under `root` and return its path."""
+    config = Path(root) / "config.json"
+    config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    return config
+
+
+def run(argv, out, processes: int) -> None:
+    """Run one command line into `out` with `processes` candidate processes."""
+    with mock.patch.object(candidate_workers, "candidate_processes",
+                           lambda population: processes), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*argv, "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"{' '.join(argv)}: exit code {code}")
+
+
 def run_digests(root) -> dict:
     """Run the matrix under `root` and return the digest of each run file
     by its path relative to `root`."""
     root = Path(root)
-    config = root / "config.json"
-    config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    config = write_config(root)
     for seed in SEEDS:
-        for name, argv, processes in _commands(seed, str(config), root):
-            out = root / f"seed{seed}" / name
-            with mock.patch.object(candidate_workers, "candidate_processes",
-                                   lambda population, count=processes: count), \
-                    contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main([*argv, "--out", str(out)])
-            if code != 0:
-                raise RuntimeError(f"seed {seed} {name}: exit code {code}")
+        for name, argv, processes in commands(seed, str(config), root):
+            run(argv, root / f"seed{seed}" / name, processes)
     return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*"))
             if path.is_file() and path != config and path.name not in SKIPPED}
 
 
+def row_changes(old: dict, new: dict) -> dict:
+    """The names added, removed and changed from row `old` to row `new`."""
+    return {"added": sorted(new.keys() - old.keys()),
+            "removed": sorted(old.keys() - new.keys()),
+            "changed": sorted(name for name in old.keys() & new.keys()
+                              if old[name] != new[name])}
+
+
 def main() -> int:
     table = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.is_file() else {}
+    key = build_key()
+    old = table.get(key, {})
     with tempfile.TemporaryDirectory() as root:
-        table[build_key()] = run_digests(root)
+        table[key] = run_digests(root)
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(table[build_key()])} digests for {build_key()!r} to {TABLE}")
+    print(f"wrote {len(table[key])} digests for {key!r} to {TABLE}")
+    for kind, names in row_changes(old, table[key]).items():
+        print(f"{kind}: {len(names)}")
+        for name in names:
+            print(f"  {name}")
     return 0
 
 

@@ -8,7 +8,8 @@ package computes all of these batched; these are the oracles for the
 composition identity, the probability reduction and the gradient checks.
 `fold_scan` is the verification threshold scan one fold at a time, the
 reference for the package's scan. `first_distinct` is the rejection draw of
-a large pair pool's ranks, one value at a time.
+a large pair pool's ranks, one value at a time. `replay` rebuilds a search's
+winners from its run files, training only the winners and scoring nothing.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
+from lfsearch import cli
+from lfsearch.config import ExperimentConfig
 from lfsearch.contracts import require
 from lfsearch.margin_losses import ARCCOS_GUARD, MarginKind, MarginSpec
-from lfsearch.numerics import NORM_EPSILON
+from lfsearch.numerics import NORM_EPSILON, RngStream
+from lfsearch.sgd_trainer import train_epoch
 
 
 def log_sum_exp(values) -> float:
@@ -205,3 +209,28 @@ def first_distinct(generator, size: int, count: int, length: int) -> np.ndarray:
             if len(kept) == count:
                 return np.array(kept, dtype=np.int64)
     raise AssertionError(f"{length} draws hold fewer than {count} distinct values")
+
+
+def replay(config: ExperimentConfig, records) -> list:
+    """A search's initial state and each epoch's winner, rebuilt from the
+    run's resolved config and its metrics.jsonl records, with no scoring.
+
+    The data and the initial state are prepared as the command line
+    prepares them. Epoch e trains the previous winner (at first the initial
+    state) one epoch under MarginSpec.unified(factors[winner]) at
+    schedule.lr_at(sgd.learning_rate, e) on the epoch's search stream,
+    RngStream(seed, "search").child(f"epoch{e}"). Returns one state more
+    than there are records: states[e] is epoch e's winner.
+    """
+    train, _val, _pairs = cli._prepare_data(config)
+    states = [cli._init_state(config, train)]
+    root = RngStream(config.seed, "search")
+    for record in records:
+        epoch = record["epoch"]
+        require(epoch == len(states), "records must list epochs 1, 2, ... in order")
+        factor = record["factors"][record["winner"]]
+        lr = config.schedule.lr_at(config.sgd.learning_rate, epoch)
+        state, _ = train_epoch(states[-1], MarginSpec.unified(factor), train, config.sgd, lr,
+                               root.child(f"epoch{epoch}"))
+        states.append(state)
+    return states

@@ -19,7 +19,7 @@ import pytest
 from lfsearch.checkpoint import (CheckpointFormatError, param_digest,
                                  read_checkpoint, write_checkpoint)
 from lfsearch.cli import main
-from lfsearch.config import ExperimentConfig, ScheduleConfig, SearchConfig
+from lfsearch.config import ExperimentConfig, ScheduleConfig, SearchConfig, from_dict
 from lfsearch.datasets import (PairSet, SyntheticSpec, generate_synthetic,
                                make_pairs, split_open_set)
 from lfsearch.embed_model import backward, forward, init_model, unflatten
@@ -31,7 +31,7 @@ from lfsearch.numerics import RngStream
 from lfsearch.search_engine import normalize_rewards, reinforce_update, run_search
 from lfsearch.sgd_trainer import SgdConfig, TrainState, train_epoch
 from oracles import (LogitRow, log_margin_probability, log_softmax_probability,
-                     margin_transform, modulating_factor, unified_loss)
+                     margin_transform, modulating_factor, replay, unified_loss)
 
 SEEDS = range(5)
 SWEEP_FACTORS = (-1.0, -10.0, -100.0, -1000.0, -10000.0)
@@ -343,11 +343,13 @@ class TestSearchArithmetic:
         records = [json.loads(line) for line in blobs[0].decode().splitlines()]
         chained = all(cur["start_digest"] == prev["winner_digest"]
                       for prev, cur in zip(records, records[1:]))
-        broadcast = True
-        for record in records:
-            model, head = read_checkpoint(outs[0] / "checkpoints"
-                                          / f"epoch_{record['epoch']:03d}.lfs")
-            broadcast &= param_digest(model, head) == record["winner_digest"]
+        # Each epoch's winner, rebuilt from the run files, is the state its
+        # record names, and the start the next epoch names.
+        resolved = from_dict(json.loads((outs[0] / "config.json").read_text(encoding="utf-8")))
+        winners = replay(resolved, records)[1:]
+        broadcast = len(winners) == len(records) == 3
+        for record, state in zip(records, winners):
+            broadcast &= param_digest(state.model, state.head) == record["winner_digest"]
         ok = identical and chained and broadcast
         _report(capsys, 5, ok,
                 f"three reruns byte-identical {identical}, "

@@ -85,8 +85,8 @@ def run_cli(argv, processes=None, **env_changes):
 
 
 def run_files(out):
-    """Every file of a run directory, checkpoints included, but the two that
-    describe the machine rather than the result."""
+    """Every file of a run directory, in subdirectories too, but the two
+    that describe the machine rather than the result."""
     return {path.relative_to(out).as_posix(): path.read_bytes()
             for path in sorted(out.rglob("*")) if path.is_file()
             and path.name not in ("timings.jsonl", "environment.json")}
@@ -298,7 +298,7 @@ class TestBlasThreads:
             environment = json.loads((out / "environment.json").read_text(encoding="utf-8"))
             assert environment["candidate_processes"] == 2
             runs.append(run_files(out))
-        assert len(runs[0]) == 9
+        assert len(runs[0]) == 8
         assert runs[0] == runs[1] == runs[2]
 
     def test_environment_record_and_thread_count_restored(self, tmp_path):
@@ -343,20 +343,20 @@ class TestSearchCommand:
                      "mu_trajectory.csv", "convergence.csv"):
             blobs = [(out / name).read_bytes() for out in outs]
             assert blobs[0] == blobs[1] == blobs[2], name
-        for epoch in (1, 2):
-            blobs = [(out / "checkpoints" / f"epoch_{epoch:03d}.lfs").read_bytes()
-                     for out in outs]
-            assert blobs[0] == blobs[1] == blobs[2]
+        assert not (outs[0] / "checkpoints").exists()
 
     def test_a_shorter_rerun_leaves_no_stale_winner(self, tmp_path):
         longer = write_config(tmp_path, "longer.json",
                               schedule={"epochs": 3, "drop_epochs": []})
         shorter = write_config(tmp_path)
         rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
-        for config, out in ((longer, rerun), (shorter, rerun), (shorter, fresh)):
-            assert main(["search", "--config", config, "--out", str(out)]) == 0
-        assert sorted(path.name for path in (rerun / "checkpoints").iterdir()) == \
-            ["epoch_001.lfs", "epoch_002.lfs"]
+        assert main(["search", "--config", longer, "--out", str(rerun)]) == 0
+        # A winner checkpoint where earlier builds wrote them.
+        (rerun / "checkpoints").mkdir()
+        (rerun / "checkpoints" / "epoch_001.lfs").write_bytes((rerun / "best.lfs").read_bytes())
+        for out in (rerun, fresh):
+            assert main(["search", "--config", shorter, "--out", str(out)]) == 0
+        assert list((rerun / "checkpoints").iterdir()) == []
         assert run_files(rerun) == run_files(fresh)
 
     def test_metric_stream_chains_winner_digests(self, tmp_path):
@@ -408,7 +408,7 @@ class TestSearchCommand:
             environment = json.loads((out / "environment.json").read_text(encoding="utf-8"))
             assert environment["candidate_processes"] == processes
             runs.append(run_files(out))
-        assert len(runs[0]) == 11
+        assert len(runs[0]) == 8
         assert runs[0] == runs[1]
 
     def test_a_search_with_no_epochs_records_one_process(self, tmp_path, force_processes):
@@ -630,6 +630,12 @@ class TestEvalCommand:
         assert main(["eval", "--config", config, "--out", str(tmp_path / "x"),
                      "--checkpoint", str(tmp_path / "absent.lfs")]) == 3
 
+    def test_a_directory_as_the_checkpoint_is_a_data_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["eval", "--config", config, "--out", str(tmp_path / "x"),
+                     "--checkpoint", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"data error: checkpoint not found: {tmp_path}\n"
+
     def test_truncated_checkpoint_is_a_data_error(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -683,6 +689,47 @@ class TestExitCodes:
         path.write_text("{oops", encoding="utf-8")
         assert main(["train-fixed", "--config", str(path),
                      "--out", str(tmp_path / "x")]) == 2
+
+    def test_a_directory_as_the_config_file(self, tmp_path, capsys):
+        assert main(["train-fixed", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {tmp_path} cannot be read: ")
+        assert err.count("\n") == 1
+
+    def test_a_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"seed": 1, "note": "\xff"}')
+        assert main(["train-fixed", "--config", str(path),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {path} cannot be read: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["train-fixed", "search", "random-schedule",
+                                         "ablate-a", "eval", "export-curves"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_an_out_path_that_cannot_be_a_directory(self, tmp_path, capsys, command, under):
+        """--out naming an existing file, or a path under one."""
+        config = write_config(tmp_path)
+        if command == "eval":
+            assert main(["train-fixed", "--config", config, "--epochs", "0",
+                         "--out", str(tmp_path / "model")]) == 0
+            argv = [command, "--config", config,
+                    "--checkpoint", str(tmp_path / "model" / "model.lfs")]
+        elif command == "export-curves":
+            argv = [command]
+        else:
+            argv = [command, "--config", config, "--epochs", "1"]
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        out = taken / "run" if under else taken
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out}: cannot make the directory: ")
+        assert err.count("\n") == 1
+        assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_unknown_config_key(self, tmp_path):
         config = write_config(tmp_path, dataset={"classez": 10})

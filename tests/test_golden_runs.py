@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from golden_runs import TABLE, build_key, run_digests
+from golden_runs import TABLE, build_key, row_changes, run_digests
 
 
 def test_run_files_match_the_golden_digests(tmp_path):
@@ -18,3 +18,12 @@ def test_run_files_match_the_golden_digests(tmp_path):
     changed = sorted(name for name in want.keys() | got.keys()
                      if want.get(name) != got.get(name))
     assert not changed, f"run files differ from their golden digests: {changed}"
+
+
+def test_a_rewritten_row_names_what_it_adds_removes_and_changes():
+    old = {"kept": "1", "moved": "2", "gone": "3"}
+    new = {"kept": "1", "moved": "4", "new": "5"}
+    assert row_changes(old, new) == {"added": ["new"], "removed": ["gone"],
+                                     "changed": ["moved"]}
+    assert row_changes({}, new) == {"added": ["kept", "moved", "new"], "removed": [],
+                                    "changed": []}

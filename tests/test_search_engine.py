@@ -18,7 +18,7 @@ from lfsearch.config import ExperimentConfig, RandomConfig, ScheduleConfig, Sear
 from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import SyntheticSpec, generate_synthetic, make_pairs
 from lfsearch.embed_model import init_model
-from lfsearch import candidate_workers, numerics, search_engine, sgd_trainer
+from lfsearch import candidate_workers, checkpoint, numerics, search_engine, sgd_trainer
 from lfsearch.candidate_workers import (CandidateWorkerError, CandidateWorkers,
                                         candidate_processes, cgroup_cpu_quota)
 from lfsearch.numerics import RngStream, one_blas_thread
@@ -181,7 +181,6 @@ class TestRunSearch:
         for prev, cur in zip(result.history, result.history[1:]):
             assert cur.start_digest == prev.winner_digest
         for record in result.history:
-            assert record.winner_digest == record.digests[record.winner]
             assert record.raw_rewards[record.winner] == max(record.raw_rewards)
 
     def test_candidates_start_from_the_previous_winner(self, monkeypatch):
@@ -200,11 +199,12 @@ class TestRunSearch:
         assert starts == [record.start_digest for record in result.history]
 
     def test_each_parameter_set_is_hashed_once(self, monkeypatch):
-        # The initial state, then each epoch's candidates: a winner is not
-        # hashed again as the next epoch's start. The search hashes the
-        # initial state and each candidate is hashed where it trains, so the
-        # count is shared with the forked workers.
-        real = param_digest
+        # The initial state, then each epoch's winner: no other candidate
+        # is hashed, and a winner is not hashed again as the next epoch's
+        # start. Every param_digest, wherever it was imported, serializes
+        # through the checkpoint module, and the counter is shared, so a
+        # hash made in a forked worker would count too.
+        real = checkpoint.serialize_model
         train, val, pairs, state = search_fixture(seed=2)
         for processes in (1, 2):
             calls = multiprocessing.Value("i", 0)
@@ -214,11 +214,10 @@ class TestRunSearch:
                     calls.value += 1
                 return real(model, head)
 
-            monkeypatch.setattr(search_engine, "param_digest", counted)
-            monkeypatch.setattr(sgd_trainer, "param_digest", counted)
+            monkeypatch.setattr(checkpoint, "serialize_model", counted)
             with processes_forced(processes):
                 run_search(default_settings(seed=9, epochs=3), state, train, val, pairs)
-            assert calls.value == 1 + 3 * 2
+            assert calls.value == 1 + 3
 
     def test_best_is_argmax_over_history(self):
         train, val, pairs, state = search_fixture(seed=3)
