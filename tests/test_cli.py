@@ -351,7 +351,7 @@ class TestSearchCommand:
         shorter = write_config(tmp_path)
         rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
         assert main(["search", "--config", longer, "--out", str(rerun)]) == 0
-        # A winner checkpoint where earlier builds wrote them.
+        # A winner checkpoint where earlier builds wrote one.
         (rerun / "checkpoints").mkdir()
         (rerun / "checkpoints" / "epoch_001.lfs").write_bytes((rerun / "best.lfs").read_bytes())
         for out in (rerun, fresh):
