@@ -6,8 +6,11 @@ The matrix, at seeds 0 and 1: `search` with one and with two candidate
 processes, `search` of three candidates with two processes (so that one
 worker trains two candidates from one epoch start), `train-fixed` with the plain, arc, angular and unified losses,
 `random-schedule`, `ablate-a`, and `eval` of the one-process search's
-best.lfs. timings.jsonl and environment.json are left out: they describe
-the clock and the machine, not the result.
+best.lfs. Its candidates tie on that data, so two `search-spread` rows, at
+one and two processes, search a config of their own (more pairs, mu 0,
+sigma 20, three candidates) where the winners and mu move. timings.jsonl
+and environment.json are left out: they describe the clock and the
+machine, not the result.
 
 Run as a script to rewrite this build's row of the table, after a change
 that moves run bytes on purpose; it prints the names of the digests it
@@ -41,6 +44,11 @@ CONFIG = {
     "schedule": {"epochs": 3, "drop_epochs": [2]},
     "search": {"population": 2},
 }
+# The matrix config with more validation pairs and a wide proposal, so that
+# the candidates' rewards differ, later candidates win and mu steps.
+SPREAD_CONFIG = {**CONFIG, "dataset": {**CONFIG["dataset"], "n_pairs": 200},
+                 "search": {"mu": 0.0, "sigma": 20.0, "population": 3}}
+SPREAD_NAME = "spread.json"
 SKIPPED = ("timings.jsonl", "environment.json")
 
 
@@ -53,12 +61,17 @@ def build_key() -> str:
 
 
 def commands(seed: int, config: str, root: Path):
-    """(run name, argv, candidate processes) of one seed's matrix."""
+    """(run name, argv, candidate processes) of one seed's matrix; the
+    spread rows read the spread config that write_config puts beside
+    `config`."""
     base = ["--config", config, "--seed", str(seed)]
+    spread = ["--config", str(Path(config).with_name(SPREAD_NAME)), "--seed", str(seed)]
     best = root / f"seed{seed}" / "search-1" / "best.lfs"
     return [("search-1", ["search", *base], 1),
             ("search-2", ["search", *base], 2),
             ("search-3", ["search", "--population", "3", *base], 2),
+            ("search-spread-1", ["search", *spread], 1),
+            ("search-spread-2", ["search", *spread], 2),
             ("plain", ["train-fixed", *base], 1),
             ("arc", ["train-fixed", "--loss", "arc", *base], 1),
             ("angular", ["train-fixed", "--loss", "angular", *base], 1),
@@ -69,9 +82,11 @@ def commands(seed: int, config: str, root: Path):
 
 
 def write_config(root) -> Path:
-    """Write the matrix's config file under `root` and return its path."""
+    """Write the matrix's config file and the spread config under `root`
+    and return the matrix config's path."""
     config = Path(root) / "config.json"
     config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    config.with_name(SPREAD_NAME).write_text(json.dumps(SPREAD_CONFIG), encoding="utf-8")
     return config
 
 
@@ -95,7 +110,7 @@ def run_digests(root) -> dict:
             run(argv, root / f"seed{seed}" / name, processes)
     return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*"))
-            if path.is_file() and path != config and path.name not in SKIPPED}
+            if path.is_file() and path.parent != root and path.name not in SKIPPED}
 
 
 def row_changes(old: dict, new: dict) -> dict:

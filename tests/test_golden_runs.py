@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from golden_runs import TABLE, build_key, row_changes, run_digests
+from golden_runs import SEEDS, TABLE, build_key, commands, row_changes, run, run_digests, \
+    write_config
 
 
 def test_run_files_match_the_golden_digests(tmp_path):
@@ -18,6 +19,20 @@ def test_run_files_match_the_golden_digests(tmp_path):
     changed = sorted(name for name in want.keys() | got.keys()
                      if want.get(name) != got.get(name))
     assert not changed, f"run files differ from their golden digests: {changed}"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", ["search-spread-1", "search-spread-2"])
+def test_the_spread_searches_pin_the_winner_and_the_mu_step(tmp_path, seed, name):
+    # The other searches tie every candidate: candidate 0 wins and mu stays.
+    config = write_config(tmp_path)
+    (argv, processes), = [(argv, processes) for row, argv, processes
+                          in commands(seed, str(config), tmp_path) if row == name]
+    run(argv, tmp_path / name, processes)
+    records = [json.loads(line) for line in
+               (tmp_path / name / "metrics.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert any(record["winner"] != 0 for record in records)
+    assert any(record["mu_after"] != record["mu_before"] for record in records)
 
 
 def test_a_rewritten_row_names_what_it_adds_removes_and_changes():
