@@ -1,19 +1,19 @@
-"""Forked worker processes that train and score a search epoch's candidates.
-
-A search forks its workers once, after its data is prepared, so they inherit
-the training and validation sets, the pairs and the settings without a copy.
-Each epoch the parent writes the start parameters and velocity into an
-anonymous shared mapping and sends each of its W workers one message down
-its pipe: the epoch's learning rate and stream and the worker's share of the
-candidates, candidate i going to worker i mod W. Every candidate does the
-same arithmetic on the same shapes, so the fixed shares balance the load.
-The worker reads the start once and runs `train_candidate` for each
-candidate of its share in turn, writes the trained parameters and velocity
-into the candidate's slot of the mapping, and sends back the mean loss,
-reward, timings and the warnings it raised. Each candidate does the
-arithmetic it does in process, so every result is bit-identical. The
-workers are forked, not spawned, so that they inherit the data; the command
-line forks them from its one thread.
+"""The one runner of a search epoch's candidates: in turn in this process,
+through one workspace, or in W forked workers. A search forks its workers
+once, after its data is prepared, so they inherit the training and
+validation sets, the pairs and the settings without a copy. Each epoch the
+parent writes the start parameters and velocity into an anonymous shared
+mapping and sends each worker one message down its pipe: the epoch's
+learning rate and stream and the worker's share of the candidates,
+candidate i going to worker i mod W. Every candidate does the same
+arithmetic on the same shapes, so the fixed shares balance the load. The
+worker reads the start once and runs `train_candidate` for each candidate
+of its share in turn, writes the trained parameters and velocity into the
+candidate's slot of the mapping, and sends back the mean loss, reward,
+timings and the warnings it raised. Each candidate does the arithmetic it
+does in process, so every result is bit-identical. The workers are forked,
+not spawned, so that they inherit the data; the command line forks them
+from its one thread.
 """
 
 from __future__ import annotations
@@ -192,23 +192,26 @@ def _reissue(records) -> None:
 
 
 class CandidateWorkers:
-    """`processes` forked workers that train and score the candidates of one
-    search, each worker a fixed share of every epoch. Leaving the context
-    closes every pipe and joins every worker, and on an exception
-    terminates them first."""
+    """Trains and scores the candidates of one search: in turn in this
+    process for `processes` 1, else each of that many forked workers a
+    fixed share of every epoch. Leaving the context closes every pipe and
+    joins every worker, and on an exception terminates them first."""
 
     def __init__(self, processes: int, template: TrainState, population: int, data,
                  config, score):
+        require(processes >= 1, "need at least one worker process")
+        self._conns, self._procs = [], []
+        if processes == 1:
+            self._local = (data, config, Workspace(), score)
+            return
         # Imported here, not with the module: the import costs every command
         # about 13 ms, and only a search with workers needs it.
         import multiprocessing
 
-        require(processes >= 1, "need at least one worker process")
         context = multiprocessing.get_context("fork")
         self._slots = _Slots(1 + population, template)
         pipes = [context.Pipe() for _ in range(processes)]
         self._conns = [parent_end for parent_end, _ in pipes]
-        self._procs = []
         try:
             for index in range(processes):
                 proc = context.Process(target=_serve, name=f"lfsearch-candidates-{index}",
@@ -242,12 +245,16 @@ class CandidateWorkers:
                 proc.join()
 
     def run(self, state: TrainState, factors, lr: float, epoch_stream):
-        """Outcomes of the candidates in the order of `factors`, trained on
-        the data and settings the workers were forked with. Each of the W
-        workers gets one message with its share, candidates w, w + W, ...,
-        and replies once per candidate, in order. Every reply is in before
+        """Outcomes of the candidates in the order of `factors`. In process
+        the first failure stops the epoch. Otherwise each of the W workers
+        gets one message with its share, candidates w, w + W, ..., and
+        replies once per candidate, in order. Every reply is in before
         warnings come back in candidate order, and the first failing
         candidate's error is raised after its warnings, as in process."""
+        if not self._conns:
+            data, config, workspace, score = self._local
+            return [train_candidate(state, a, data, config, lr, epoch_stream, workspace, score)
+                    for a in factors]
         self._slots.write(0, state)
         count = len(self._conns)
         candidates = list(enumerate(factors))

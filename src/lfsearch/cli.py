@@ -10,6 +10,7 @@ went non-finite (metrics.jsonl keeps the epochs that completed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import shutil
 import sys
@@ -281,15 +282,10 @@ def _cmd_search(args) -> int:
         state0 = _init_state(config, train)
 
         def on_epoch(record, _winner_state):
+            # The record's compared fields after its epoch are the line's keys.
             run.epoch(record.epoch,
-                      {"mu_before": record.mu_before, "mu_after": record.mu_after,
-                       "factors": list(record.factors),
-                       "rewards": list(record.raw_rewards),
-                       "normalized_rewards": list(record.normalized_rewards),
-                       "winner": record.winner,
-                       "mean_losses": list(record.mean_losses),
-                       "start_digest": record.start_digest,
-                       "winner_digest": record.winner_digest},
+                      {field.name: getattr(record, field.name)
+                       for field in dataclasses.fields(record)[1:] if field.compare},
                       record.mean_losses[record.winner],
                       candidates=[{"train_s": train_s, "reward_s": reward_s}
                                   for train_s, reward_s in zip(record.train_s,

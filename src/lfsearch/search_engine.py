@@ -5,7 +5,6 @@ winner broadcast.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,18 +16,21 @@ from .contracts import require
 from .datasets import LabeledDataset, PairSet
 from .eval_protocols import reward
 from .numerics import RngStream, sample_gaussian
-from .sgd_trainer import InProcessCandidates, TrainState, train_candidates
+from .sgd_trainer import TrainState, train_candidates
 
 ZERO_VARIANCE_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
 class SearchEpochRecord:
+    """One search epoch; its compared fields after `epoch` are the keys of
+    its metrics.jsonl line, in order."""
+
     epoch: int
     mu_before: float
     mu_after: float
     factors: tuple
-    raw_rewards: tuple
+    rewards: tuple
     normalized_rewards: tuple
     winner: int
     mean_losses: tuple
@@ -41,7 +43,7 @@ class SearchEpochRecord:
     reward_s: tuple = field(compare=False)
 
     def __post_init__(self):
-        require(self.raw_rewards[self.winner] == max(self.raw_rewards),
+        require(self.rewards[self.winner] == max(self.rewards),
                 "winner must maximize the raw reward")
 
 
@@ -119,9 +121,9 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
     on_start, when given, is called once the candidate processes have
     started, just before epoch 1; on_epoch, when given, is called with
     (record, winner_state) as each epoch completes. Each epoch's candidates
-    train and score in the forked workers that search_processes counts, or,
-    with a count of one, in this process through one workspace; the results
-    are the same bits.
+    train and score in one CandidateWorkers of search_processes processes:
+    in this process for a count of one, else in forked workers; the
+    results are the same bits.
     """
     require(val_set.sample_count >= 1, "validation set must be non-empty")
     search = config.search
@@ -138,13 +140,9 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
         return reward(trained.model, trained.head, val_set, val_pairs,
                       config.reward, workspace)
 
-    processes = search_processes(config)
-    if processes > 1:
-        workers = candidate_workers.CandidateWorkers(processes, state0, search.population,
-                                                     train_set, config.sgd, score)
-    else:
-        workers = contextlib.nullcontext(InProcessCandidates(train_set, config.sgd, score))
-    with workers as runner:
+    with candidate_workers.CandidateWorkers(search_processes(config), state0,
+                                            search.population, train_set, config.sgd,
+                                            score) as runner:
         if on_start is not None:
             on_start()
         for epoch in range(1, config.schedule.epochs + 1):
@@ -163,7 +161,7 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
             record = SearchEpochRecord(
                 epoch=epoch, mu_before=mu, mu_after=mu_after,
                 factors=tuple(float(a) for a in factors),
-                raw_rewards=tuple(float(r) for r in raw),
+                rewards=tuple(float(r) for r in raw),
                 normalized_rewards=tuple(float(r) for r in normalized),
                 winner=winner,
                 mean_losses=tuple(float(outcome.mean_loss) for outcome in outcomes),

@@ -138,31 +138,16 @@ def train_candidate(state: TrainState, factor: float, data: LabeledDataset,
     return CandidateOutcome(trained, mean_loss, value, scored - started, reward_s)
 
 
-class InProcessCandidates:
-    """Trains and scores each candidate in turn in this process, on `data`
-    under `config`, through one workspace; the first failure stops the
-    epoch."""
-
-    def __init__(self, data: LabeledDataset, config: SgdConfig, score):
-        self.data, self.config, self.score = data, config, score
-        self.workspace = Workspace()
-
-    def run(self, state, factors, lr, epoch_stream):
-        return [train_candidate(state, a, self.data, self.config, lr, epoch_stream,
-                                self.workspace, self.score)
-                for a in factors]
-
-
 def train_candidates(state: TrainState, factors, lr: float, epoch_stream: RngStream,
                      runner):
     """Train one epoch per factor, all from the same snapshot and shuffle.
 
     Every candidate trains a private copy of `state` under the unified loss
     with its own factor, consuming the identical shuffle order derived from
-    epoch_stream, so candidates differ only in the factor. `runner` holds
-    the data, settings and score, and trains them: a search's worker
-    processes or an InProcessCandidates. Returns one CandidateOutcome per
-    factor, in the order of `factors`.
+    epoch_stream, so candidates differ only in the factor. `runner`, a
+    search's candidate_workers.CandidateWorkers, holds the data, settings
+    and score, and trains them in this process or in its forked workers.
+    Returns one CandidateOutcome per factor, in the order of `factors`.
     """
     factors = [float(a) for a in factors]
     require(len(factors) >= 1, "need at least one candidate factor")

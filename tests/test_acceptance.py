@@ -395,7 +395,7 @@ class TestDirectionalTrends:
         plain_search_mean = statistics.mean(max(c) for c in search_twins)
         plain_random_mean = statistics.mean(max(c) for c in random_twins)
         search_last_gap = statistics.mean(
-            r.history[-1].raw_rewards[r.history[-1].winner] - c[-1]
+            r.history[-1].rewards[r.history[-1].winner] - c[-1]
             for r, c in zip(searched, search_twins))
         random_last_gap = statistics.mean(
             h[-1] - c[-1] for h, c in zip(randomized, random_twins))

@@ -332,6 +332,17 @@ class TestBlasThreads:
                               capture_output=True, text=True, timeout=120)
         assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
 
+    @pytest.mark.parametrize("argv", [["train-fixed"], ["search", "--population", "1"]])
+    def test_a_one_process_run_imports_neither_numpy_ma_nor_multiprocessing(self, tmp_path,
+                                                                           argv):
+        # The multiprocessing import costs every command about 13 ms.
+        code = ("import sys; from lfsearch.cli import main; "
+                f"code = main({argv + ['--epochs', '1', '--out', str(tmp_path)]!r}); "
+                "print(code, 'numpy.ma' in sys.modules, 'multiprocessing' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split()[-3:] == ["0", "False", "False"], proc.stderr
+
 
 class TestSearchCommand:
     def test_reruns_are_byte_identical(self, tmp_path):

@@ -30,8 +30,7 @@ from lfsearch.search_engine import (
     sample_factors,
     select_best,
 )
-from lfsearch.sgd_trainer import (InProcessCandidates, NonFiniteTrainingError, SgdConfig,
-                                  TrainState, train_candidates)
+from lfsearch.sgd_trainer import NonFiniteTrainingError, SgdConfig, TrainState, train_candidates
 
 
 def search_fixture(seed=0):
@@ -181,7 +180,7 @@ class TestRunSearch:
         for prev, cur in zip(result.history, result.history[1:]):
             assert cur.start_digest == prev.winner_digest
         for record in result.history:
-            assert record.raw_rewards[record.winner] == max(record.raw_rewards)
+            assert record.rewards[record.winner] == max(record.rewards)
 
     def test_candidates_start_from_the_previous_winner(self, monkeypatch):
         """Each epoch trains from the state whose digest the record names:
@@ -222,7 +221,7 @@ class TestRunSearch:
     def test_best_is_argmax_over_history(self):
         train, val, pairs, state = search_fixture(seed=3)
         result = run_search(default_settings(seed=10), state, train, val, pairs)
-        per_epoch_best = [max(r.raw_rewards) for r in result.history]
+        per_epoch_best = [max(r.rewards) for r in result.history]
         assert result.best_reward == max(per_epoch_best)
         top = result.history[result.best_epoch - 1]
         assert result.best_candidate == top.winner
@@ -576,7 +575,7 @@ class TestCandidateWorkers:
         train, val, pairs, state = search_fixture(seed=2)
         shown = []
         with CandidateWorkers(2, state, 4, train, SgdConfig(), unscored) as workers:
-            for runner in (InProcessCandidates(train, SgdConfig(), unscored), workers):
+            for runner in (CandidateWorkers(1, state, 4, train, SgdConfig(), unscored), workers):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     with pytest.raises(NonFiniteTrainingError, match="failed at -2"):

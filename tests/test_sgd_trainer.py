@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lfsearch.candidate_workers import CandidateWorkers
 from lfsearch.checkpoint import param_digest
 from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import LabeledDataset, SyntheticSpec, generate_synthetic
@@ -16,7 +17,6 @@ from lfsearch.embed_model import (ClassifierHead, EmbeddingModel, flatten, forwa
 from lfsearch.margin_losses import MarginSpec, batch_loss_and_grad
 from lfsearch.numerics import RngStream, Workspace
 from lfsearch.sgd_trainer import (
-    InProcessCandidates,
     NonFiniteTrainingError,
     SgdConfig,
     TrainState,
@@ -35,7 +35,8 @@ def small_problem(seed=0):
 def in_process(state, factors, data, config, lr, epoch_stream):
     """train_candidates in this process, each candidate scored 0."""
     return train_candidates(state, factors, lr, epoch_stream,
-                            InProcessCandidates(data, config, lambda trained, workspace: 0.0))
+                            CandidateWorkers(1, state, len(factors), data, config,
+                                             lambda trained, workspace: 0.0))
 
 
 def scalar_state(w=1.0):
