@@ -268,7 +268,11 @@ class CandidateWorkers:
             try:
                 replies.append(self._conns[i % count].recv())
             except (EOFError, OSError):
-                raise self._lost(i % count, i) from None
+                proc = self._procs[i % count]
+                proc.join(_JOIN_S)
+                raise CandidateWorkerError(
+                    f"candidate {i}: worker process {proc.pid} ended "
+                    f"(exit code {proc.exitcode}) before returning it") from None
         outcomes = []
         for i, (summary, error, trace, records) in enumerate(replies):
             _reissue(records)
@@ -277,9 +281,3 @@ class CandidateWorkers:
             outcomes.append(CandidateOutcome(
                 self._slots.read(i + 1, state.epoch + 1, copy=True), *summary))
         return outcomes
-
-    def _lost(self, w: int, candidate: int) -> CandidateWorkerError:
-        proc = self._procs[w]
-        proc.join(_JOIN_S)
-        return CandidateWorkerError(f"candidate {candidate}: worker process {proc.pid} "
-                                    f"ended (exit code {proc.exitcode}) before returning it")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import shutil
 import sys
 import time
@@ -75,7 +76,18 @@ def _resolve_config(args) -> ExperimentConfig:
         value = getattr(args, dest, None)
         if value is not None:
             set_path(tree, path, value)
-    return from_dict(tree)
+    config = from_dict(tree)
+    # A knob flag that the requested loss kind does not read is an error; a
+    # config file's unused knobs are allowed. The kind is read as requested,
+    # since from_dict folds unified with a = 0 into plain.
+    kind = tree.get("loss", {}).get("kind", config.loss.kind)
+    kind = MarginKind(LOSS_ALIASES.get(kind, kind))
+    for owner, knobs in LOSS_KNOBS.items():
+        for knob in knobs:
+            if getattr(args, knob, None) is not None and owner is not kind:
+                raise ConfigError(f"--{knob}: the {kind.value} loss does not read it; "
+                                  f"it is a knob of the {owner.value} loss")
+    return config
 
 
 def _prepare_data(config: ExperimentConfig):
@@ -277,8 +289,7 @@ def _cmd_train(args) -> int:
 def _cmd_search(args) -> int:
     config = _resolve_config(args)
     train, val, pairs = _prepare_data(config)
-    processes = search_processes(config)
-    with _RunRecorder(args.out, config, "search", processes) as run:
+    with _RunRecorder(args.out, config, "search", search_processes(config)) as run:
         state0 = _init_state(config, train)
 
         def on_epoch(record, _winner_state):
@@ -461,6 +472,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-list", dest="a_list", default=DEFAULT_ABLATION_FACTORS,
                    help="comma-separated factors (all <= 0)")
     p.set_defaults(handler=_cmd_export_curves)
+    # A token that starts with a minus and a digit is a value, as in the
+    # --flag=value form: `--a -1e5` and `--factors -1,-10`, not only `--a -1`.
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

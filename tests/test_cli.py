@@ -1046,3 +1046,55 @@ class TestParser:
         assert set(table.values()) <= leaves
         assert dests - set(table) == {"help", "out", "config", "factors", "checkpoint",
                                       "a_list"}
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (["train-fixed", "--loss", "unified"], "--a", "-1e5"),
+        (["search"], "--mu", "-1e3"),
+        (["ablate-a"], "--factors", "-1,-10"),
+        (["export-curves"], "--a-list", "-1,-10"),
+    ])
+    def test_a_negative_value_after_a_space_reads_as_after_an_equals_sign(
+            self, tmp_path, command, flag, value):
+        config = [] if command == ["export-curves"] else ["--config", write_config(tmp_path)]
+        runs = []
+        for name, given in (("spaced", [flag, value]), ("joined", [f"{flag}={value}"])):
+            assert main([*command, *given, *config, "--out", str(tmp_path / name)]) == 0
+            runs.append(run_files(tmp_path / name))
+        assert runs[0] and runs[0] == runs[1]
+
+    def test_a_word_after_a_value_flag_is_still_no_value(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-fixed", "--loss", "unified", "--a", "-x", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "argument --a: expected one argument" in capsys.readouterr().err
+
+
+class TestKnobFlags:
+    @pytest.mark.parametrize("loss, flags, knob, kind, owner", [
+        ({}, ["--a", "-5"], "a", "plain", "unified"),
+        ({}, ["--a", "0"], "a", "plain", "unified"),
+        ({}, ["--loss", "arc", "--m1", "3"], "m1", "additive-angular", "angular"),
+        ({}, ["--loss", "unified", "--a", "-5", "--m3", "0.2"], "m3", "unified", "additive"),
+        ({"kind": "am"}, ["--m2", "0.2"], "m2", "additive", "additive-angular"),
+        ({"kind": "unified", "a": -5}, ["--loss", "angular", "--a", "-1"], "a", "angular",
+         "unified"),
+    ])
+    def test_a_knob_flag_its_loss_kind_does_not_read_is_a_config_error(
+            self, tmp_path, capsys, loss, flags, knob, kind, owner):
+        out = tmp_path / "x"
+        config = write_config(tmp_path, loss=loss)
+        assert main(["train-fixed", "--config", config, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"config error: --{knob}: the {kind} loss does "
+                                           f"not read it; it is a knob of the {owner} loss\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("loss, flags", [
+        ({"kind": "arc", "a": -5, "m1": 3}, []),
+        ({"kind": "am", "a": -5}, ["--m3", "0.3"]),
+        ({"kind": "unified"}, ["--a", "0"]),
+    ])
+    def test_a_config_files_unused_knobs_and_the_kinds_own_flag_stay_valid(
+            self, tmp_path, loss, flags):
+        config = write_config(tmp_path, loss=loss)
+        assert main(["train-fixed", "--config", config, *flags,
+                     "--out", str(tmp_path / "x")]) == 0
