@@ -4,7 +4,8 @@ command-line runs writes, in a table keyed by the build the bytes depend on
 
 The matrix, at seeds 0 and 1: `search` with one and with two candidate
 processes, `search` of three candidates with two processes (so that one
-worker trains two candidates from one epoch start), `train-fixed` with the plain, arc, angular and unified losses,
+worker trains two candidates from one epoch start), `train-fixed` with the
+plain, arc, am, angular and unified losses,
 `random-schedule`, `ablate-a`, and `eval` of the one-process search's
 best.lfs. Its candidates tie on that data, so two `search-spread` rows, at
 one and two processes, search a config of their own (more pairs, mu 0,
@@ -74,6 +75,7 @@ def commands(seed: int, config: str, root: Path):
             ("search-spread-2", ["search", *spread], 2),
             ("plain", ["train-fixed", *base], 1),
             ("arc", ["train-fixed", "--loss", "arc", *base], 1),
+            ("am", ["train-fixed", "--loss", "am", *base], 1),
             ("angular", ["train-fixed", "--loss", "angular", *base], 1),
             ("unified", ["train-fixed", "--loss", "unified", "--a", "-10", *base], 1),
             ("random", ["random-schedule", *base], 1),
