@@ -242,15 +242,19 @@ def from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config_file(path) -> dict:
+    """The settings tree of a JSON file, whose root must be an object."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            tree = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} cannot be read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(tree, dict):
+        raise ConfigError("config root must be a JSON object")
+    return tree
 
 
 def set_path(tree: dict, dotted_key: str, value) -> None:
@@ -260,6 +264,6 @@ def set_path(tree: dict, dotted_key: str, value) -> None:
     for part in parts[:-1]:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
-            raise ConfigError(f"{dotted_key}: {part} is not a table")
+            raise ConfigError(f"{part}: must be a table of settings")
     node[parts[-1]] = value
 

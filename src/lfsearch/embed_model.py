@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contracts import require
-from .numerics import NORM_EPSILON, RngStream, Workspace
+from .numerics import NORM_EPSILON, RngStream, Workspace, l2_normalize_rows
 
 
 @dataclass
@@ -120,21 +120,10 @@ def _backbone(model: EmbeddingModel, batch: np.ndarray, preacts=None, hidden=Non
     return acts
 
 
-def _unit_rows(raw, norms=None, guards=None, unit=None):
-    """Row norms of raw (the sums np.linalg.norm(axis=1) takes for real
-    input, minus its wrapper), max(norm, NORM_EPSILON), and raw over that,
-    each written into the given array (None: a new one; unit may be raw).
-    The squares go to unit first, unless unit is raw."""
-    squares = np.multiply(raw, raw, out=None if unit is raw else unit)
-    norms = np.sqrt(np.add.reduce(squares, axis=1, out=norms), out=norms)
-    guards = np.maximum(norms, NORM_EPSILON, out=guards)
-    return norms, guards, np.divide(raw, guards[:, None], out=unit)
-
-
 def embed(model: EmbeddingModel, batch: np.ndarray) -> np.ndarray:
     """Unit-norm embeddings for a batch, without the classifier head."""
     raw = _backbone(model, np.asarray(batch, dtype=np.float64))[-1]
-    return _unit_rows(raw, unit=raw)[2]
+    return l2_normalize_rows(raw, unit=raw)
 
 
 def forward(model: EmbeddingModel, head: ClassifierHead, batch: np.ndarray, workspace=None):
@@ -149,11 +138,12 @@ def forward(model: EmbeddingModel, head: ClassifierHead, batch: np.ndarray, work
     preacts = [ws.array(f"preact{l}", (n, w.shape[0])) for l, w in enumerate(model.weights)]
     hidden = [ws.array(f"hidden{l}", z.shape) for l, z in enumerate(preacts[:-1])]
     acts = _backbone(model, x, preacts, hidden)
-    emb = _unit_rows(acts[-1], ws.array("emb_norms", (n,)), ws.array("emb_guards", (n,)),
-                     ws.array("emb_unit", (n, width)))
-    head_rows = _unit_rows(head.class_weights, ws.array("head_norms", (classes,)),
-                           ws.array("head_guards", (classes,)),
-                           ws.array("head_unit", (classes, width)))
+    emb = (ws.array("emb_norms", (n,)), ws.array("emb_guards", (n,)),
+           ws.array("emb_unit", (n, width)))
+    head_rows = (ws.array("head_norms", (classes,)), ws.array("head_guards", (classes,)),
+                 ws.array("head_unit", (classes, width)))
+    l2_normalize_rows(acts[-1], *emb)
+    l2_normalize_rows(head.class_weights, *head_rows)
     cosines = np.matmul(emb[2], head_rows[2].T, out=ws.array("cosines", (n, classes)))
     np.clip(cosines, -1.0, 1.0, out=cosines)
     return cosines, ForwardCache(model, head, ws, acts, preacts, *emb, *head_rows, cosines)

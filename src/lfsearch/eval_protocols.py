@@ -26,26 +26,13 @@ class FarUnresolvableError(Exception):
 
 @dataclass(frozen=True)
 class GalleryProbeSplit:
-    """Index split for identification: one gallery entry per identity."""
+    """Index split for identification: one gallery entry per identity, as
+    make_gallery_probe builds it; rank1_identification checks the labels."""
 
     gallery_indices: np.ndarray
     gallery_labels: np.ndarray
     probe_indices: np.ndarray
     probe_labels: np.ndarray
-
-    def __post_init__(self):
-        gallery_labels = np.asarray(self.gallery_labels, dtype=np.int64)
-        probe_labels = np.asarray(self.probe_labels, dtype=np.int64)
-        _require_gallery(gallery_labels, probe_labels)
-
-
-def _require_gallery(gallery_labels: np.ndarray, probe_labels: np.ndarray) -> None:
-    """Gallery labels are distinct (checked on a sort, as np.unique would
-    but without its numpy.ma import) and cover every probe label."""
-    ordered = np.sort(gallery_labels)
-    require(not (ordered[1:] == ordered[:-1]).any(), "gallery labels must be unique")
-    require(bool(np.isin(probe_labels, gallery_labels).all()),
-            "every probe label must appear in the gallery")
 
 
 @dataclass(frozen=True)
@@ -226,7 +213,12 @@ def rank1_identification(gallery_embeddings: np.ndarray, gallery_labels: np.ndar
     """
     gallery_labels = np.asarray(gallery_labels, dtype=np.int64)
     probe_labels = np.asarray(probe_labels, dtype=np.int64)
-    _require_gallery(gallery_labels, probe_labels)
+    # Distinct gallery labels are checked on a sort, as np.unique would but
+    # without its numpy.ma import.
+    ordered = np.sort(gallery_labels)
+    require(not (ordered[1:] == ordered[:-1]).any(), "gallery labels must be unique")
+    require(bool(np.isin(probe_labels, gallery_labels).all()),
+            "every probe label must appear in the gallery")
     by_label = np.argsort(gallery_labels)
     targets = by_label[np.searchsorted(gallery_labels, probe_labels, sorter=by_label)]
     counts = np.zeros(gallery_labels.size, dtype=np.int64)

@@ -97,37 +97,31 @@ class MarginSpec:
         return cls(MarginKind.UNIFIED, a=a)
 
 
-def margin_transform_batch(spec: MarginSpec, cos_y: np.ndarray) -> np.ndarray:
-    """The margin value f <= cos_y that replaces each target cosine."""
+def margin_transform_batch(spec: MarginSpec, cos_y: np.ndarray):
+    """The margin value f <= cos_y that replaces each target cosine, and its
+    slope d f / d cos_y at the clamped theta (exact where it is unclamped)."""
     require(spec.kind is not MarginKind.UNIFIED, "margin_transform_batch: unified spec has no margin function")
     c = np.asarray(cos_y, dtype=np.float64)
     if spec.kind is MarginKind.PLAIN:
-        return c.copy()
+        return c.copy(), np.ones_like(c)
     if spec.kind is MarginKind.ADDITIVE:
-        return c - spec.m3
-    theta = np.arccos(np.clip(c, -1.0 + ARCCOS_GUARD, 1.0 - ARCCOS_GUARD))
-    if spec.kind is MarginKind.ANGULAR:
-        k = np.floor(spec.m1 * theta / np.pi)
-        # psi touches cos(theta) only at theta = 0 and, for m1 = 1, everywhere;
-        # the minimum keeps arccos and cos rounding from lifting f above c.
-        return np.minimum((1.0 - 2.0 * (k % 2)) * np.cos(spec.m1 * theta) - 2.0 * k, c)
-    return np.where(theta + spec.m2 < np.pi, np.cos(theta + spec.m2),
-                    c - spec.m2 * np.sin(spec.m2))
-
-
-def _margin_slope(spec: MarginSpec, cos_y: np.ndarray) -> np.ndarray:
-    """d f / d cos_y, using the clamped theta (exact where the clamp is inactive)."""
-    c = np.asarray(cos_y, dtype=np.float64)
-    if spec.kind in (MarginKind.PLAIN, MarginKind.ADDITIVE):
-        return np.ones_like(c)
+        return c - spec.m3, np.ones_like(c)
     cc = np.clip(c, -1.0 + ARCCOS_GUARD, 1.0 - ARCCOS_GUARD)
     theta = np.arccos(cc)
     sin_theta = np.sqrt(1.0 - cc * cc)
     if spec.kind is MarginKind.ANGULAR:
+        m_theta = spec.m1 * theta
+        k = np.floor(m_theta / np.pi)
+        # psi touches cos(theta) only at theta = 0 and, for m1 = 1, everywhere;
+        # the minimum keeps arccos and cos rounding from lifting f above c.
         # (-1)^k sin(m1 theta) on piece k is |sin(m1 theta)|, which stays
         # non-negative where rounding puts theta on the wrong side of a piece.
-        return spec.m1 * np.abs(np.sin(spec.m1 * theta)) / sin_theta
-    return np.where(theta + spec.m2 < np.pi, np.sin(theta + spec.m2) / sin_theta, 1.0)
+        return (np.minimum((1.0 - 2.0 * (k % 2)) * np.cos(m_theta) - 2.0 * k, c),
+                spec.m1 * np.abs(np.sin(m_theta)) / sin_theta)
+    shifted = theta + spec.m2
+    inside = shifted < np.pi
+    return (np.where(inside, np.cos(shifted), c - spec.m2 * np.sin(spec.m2)),
+            np.where(inside, np.sin(shifted) / sin_theta, 1.0))
 
 
 def modulating_function(a: float, p: float) -> float:
@@ -200,8 +194,7 @@ def batch_loss_and_grad(spec: MarginSpec, cosines: np.ndarray, labels: np.ndarra
         return losses, q
 
     cos_y = c[idx, y]
-    f = margin_transform_batch(spec, cos_y)
-    slope = _margin_slope(spec, cos_y)
+    f, slope = margin_transform_batch(spec, cos_y)
     z[idx, y] = scale * f
     log_p, one_minus_p, q = _row_softmax_stats(z, y)
     losses = -log_p

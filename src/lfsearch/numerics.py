@@ -35,13 +35,16 @@ def log_sum_exp_rows(matrix: np.ndarray) -> np.ndarray:
     return (m + np.log(np.exp(z - m).sum(axis=1, keepdims=True)))[:, 0]
 
 
-def l2_normalize_rows(m: np.ndarray, epsilon: float = NORM_EPSILON) -> np.ndarray:
-    """Each row of an (N, d) array over max(||row||, epsilon); the epsilon
-    guard keeps a zero row at zero."""
-    m = np.asarray(m, dtype=np.float64)
-    require(epsilon > 0, "l2_normalize_rows: epsilon must be positive")
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return m / np.maximum(norms, epsilon)
+def l2_normalize_rows(m: np.ndarray, norms=None, guards=None, unit=None) -> np.ndarray:
+    """Each row of an (N, d) array over max(||row||, NORM_EPSILON), so a
+    zero row stays zero. The row norms (the sums numpy's norm takes along a
+    real axis), their guarded values and the unit rows go into the given
+    arrays (None: a new one; unit may be m). The squares go to unit first,
+    unless unit is m."""
+    squares = np.multiply(m, m, out=None if unit is m else unit)
+    norms = np.sqrt(np.add.reduce(squares, axis=1, out=norms), out=norms)
+    guards = np.maximum(norms, NORM_EPSILON, out=guards)
+    return np.divide(m, guards[:, None], out=unit)
 
 
 @dataclass(frozen=True)
@@ -72,13 +75,6 @@ class RngStream:
         ).digest()
         key = np.frombuffer(digest, dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_gaussian(stream: RngStream, mu: float, sigma: float, n: int) -> np.ndarray:
-    """n draws from N(mu, sigma^2), deterministic given the stream."""
-    require(sigma > 0, "sample_gaussian: sigma must be positive")
-    require(n >= 0, "sample_gaussian: n must be non-negative")
-    return stream.generator().normal(mu, sigma, int(n))
 
 
 class Workspace:

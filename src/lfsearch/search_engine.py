@@ -15,7 +15,7 @@ from .config import ExperimentConfig, SearchConfig
 from .contracts import require
 from .datasets import LabeledDataset, PairSet
 from .eval_protocols import reward
-from .numerics import RngStream, sample_gaussian
+from .numerics import RngStream
 from .sgd_trainer import TrainState, train_candidates
 
 ZERO_VARIANCE_GUARD = 1e-12
@@ -62,8 +62,7 @@ class SearchResult:
 
 def sample_factors(search: SearchConfig, mu: float, stream: RngStream) -> np.ndarray:
     """Draw the population from N(mu, sigma^2), clipping each draw to <= 0."""
-    draws = sample_gaussian(stream, mu, search.sigma, search.population)
-    return np.minimum(draws, 0.0)
+    return np.minimum(stream.generator().normal(mu, search.sigma, search.population), 0.0)
 
 
 def normalize_rewards(raw) -> np.ndarray:

@@ -717,6 +717,25 @@ class TestExitCodes:
         assert err.startswith(f"config error: config file {path} cannot be read: ")
         assert "can't decode byte 0xff" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["train-fixed"], ["search"], ["random-schedule"],
+                                         ["ablate-a"], ["eval", "--checkpoint", "none.lfs"]])
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null", '{"dataset": "x"}',
+                                      '{"loss": [1]}'])
+    def test_a_malformed_config_file_gives_one_error_with_or_without_a_flag(
+            self, tmp_path, capsys, command, text):
+        """A root that is not an object, or a section that is not a table,
+        is refused in the same words whether or not a flag overrides a
+        setting, in that section or another."""
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [*command, "--config", str(path), "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        for flag in (["--seed", "3"], ["--data", str(tmp_path / "data.csv")]):
+            assert main([*argv, *flag]) == 2
+            assert capsys.readouterr().err == err
+
     @pytest.mark.parametrize("command", ["train-fixed", "search", "random-schedule",
                                          "ablate-a", "eval", "export-curves"])
     @pytest.mark.parametrize("under", [False, True])

@@ -13,7 +13,6 @@ from lfsearch.datasets import LabeledDataset, PairSet, SyntheticSpec, generate_s
 from lfsearch.embed_model import ClassifierHead, EmbeddingModel, embed, forward, init_model
 from lfsearch.eval_protocols import (
     FarUnresolvableError,
-    GalleryProbeSplit,
     VerificationReport,
     classification_accuracy,
     embed_all,
@@ -304,14 +303,6 @@ class TestMakeGalleryProbe:
         data = LabeledDataset(np.arange(4.0).reshape(2, 2), np.array([0, 1]))
         with pytest.raises(ContractViolation):
             make_gallery_probe(data)
-
-    def test_split_validation(self):
-        with pytest.raises(ContractViolation):
-            GalleryProbeSplit(np.array([0, 1]), np.array([3, 3]),
-                              np.array([2]), np.array([3]))
-        with pytest.raises(ContractViolation):
-            GalleryProbeSplit(np.array([0, 1]), np.array([0, 1]),
-                              np.array([2]), np.array([9]))
 
 
 class TestRank1Identification:

@@ -10,8 +10,8 @@ import pytest
 
 from lfsearch import numerics
 from lfsearch.contracts import ContractViolation
-from lfsearch.numerics import (RngStream, blas_environment, l2_normalize_rows, log_sum_exp_rows,
-                               one_blas_thread, sample_gaussian)
+from lfsearch.numerics import (NORM_EPSILON, RngStream, blas_environment, l2_normalize_rows,
+                               log_sum_exp_rows, one_blas_thread)
 from oracles import l2_normalize, log_sum_exp
 
 
@@ -63,6 +63,23 @@ class TestNormalize:
         for i in range(10):
             assert np.allclose(rows[i], l2_normalize(m[i]), atol=1e-15)
 
+    def test_bit_for_bit_the_guarded_numpy_norm_form(self):
+        """The same bytes as numpy's norm over its guard, on random rows, a
+        zero row, subnormal rows and rows near 1e300, and in place."""
+        rng = np.random.default_rng(4)
+        m = np.concatenate([rng.normal(size=(50, 7)), np.zeros((1, 7)),
+                            rng.normal(size=(4, 7)) * 1e-310,
+                            rng.normal(size=(4, 7)) * 1e300])
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(m, axis=1, keepdims=True)
+            want = m / np.maximum(norms, NORM_EPSILON)
+            assert l2_normalize_rows(m).tobytes() == want.tobytes()
+            got_norms, guards = np.empty(m.shape[0]), np.empty(m.shape[0])
+            assert l2_normalize_rows(m, got_norms, guards, unit=m) is m
+        assert m.tobytes() == want.tobytes()
+        assert got_norms.tobytes() == norms[:, 0].tobytes()
+        assert guards.tobytes() == np.maximum(norms[:, 0], NORM_EPSILON).tobytes()
+
 
 class TestRngStream:
     def test_same_seed_and_label_reproduce(self):
@@ -109,22 +126,6 @@ class TestRngStream:
             RngStream(-1, "x")
         with pytest.raises(ContractViolation):
             RngStream(2 ** 64, "x")
-
-
-class TestSampleGaussian:
-    def test_deterministic_per_stream(self):
-        s = RngStream(11, "g")
-        assert np.array_equal(sample_gaussian(s, -1.0, 0.2, 6),
-                              sample_gaussian(s, -1.0, 0.2, 6))
-
-    def test_moments(self):
-        draws = sample_gaussian(RngStream(12, "g"), -3.0, 0.5, 200_000)
-        assert abs(draws.mean() + 3.0) < 0.01
-        assert abs(draws.std() - 0.5) < 0.01
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ContractViolation):
-            sample_gaussian(RngStream(1, "g"), 0.0, 0.0, 4)
 
 
 class FakeOpenblas:
