@@ -131,11 +131,10 @@ class _Slots:
 def _serve(index, pipes, slots, data, config, score) -> None:
     """A worker: train and score each epoch's share of candidates it is
     sent, in order, recording each one's warnings, until its pipe closes.
-    Exits quietly on SIGINT. Its OpenBLAS runs on one thread, as under the
-    command line: workers already share the CPUs, and BLAS threads of their
-    own would spin against each other.
-    A worker forked from a pinned process keeps the pin as it is, with no
-    pool thread (see one_blas_thread)."""
+    Exits quietly on SIGINT. It is forked pinned to one OpenBLAS thread, as
+    workers share the CPUs, and leaves the count alone: setting it again
+    would restart a pool thread that spins against the work and can take a
+    SIGINT meant for the worker."""
     conn = pipes[index][1]
     for i, (parent_end, child_end) in enumerate(pipes):
         # Only the parent may hold the other ends, so that a closed pipe
@@ -145,7 +144,7 @@ def _serve(index, pipes, slots, data, config, score) -> None:
             child_end.close()
     workspace = Workspace()
     try:
-        with one_blas_thread(), warnings.catch_warnings(record=True) as log:
+        with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
             while True:
                 try:
@@ -213,12 +212,13 @@ class CandidateWorkers:
         pipes = [context.Pipe() for _ in range(processes)]
         self._conns = [parent_end for parent_end, _ in pipes]
         try:
-            for index in range(processes):
-                proc = context.Process(target=_serve, name=f"lfsearch-candidates-{index}",
-                                       args=(index, pipes, self._slots, data, config, score),
-                                       daemon=True)
-                proc.start()
-                self._procs.append(proc)
+            with one_blas_thread():
+                for index in range(processes):
+                    proc = context.Process(target=_serve, name=f"lfsearch-candidates-{index}",
+                                           args=(index, pipes, self._slots, data, config, score),
+                                           daemon=True)
+                    proc.start()
+                    self._procs.append(proc)
         except BaseException:
             self.close(abort=True)
             raise

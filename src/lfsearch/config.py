@@ -19,6 +19,7 @@ from typing import Literal, get_args, get_origin, get_type_hints
 
 from .contracts import ContractViolation, require
 from .datasets import SyntheticSpec
+from .eval_protocols import VERIFICATION_FOLDS
 from .margin_losses import MarginKind, MarginSpec
 from .numerics import RngStream
 from .sgd_trainer import SgdConfig
@@ -43,7 +44,8 @@ class DatasetConfig:
 
     def __post_init__(self):
         require(0.0 < self.train_frac < 1.0, "train_frac must lie in (0, 1)")
-        require(self.n_pairs >= 2 and self.n_pairs % 2 == 0, "n_pairs must be even and >= 2")
+        require(self.n_pairs >= VERIFICATION_FOLDS and self.n_pairs % 2 == 0,
+                f"n_pairs must be even and >= {VERIFICATION_FOLDS}, one per verification fold")
 
 
 @dataclass(frozen=True)

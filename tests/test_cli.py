@@ -792,6 +792,16 @@ class TestExitCodes:
         assert main(["train-fixed", "--config", config,
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("command", ["train-fixed", "search"])
+    def test_fewer_pairs_than_folds_is_refused_before_any_file(self, tmp_path, capsys,
+                                                                command):
+        config = write_config(tmp_path, dataset={"n_pairs": 8})
+        out = tmp_path / "x"
+        out.mkdir()
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: dataset.n_pairs: ")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["train-fixed", "--loss", "unified", "--a", "nan"],
         ["train-fixed", "--loss", "unified", "--a=-inf"],

@@ -154,6 +154,7 @@ class TestRejection:
             {"dataset": {"noise_sigma": 0.0}},
             {"dataset": {"train_frac": 1.0}},
             {"dataset": {"n_pairs": 7}},
+            {"dataset": {"n_pairs": 8}},
             {"model": {"scale": 0.0}},
             {"model": {"hidden": [0]}},
             {"sgd": {"learning_rate": 0.0}},

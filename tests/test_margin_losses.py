@@ -99,6 +99,21 @@ def allocating_row_softmax_stats(z, y):
     return log_p, -np.expm1(log_p), q
 
 
+def factor_form_loss_and_grad(a, cosines, labels, scale):
+    """The unified loss as the plain probability p times h(a, p):
+    -log p + log(1 - a(1 - p)), with the gradient factor
+    (1 - a) / (1 - a(1 - p)) on the plain softmax gradient."""
+    c = np.asarray(cosines, dtype=np.float64)
+    y = np.asarray(labels)
+    idx = np.arange(c.shape[0])
+    log_p, one_minus_p, q = allocating_row_softmax_stats(scale * c, y)
+    losses = -log_p + np.log1p(-a * one_minus_p)
+    factor = (1.0 - a) / (1.0 - a * one_minus_p)
+    dcos = scale * q * factor[:, None]
+    dcos[idx, y] = -scale * one_minus_p * factor
+    return losses, dcos
+
+
 def allocating_loss_and_grad(spec, cosines, labels, scale):
     """The allocating batch_loss_and_grad body, kept as the oracle."""
     c = np.asarray(cosines, dtype=np.float64)
@@ -106,12 +121,7 @@ def allocating_loss_and_grad(spec, cosines, labels, scale):
     idx = np.arange(c.shape[0])
     if spec.kind in (MarginKind.UNIFIED, MarginKind.PLAIN):
         a = spec.a if spec.kind is MarginKind.UNIFIED else 0.0
-        log_p, one_minus_p, q = allocating_row_softmax_stats(scale * c, y)
-        losses = -log_p + np.log1p(-a * one_minus_p)
-        factor = (1.0 - a) / (1.0 - a * one_minus_p)
-        dcos = scale * q * factor[:, None]
-        dcos[idx, y] = -scale * one_minus_p * factor
-        return losses, dcos
+        return factor_form_loss_and_grad(a, c, y, scale)
     cos_y = c[idx, y]
     f, slope = margin_transform_batch(spec, cos_y)
     z = scale * c
@@ -525,6 +535,25 @@ class TestBatchLossAndGrad:
                                                                        scale)
             assert losses.tobytes() == expected_losses.tobytes()
             assert grads.tobytes() == expected_grads.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 40, 500])
+    def test_unified_matches_the_factor_form(self, k):
+        # Rows 0-3 put the target far above the rest (p -> 1), rows 4-7 far
+        # below (p -> 0); the rest are random.
+        rng = np.random.default_rng(k)
+        n = 64
+        cosines = rng.uniform(-1.0, 1.0, (n, k))
+        labels = rng.integers(0, k, n)
+        cosines[:8] = np.repeat([[-1.0], [1.0]], 4, axis=0)
+        cosines[np.arange(8), labels[:8]] = np.repeat([1.0, -1.0], 4)
+        for scale in (16.0, 32.0, 64.0, 400.0):
+            for a in [-10.0 ** e for e in (-12, -6, -3, 0, 1, 3, 6, 12, 50, 150, 300)] + [-0.5]:
+                losses, grads = batch_loss_and_grad(MarginSpec.unified(a), cosines, labels,
+                                                    scale)
+                want_losses, want_grads = factor_form_loss_and_grad(a, cosines, labels, scale)
+                assert np.all(np.abs(losses - want_losses)
+                              <= 1e-12 * np.maximum(1.0, np.abs(want_losses)))
+                assert np.all(np.abs(grads - want_grads) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("spec", [MarginSpec.unified(-10.0), MarginSpec.additive(0.35)],
                              ids=lambda spec: spec.kind.value)

@@ -3,6 +3,7 @@ the score-function update, winner selection and broadcast, and the
 random baseline's factor range.
 """
 
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -534,15 +535,18 @@ class TestCandidateWorkers:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or numerics._openblas() is None,
                         reason="needs /proc and numpy's bundled OpenBLAS")
-    def test_a_worker_of_a_pinned_process_runs_one_thread(self):
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "unpinned"])
+    def test_a_worker_of_a_pinned_process_runs_one_thread(self, pinned):
         # OpenBLAS shuts its thread pool down in a forked child; a worker
-        # that set the count again would restart it beside its own thread.
+        # that set the count again would restart it beside its own thread,
+        # and that thread can take a SIGINT meant for the worker. Workers of
+        # an unpinned process (library use) are forked pinned.
         def threads(trained, workspace):
             return len(os.listdir("/proc/self/task"))
 
         train, val, pairs, state = search_fixture(seed=2)
-        with one_blas_thread(), CandidateWorkers(2, state, 2, train, SgdConfig(),
-                                                 threads) as workers:
+        with one_blas_thread() if pinned else contextlib.nullcontext(), \
+                CandidateWorkers(2, state, 2, train, SgdConfig(), threads) as workers:
             outcomes = workers.run(state, [-1.0, -2.0], 0.05, RngStream(1, "epoch"))
         assert [outcome.reward for outcome in outcomes] == [1, 1]
         assert multiprocessing.active_children() == []
