@@ -14,7 +14,9 @@ probability p by a modulating function
 
 with a non-positive factor a.  The unified loss -log(h(a, p) * p) therefore
 spans the whole family with a single scalar, which is what the search
-optimizes over.
+optimizes over.  Conversely, h(a, p) * p is the softmax probability of the
+target logit s * cos(theta_y) - log(1 - a): CosFace's additive margin
+(arXiv:1801.09414) with m3 = log(1 - a) / s, which is how it is computed.
 
 Everything here is evaluated in the log domain so scale values like s = 64
 cannot overflow, and gradients are exact closed forms.
@@ -170,9 +172,10 @@ def batch_loss_and_grad(spec: MarginSpec, cosines: np.ndarray, labels: np.ndarra
     """Per-sample losses and exact d loss / d cosine for an (N, K) batch.
 
     The gradient is built in `out`, an (N, K) float64 array that must not
-    overlap the cosines (None: a new array), and returned. Plain specs are
-    routed through the unified a = 0 path, which is the same computation
-    and keeps the two spellings bit-identical.
+    overlap the cosines (None: a new array), and returned. Every kind sets
+    the target logit and its slope d logit / d (s cos_y), then runs the one
+    softmax: the unified kind lowers it by log(1 - a), the others take
+    s * f from margin_transform_batch.
     """
     c = np.asarray(cosines, dtype=np.float64)
     y = np.asarray(labels)
@@ -182,22 +185,13 @@ def batch_loss_and_grad(spec: MarginSpec, cosines: np.ndarray, labels: np.ndarra
     require(out is None or out.shape == c.shape, "batch_loss_and_grad: out must be (N, K)")
     z = np.multiply(scale, c, out=out)
     idx = np.arange(c.shape[0])
-
-    if spec.kind in (MarginKind.UNIFIED, MarginKind.PLAIN):
-        a = spec.a if spec.kind is MarginKind.UNIFIED else 0.0
-        log_p, one_minus_p, q = _row_softmax_stats(z, y)
-        losses = -log_p + np.log1p(-a * one_minus_p)
-        factor = (1.0 - a) / (1.0 - a * one_minus_p)
-        q *= scale
-        q *= factor[:, None]
-        q[idx, y] = -scale * one_minus_p * factor
-        return losses, q
-
-    cos_y = c[idx, y]
-    f, slope = margin_transform_batch(spec, cos_y)
-    z[idx, y] = scale * f
+    if spec.kind is MarginKind.UNIFIED:
+        z[idx, y] -= np.log1p(-spec.a)
+        slope = 1.0
+    else:
+        f, slope = margin_transform_batch(spec, c[idx, y])
+        z[idx, y] = scale * f
     log_p, one_minus_p, q = _row_softmax_stats(z, y)
-    losses = -log_p
     q *= scale
     q[idx, y] = -scale * one_minus_p * slope
-    return losses, q
+    return -log_p, q

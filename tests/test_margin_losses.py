@@ -119,18 +119,17 @@ def allocating_loss_and_grad(spec, cosines, labels, scale):
     c = np.asarray(cosines, dtype=np.float64)
     y = np.asarray(labels)
     idx = np.arange(c.shape[0])
-    if spec.kind in (MarginKind.UNIFIED, MarginKind.PLAIN):
-        a = spec.a if spec.kind is MarginKind.UNIFIED else 0.0
-        return factor_form_loss_and_grad(a, c, y, scale)
-    cos_y = c[idx, y]
-    f, slope = margin_transform_batch(spec, cos_y)
     z = scale * c
-    z[idx, y] = scale * f
+    if spec.kind is MarginKind.UNIFIED:
+        z[idx, y] -= np.log1p(-spec.a)
+        slope = 1.0
+    else:
+        f, slope = margin_transform_batch(spec, c[idx, y])
+        z[idx, y] = scale * f
     log_p, one_minus_p, q = allocating_row_softmax_stats(z, y)
-    losses = -log_p
     dcos = scale * q
     dcos[idx, y] = -scale * one_minus_p * slope
-    return losses, dcos
+    return -log_p, dcos
 
 
 def random_row(rng, k, scale=32.0):
@@ -470,7 +469,7 @@ class TestBatchLossAndGrad:
             _, row_grads = batch_loss_and_grad(spec, cosines[i:i + 1], labels[i:i + 1], 32.0)
             assert np.allclose(grads[i], row_grads[0], rtol=1e-12, atol=1e-12)
 
-    def test_plain_routes_through_zero_factor_bitwise(self):
+    def test_plain_equals_the_zero_factor_bitwise(self):
         rng = np.random.default_rng(20)
         cosines = rng.uniform(-1.0, 1.0, (16, 5))
         labels = rng.integers(0, 5, 16)
