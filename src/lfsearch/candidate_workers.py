@@ -1,4 +1,4 @@
-"""The one runner of a search epoch's candidates: in turn in this process,
+"""The one runner of an epoch's candidate losses: in turn in this process,
 through one workspace, or in W forked workers. A search forks its workers
 once, after its data is prepared, so they inherit the training and
 validation sets, the pairs and the settings without a copy. Each epoch the
@@ -152,11 +152,11 @@ def _serve(index, pipes, slots, data, config, score) -> None:
                 except EOFError:
                     return
                 start = slots.read(0, epoch, copy=False)
-                for candidate, factor in share:
+                for candidate, loss in share:
                     del log[:]
                     summary, error, trace = None, None, None
                     try:
-                        outcome = train_candidate(start, factor, data, config, lr, stream,
+                        outcome = train_candidate(start, loss, data, config, lr, stream,
                                                   workspace, score)
                     except Exception as exc:  # the parent raises it, as in process
                         error, trace = exc, traceback.format_exc()
@@ -191,7 +191,7 @@ def _reissue(records) -> None:
 
 
 class CandidateWorkers:
-    """Trains and scores the candidates of one search: in turn in this
+    """Trains and scores the candidates of one run: in turn in this
     process for `processes` 1, else each of that many forked workers a
     fixed share of every epoch. Leaving the context closes every pipe and
     joins every worker, and on an exception terminates them first."""
@@ -244,27 +244,27 @@ class CandidateWorkers:
                 proc.kill()
                 proc.join()
 
-    def run(self, state: TrainState, factors, lr: float, epoch_stream):
-        """Outcomes of the candidates in the order of `factors`. In process
-        the first failure stops the epoch. Otherwise each of the W workers
-        gets one message with its share, candidates w, w + W, ..., and
-        replies once per candidate, in order. Every reply is in before
+    def run(self, state: TrainState, losses, lr: float, epoch_stream):
+        """Outcomes of the candidate MarginSpecs, in the order of `losses`.
+        In process the first failure stops the epoch. Otherwise each of the
+        W workers gets one message with its share, candidates w, w + W, ...,
+        and replies once per candidate, in order. Every reply is in before
         warnings come back in candidate order, and the first failing
         candidate's error is raised after its warnings, as in process."""
         if not self._conns:
             data, config, workspace, score = self._local
-            return [train_candidate(state, a, data, config, lr, epoch_stream, workspace, score)
-                    for a in factors]
+            return [train_candidate(state, loss, data, config, lr, epoch_stream, workspace,
+                                    score) for loss in losses]
         self._slots.write(0, state)
         count = len(self._conns)
-        candidates = list(enumerate(factors))
+        candidates = list(enumerate(losses))
         for w, conn in enumerate(self._conns):
             try:
                 conn.send((lr, epoch_stream, state.epoch, candidates[w::count]))
             except OSError:
                 pass  # a dead worker is named where its first reply is missing
         replies = []
-        for i in range(len(factors)):
+        for i in range(len(losses)):
             try:
                 replies.append(self._conns[i % count].recv())
             except (EOFError, OSError):

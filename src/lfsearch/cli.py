@@ -30,14 +30,13 @@ from .datasets import (DataFormatError, SyntheticSpec, generate_synthetic,
                        load_flat_file, make_pairs, split_closed_set, split_open_set)
 from .embed_model import init_model
 from .eval_protocols import (FarUnresolvableError, embed_all, make_gallery_probe,
-                             pair_similarities, rank1_identification, reward,
-                             tpr_at_far, verification_accuracy)
-from .margin_losses import (LOSS_ALIASES, LOSS_KNOBS, MarginKind, MarginSpec,
-                            modulating_function)
-from .numerics import RngStream, Workspace, blas_environment, one_blas_thread
+                             pair_similarities, rank1_identification, tpr_at_far,
+                             verification_accuracy)
+from .margin_losses import LOSS_ALIASES, LOSS_KNOBS, MarginKind, modulating_function
+from .numerics import RngStream, blas_environment, one_blas_thread
 from .runio import MetricsWriter, dumps, format_float, run_id, write_xy_csv
 from .search_engine import run_search, search_processes
-from .sgd_trainer import NonFiniteTrainingError, TrainState, train_epoch
+from .sgd_trainer import NonFiniteTrainingError, TrainState
 
 DEFAULT_ABLATION_FACTORS = "0,-1,-10,-100,-1000,-10000"
 FAR_LADDER = (0.1, 0.01, 0.001, 0.0001, 1e-05, 1e-06)
@@ -236,36 +235,46 @@ class _RunRecorder:
         return report
 
 
-def _run_fixed(config: ExperimentConfig, mode: str, out_dir, data) -> dict:
-    """Train one model end to end on the prepared (train, val, pairs). Mode
-    "fixed" trains the configured loss (train-fixed, ablate-a); mode
-    "random" trains the unified loss with a factor drawn from the random
-    range each epoch (random-schedule). The mode labels the metric lines
-    and roots the run's random streams."""
+def _epoch_fields(config: ExperimentConfig, mode: str, record) -> dict:
+    """An epoch's metric line keys after its number: a search's compared record
+    fields, in order; else the loss trained, the mean loss and the reward."""
+    if mode == "search":
+        return {field.name: getattr(record, field.name)
+                for field in dataclasses.fields(record)[1:] if field.compare}
+    if mode == "random":
+        echo = {"a": record.factors[0]}
+    else:
+        echo = {"loss": _loss_echo(config),
+                "lr": config.schedule.lr_at(config.sgd.learning_rate, record.epoch)}
+    return {**echo, "mean_loss": record.mean_losses[0], "val_reward": record.rewards[0]}
+
+
+def _run(config: ExperimentConfig, mode: str, out_dir, data) -> dict:
+    """One run_search run end to end on the prepared (train, val, pairs), in
+    mode "fixed" (train-fixed, ablate-a), "random" (random-schedule) or
+    "search". The mode labels the metric lines. A search keeps its best
+    candidate in best.lfs, the other modes the final model in model.lfs."""
     train, val, pairs = data
-    if mode != "random":
-        spec, loss_echo = config.loss, _loss_echo(config)
-    root = RngStream(config.seed, mode)
-    workspace = Workspace()
-    final_reward = None
-    with _RunRecorder(out_dir, config, mode) as run:
-        state = _init_state(config, train)
-        run.start()
-        for epoch in range(1, config.schedule.epochs + 1):
-            lr = config.schedule.lr_at(config.sgd.learning_rate, epoch)
-            epoch_stream = root.child(f"epoch{epoch}")
-            if mode == "random":
-                a = config.random.draw(epoch_stream.child("factor"))
-                spec, echo = MarginSpec.unified(a), {"a": a}
-            else:
-                echo = {"loss": loss_echo, "lr": lr}
-            state, mean_loss = train_epoch(state, spec, train, config.sgd, lr, epoch_stream,
-                                           workspace)
-            final_reward = reward(state.model, state.head, val, pairs, config.reward,
-                                  workspace)
-            run.epoch(epoch, {**echo, "mean_loss": mean_loss, "val_reward": final_reward},
-                      mean_loss)
-        return run.finish("model.lfs", state, val, pairs, final_val_reward=final_reward)
+    with _RunRecorder(out_dir, config, mode, search_processes(config, mode)) as run:
+
+        def on_epoch(record, _winner_state):
+            run.epoch(record.epoch, _epoch_fields(config, mode, record),
+                      record.mean_losses[record.winner],
+                      candidates=[{"train_s": train_s, "reward_s": reward_s}
+                                  for train_s, reward_s in zip(record.train_s,
+                                                               record.reward_s)])
+
+        result = run_search(config, _init_state(config, train), train, val, pairs, mode,
+                            on_start=run.start, on_epoch=on_epoch)
+        if mode != "search":
+            final_reward = result.history[-1].rewards[0] if result.history else None
+            return run.finish("model.lfs", result.final_state, val, pairs,
+                              final_val_reward=final_reward)
+        write_xy_csv(run.out / "mu_trajectory.csv",
+                     [(float(record.epoch), record.mu_after) for record in result.history])
+        return run.finish("best.lfs", result.best_state, val, pairs,
+                          best_reward=result.best_reward, best_epoch=result.best_epoch,
+                          best_candidate=result.best_candidate, final_mu=result.final_mu)
 
 
 # ---------------------------------------------------------------------------
@@ -273,45 +282,20 @@ def _run_fixed(config: ExperimentConfig, mode: str, out_dir, data) -> dict:
 
 
 def _cmd_train(args) -> int:
-    """train-fixed (mode "fixed") and random-schedule (mode "random")."""
+    """train-fixed, random-schedule and search, in the mode args.mode names."""
     config = _resolve_config(args)
-    report = _run_fixed(config, args.mode, args.out, _prepare_data(config))
-    if args.mode == "random":
+    report = _run(config, args.mode, args.out, _prepare_data(config))
+    if args.mode == "search":
+        print(f"search done: best reward {report['best_reward']} at epoch "
+              f"{report['best_epoch']} (candidate {report['best_candidate']}), "
+              f"final mu {report['final_mu']:.6g} -> {args.out}")
+    elif args.mode == "random":
         print(f"random-schedule done: final reward "
               f"{report['final_val_reward']} -> {args.out}")
     else:
         print(f"train-fixed done: loss={config.loss.kind.value} "
               f"verification={report['verification_accuracy']:.4f} "
               f"rank1={report['rank1']:.4f} -> {args.out}")
-    return 0
-
-
-def _cmd_search(args) -> int:
-    config = _resolve_config(args)
-    train, val, pairs = _prepare_data(config)
-    with _RunRecorder(args.out, config, "search", search_processes(config)) as run:
-        state0 = _init_state(config, train)
-
-        def on_epoch(record, _winner_state):
-            # The record's compared fields after its epoch are the line's keys.
-            run.epoch(record.epoch,
-                      {field.name: getattr(record, field.name)
-                       for field in dataclasses.fields(record)[1:] if field.compare},
-                      record.mean_losses[record.winner],
-                      candidates=[{"train_s": train_s, "reward_s": reward_s}
-                                  for train_s, reward_s in zip(record.train_s,
-                                                               record.reward_s)])
-
-        result = run_search(config, state0, train, val, pairs,
-                            on_start=run.start, on_epoch=on_epoch)
-        write_xy_csv(run.out / "mu_trajectory.csv",
-                     [(float(record.epoch), record.mu_after) for record in result.history])
-        run.finish("best.lfs", result.best_state, val, pairs,
-                   best_reward=result.best_reward, best_epoch=result.best_epoch,
-                   best_candidate=result.best_candidate, final_mu=result.final_mu)
-    print(f"search done: best reward {result.best_reward} at epoch "
-          f"{result.best_epoch} (candidate {result.best_candidate}), "
-          f"final mu {result.final_mu:.6g} -> {args.out}")
     return 0
 
 
@@ -354,7 +338,7 @@ def _cmd_ablate_a(args) -> int:
         tree["loss"]["kind"] = "unified"
         tree["loss"]["a"] = value
         sub_config = from_dict(tree)
-        report = _run_fixed(sub_config, "fixed", base / name, data)
+        report = _run(sub_config, "fixed", base / name, data)
         summary.append({"a": value,
                         "verification_accuracy": report["verification_accuracy"],
                         "rank1": report["rank1"],
@@ -446,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="reward-guided search over the factor")
     p.add_argument("--population", type=int, help="candidates per epoch")
     p.add_argument("--mu", type=float, help="initial distribution mean")
-    p.set_defaults(handler=_cmd_search)
+    p.set_defaults(handler=_cmd_train, mode="search")
 
     p = sub.add_parser("random-schedule", parents=[train_opts],
                        help="resample the factor every epoch, no guidance")

@@ -1,6 +1,7 @@
-"""Outer-loop factor search: Gaussian sampling of the modulating factor,
-reward-normalized score-function updates of the distribution mean, and
-winner broadcast.
+"""The one epoch loop: train each epoch's candidate losses from one start,
+score them and broadcast the winner. The mode picks the losses: the
+configured loss, a unified loss at a random factor, or Gaussian draws of the
+factor whose mean a reward-normalized score-function step moves (search).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .config import ExperimentConfig, SearchConfig
 from .contracts import require
 from .datasets import LabeledDataset, PairSet
 from .eval_protocols import reward
+from .margin_losses import MarginSpec
 from .numerics import RngStream
 from .sgd_trainer import TrainState, train_candidates
 
@@ -23,8 +25,9 @@ ZERO_VARIANCE_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class SearchEpochRecord:
-    """One search epoch; its compared fields after `epoch` are the keys of
-    its metrics.jsonl line, in order."""
+    """One epoch; its compared fields after `epoch` are the keys of a
+    search's metrics.jsonl line, in order. `factors` holds each loss's `a`
+    (read by the unified kind only); only a search moves mu."""
 
     epoch: int
     mu_before: float
@@ -49,10 +52,11 @@ class SearchEpochRecord:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """best_state is the final model: the highest-reward candidate seen
-    anywhere in the run, kept without retraining."""
+    """best_state is the highest-reward candidate seen anywhere in the
+    run, kept without retraining; final_state is the last epoch's winner."""
 
     best_state: TrainState
+    final_state: TrainState
     best_reward: float | None
     best_epoch: int
     best_candidate: int | None
@@ -98,24 +102,36 @@ def select_best(raw_rewards) -> int:
     return int(np.argmax(raw_rewards))
 
 
-def search_processes(config: ExperimentConfig) -> int:
-    """How many processes train the search's candidates: those of
-    candidate_workers.candidate_processes, or 1 for a search with no epochs."""
-    epochs, population = config.schedule.epochs, config.search.population
-    return candidate_workers.candidate_processes(population) if epochs else 1
+def search_processes(config: ExperimentConfig, mode: str = "search") -> int:
+    """How many processes train the run's candidates: candidate_processes
+    of its population (the search's; 1 in the other modes), or 1 for a run
+    with no epochs."""
+    population = config.search.population if mode == "search" else 1
+    return candidate_workers.candidate_processes(population) if config.schedule.epochs else 1
+
+
+def epoch_losses(config: ExperimentConfig, mode: str, mu: float, stream: RngStream) -> list:
+    """An epoch's candidate losses under `mode`, drawn from the epoch's stream."""
+    if mode == "fixed":
+        return [config.loss]
+    if mode == "random":
+        return [MarginSpec.unified(config.random.draw(stream.child("factor")))]
+    return [MarginSpec.unified(a)
+            for a in sample_factors(config.search, mu, stream.child("factors"))]
 
 
 def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledDataset,
-               val_set: LabeledDataset, val_pairs: PairSet,
+               val_set: LabeledDataset, val_pairs: PairSet, mode: str = "search",
                on_epoch=None, on_start=None) -> SearchResult:
-    """Reward-guided search over the modulating factor, set by the config's
-    search section, schedule, sgd settings, reward kind and seed.
+    """Train the config's schedule in `mode` (its stream root) with the sgd
+    settings, reward kind, seed and the loss, random or search section.
 
-    Per epoch: sample factors, train one candidate per factor from the current
-    snapshot under a shared shuffle, score each on the validation pairs, move
-    mu by one plain ascent step (reinforce_update), and broadcast the winner's
-    parameters as the next epoch's start. The returned best_state is the
-    highest-reward candidate across the whole run.
+    Per epoch: take the mode's candidate losses (epoch_losses), train one
+    candidate per loss from the current start under a shared shuffle, score
+    each on the validation pairs, and broadcast the winner's parameters as
+    the next epoch's start. A search also moves mu by one plain ascent step
+    (reinforce_update). The returned best_state is the highest-reward
+    candidate across the whole run.
 
     on_start, when given, is called once the candidate processes have
     started, just before epoch 1; on_epoch, when given, is called with
@@ -124,10 +140,11 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
     in this process for a count of one, else in forked workers; the
     results are the same bits.
     """
+    require(mode in ("fixed", "random", "search"), f"unknown mode {mode!r}")
     require(val_set.sample_count >= 1, "validation set must be non-empty")
     search = config.search
     mu = search.mu
-    root = RngStream(config.seed, "search")
+    root = RngStream(config.seed, mode)
     state = state0
     history = []
     best_state = state0
@@ -139,7 +156,7 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
         return reward(trained.model, trained.head, val_set, val_pairs,
                       config.reward, workspace)
 
-    with candidate_workers.CandidateWorkers(search_processes(config), state0,
+    with candidate_workers.CandidateWorkers(search_processes(config, mode), state0,
                                             search.population, train_set, config.sgd,
                                             score) as runner:
         if on_start is not None:
@@ -149,12 +166,14 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
             # From epoch 2 the start is the previous winner, already hashed.
             start_digest = (history[-1].winner_digest if history
                             else param_digest(state.model, state.head))
-            factors = sample_factors(search, mu, epoch_stream.child("factors"))
+            losses = epoch_losses(config, mode, mu, epoch_stream)
+            factors = [loss.a for loss in losses]
             lr = config.schedule.lr_at(config.sgd.learning_rate, epoch)
-            outcomes = train_candidates(state, factors, lr, epoch_stream, runner)
+            outcomes = train_candidates(state, losses, lr, epoch_stream, runner)
             raw = np.array([outcome.reward for outcome in outcomes])
             normalized = normalize_rewards(raw)
-            mu_after = reinforce_update(search, mu, factors, normalized)
+            mu_after = (reinforce_update(search, mu, factors, normalized)
+                        if mode == "search" else mu)
             winner = select_best(raw)
             state = outcomes[winner].state
             record = SearchEpochRecord(
@@ -177,7 +196,6 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
             mu = mu_after
             if on_epoch is not None:
                 on_epoch(record, state)
-    return SearchResult(best_state=best_state, best_reward=best_reward,
+    return SearchResult(best_state=best_state, final_state=state, best_reward=best_reward,
                         best_epoch=best_epoch, best_candidate=best_candidate,
                         final_mu=mu, history=tuple(history))
-

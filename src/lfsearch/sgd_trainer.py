@@ -1,5 +1,5 @@
 """Inner-loop optimization: momentum SGD with weight decay, one-epoch
-training passes, and training of factor candidates.
+training passes, and training of an epoch's candidate losses.
 """
 
 from __future__ import annotations
@@ -124,33 +124,30 @@ class CandidateOutcome:
     reward_s: float
 
 
-def train_candidate(state: TrainState, factor: float, data: LabeledDataset,
+def train_candidate(state: TrainState, loss: MarginSpec, data: LabeledDataset,
                     config: SgdConfig, lr: float, epoch_stream: RngStream, workspace,
                     score) -> CandidateOutcome:
-    """One candidate: an epoch of the unified loss with `factor` from
-    `state`, then score(trained_state, workspace)."""
+    """One candidate: an epoch of `loss` from `state`, then
+    score(trained_state, workspace)."""
     started = time.perf_counter()
-    trained, mean_loss = train_epoch(state, MarginSpec.unified(factor), data, config, lr,
-                                     epoch_stream, workspace)
+    trained, mean_loss = train_epoch(state, loss, data, config, lr, epoch_stream, workspace)
     scored = time.perf_counter()
     value = score(trained, workspace)
     reward_s = time.perf_counter() - scored
     return CandidateOutcome(trained, mean_loss, value, scored - started, reward_s)
 
 
-def train_candidates(state: TrainState, factors, lr: float, epoch_stream: RngStream,
+def train_candidates(state: TrainState, losses, lr: float, epoch_stream: RngStream,
                      runner):
-    """Train one epoch per factor, all from the same snapshot and shuffle.
+    """Train one epoch per loss, all from the same snapshot and shuffle.
 
-    Every candidate trains a private copy of `state` under the unified loss
-    with its own factor, consuming the identical shuffle order derived from
-    epoch_stream, so candidates differ only in the factor. `runner`, a
-    search's candidate_workers.CandidateWorkers, holds the data, settings
-    and score, and trains them in this process or in its forked workers.
-    Returns one CandidateOutcome per factor, in the order of `factors`.
+    Every candidate trains a private copy of `state` under its own
+    MarginSpec, consuming the identical shuffle order derived from
+    epoch_stream, so candidates differ only in the loss. `runner`, a run's
+    candidate_workers.CandidateWorkers, holds the data, settings and score,
+    and trains them in this process or in its forked workers. Returns one
+    CandidateOutcome per loss, in the order of `losses`.
     """
-    factors = [float(a) for a in factors]
-    require(len(factors) >= 1, "need at least one candidate factor")
-    for a in factors:
-        require(a <= 0, f"candidate factor {a} is positive; the search space is a <= 0")
-    return runner.run(state, factors, lr, epoch_stream)
+    losses = list(losses)
+    require(len(losses) >= 1, "need at least one candidate loss")
+    return runner.run(state, losses, lr, epoch_stream)

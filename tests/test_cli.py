@@ -621,6 +621,45 @@ class TestAblate:
         assert len(calls) == 1
 
 
+class TestSingleModelRuns:
+    """train-fixed, random-schedule and ablate-a run the search's epoch loop
+    with one candidate per epoch."""
+
+    @pytest.mark.parametrize("argv, runs", [(["train-fixed"], ["run"]),
+                                            (["random-schedule"], ["run"]),
+                                            (["ablate-a", "--factors", "0,-10"],
+                                             ["run/a_0", "run/a_-10"])])
+    def test_a_population_of_one_forks_nothing(self, tmp_path, monkeypatch, argv, runs):
+        """Each run asks candidate_processes for one process, whatever the
+        search's population, so it starts no worker for its one candidate."""
+        asked = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(candidate_workers, "candidate_processes",
+                            lambda population: asked.append(population) or population)
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        config = write_config(tmp_path, search={"population": 4})
+        assert main([*argv, "--config", config, "--out", str(tmp_path / "run")]) == 0
+        assert asked and set(asked) == {1}
+        for run in runs:
+            environment = json.loads((tmp_path / run / "environment.json").read_text(
+                encoding="utf-8"))
+            assert environment["candidate_processes"] == 1
+
+    @pytest.mark.parametrize("command", ["train-fixed", "random-schedule"])
+    def test_timings_time_the_one_candidate(self, tmp_path, command):
+        out = tmp_path / "run"
+        assert main([command, "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        timings = epoch_timings(out)
+        assert [sorted(t) for t in timings] == [["candidates", "epoch", "seconds"]] * 2
+        assert [[sorted(c) for c in t["candidates"]] for t in timings] == \
+            [[["reward_s", "train_s"]]] * 2
+        assert all(c["train_s"] > 0 and c["reward_s"] > 0
+                   for t in timings for c in t["candidates"])
+
+
 class TestEvalCommand:
     def test_reproduces_training_evaluation(self, tmp_path):
         config = write_config(tmp_path)

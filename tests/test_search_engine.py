@@ -19,6 +19,8 @@ from lfsearch.config import ExperimentConfig, RandomConfig, ScheduleConfig, Sear
 from lfsearch.contracts import ContractViolation
 from lfsearch.datasets import SyntheticSpec, generate_synthetic, make_pairs
 from lfsearch.embed_model import init_model
+from lfsearch.eval_protocols import reward
+from lfsearch.margin_losses import MarginSpec
 from lfsearch import candidate_workers, checkpoint, numerics, search_engine, sgd_trainer
 from lfsearch.candidate_workers import (CandidateWorkerError, CandidateWorkers,
                                         candidate_processes, cgroup_cpu_quota)
@@ -31,7 +33,8 @@ from lfsearch.search_engine import (
     sample_factors,
     select_best,
 )
-from lfsearch.sgd_trainer import NonFiniteTrainingError, SgdConfig, TrainState, train_candidates
+from lfsearch.sgd_trainer import (NonFiniteTrainingError, SgdConfig, TrainState,
+                                  train_candidates, train_epoch)
 
 
 def search_fixture(seed=0):
@@ -298,6 +301,46 @@ class TestRunSearch:
         assert 0.0 <= result.best_reward <= 1.0
 
 
+class TestRunModes:
+    @pytest.mark.parametrize("mode", ["fixed", "random"])
+    def test_one_candidate_an_epoch_on_the_modes_stream(self, mode):
+        """A fixed or random run trains one candidate an epoch, whatever the
+        search's population: the configured loss, or the unified loss at
+        the factor drawn from the epoch's "factor" stream, on the mode's
+        root stream. It is a chain of train_epoch calls; mu stays put."""
+        train, val, pairs, state = search_fixture(seed=3)
+        config = replace(default_settings(seed=5, population=4),
+                         loss=MarginSpec.additive(0.2))
+        result = run_search(config, state, train, val, pairs, mode)
+        root = RngStream(5, mode)
+        expected = state
+        for record in result.history:
+            stream = root.child(f"epoch{record.epoch}")
+            loss = (config.loss if mode == "fixed"
+                    else MarginSpec.unified(config.random.draw(stream.child("factor"))))
+            expected, mean_loss = train_epoch(expected, loss, train, config.sgd, 0.05, stream)
+            assert record.factors == (loss.a,)
+            assert record.mean_losses == (mean_loss,)
+            assert record.rewards == (reward(expected.model, expected.head, val, pairs,
+                                             config.reward),)
+            assert record.winner == 0
+            assert record.mu_before == record.mu_after == config.search.mu
+            assert record.winner_digest == param_digest(expected.model, expected.head)
+        assert len(result.history) == 3
+        assert result.final_state.params.tobytes() == expected.params.tobytes()
+        assert result.final_mu == config.search.mu
+
+    def test_a_search_ends_on_its_last_winner(self):
+        result = searched(1)
+        assert param_digest(result.final_state.model, result.final_state.head) == \
+            result.history[-1].winner_digest
+
+    def test_an_unknown_mode_is_refused(self):
+        train, val, pairs, state = search_fixture()
+        with pytest.raises(ContractViolation, match="unknown mode"):
+            run_search(default_settings(seed=1), state, train, val, pairs, "ablate")
+
+
 class TestFactorRange:
     def test_draws_stay_in_range(self):
         factors = RandomConfig(2.0, 50.0)
@@ -334,6 +377,11 @@ def searched(processes, population=2, epochs=3, seed=2, **overrides):
 
 def unscored(trained, workspace):
     return 0.0
+
+
+def unified(*factors):
+    """A unified-loss MarginSpec per factor."""
+    return [MarginSpec.unified(a) for a in factors]
 
 
 def recorded_warnings(run):
@@ -443,7 +491,7 @@ class TestCandidateWorkers:
 
         train, val, pairs, state = search_fixture(seed=2)
         with CandidateWorkers(2, state, 5, train, SgdConfig(), worker) as workers:
-            outcomes = workers.run(state, [-1.0, -2.0, -3.0, -4.0, -5.0], 0.05,
+            outcomes = workers.run(state, unified(-1.0, -2.0, -3.0, -4.0, -5.0), 0.05,
                                    RngStream(1, "epoch"))
         assert [outcome.reward for outcome in outcomes] == [0, 1, 0, 1, 0]
         assert multiprocessing.active_children() == []
@@ -456,12 +504,12 @@ class TestCandidateWorkers:
             raise TimeoutError("the epoch is stuck")
 
         train, val, pairs, state = search_fixture(seed=2)
-        factors = [-float(i % 7) for i in range(2000)]
+        losses = unified(*(-float(i % 7) for i in range(2000)))
         previous = signal.signal(signal.SIGALRM, stuck)
         signal.alarm(60)
         try:
             with CandidateWorkers(2, state, 2000, train, SgdConfig(), unscored) as workers:
-                outcomes = workers.run(state, factors, 0.05, RngStream(1, "epoch"))
+                outcomes = workers.run(state, losses, 0.05, RngStream(1, "epoch"))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -525,7 +573,7 @@ class TestCandidateWorkers:
         train, val, pairs, state = search_fixture(seed=2)
         with CandidateWorkers(2, state, 2, train, SgdConfig(), unscored) as workers:
             # One epoch first, so that each worker waits in its loop.
-            workers.run(state, [-1.0, -2.0], 0.05, RngStream(1, "epoch"))
+            workers.run(state, unified(-1.0, -2.0), 0.05, RngStream(1, "epoch"))
             for proc in workers._procs:
                 os.kill(proc.pid, signal.SIGINT)
                 proc.join(10)
@@ -547,7 +595,7 @@ class TestCandidateWorkers:
         train, val, pairs, state = search_fixture(seed=2)
         with one_blas_thread() if pinned else contextlib.nullcontext(), \
                 CandidateWorkers(2, state, 2, train, SgdConfig(), threads) as workers:
-            outcomes = workers.run(state, [-1.0, -2.0], 0.05, RngStream(1, "epoch"))
+            outcomes = workers.run(state, unified(-1.0, -2.0), 0.05, RngStream(1, "epoch"))
         assert [outcome.reward for outcome in outcomes] == [1, 1]
         assert multiprocessing.active_children() == []
 
@@ -568,11 +616,11 @@ class TestCandidateWorkers:
         the parent, in candidate order."""
         real = sgd_trainer.train_candidate
 
-        def warning(state, factor, *args):
-            warnings.warn(f"candidate at {factor:g}", UserWarning)
-            if factor == -2.0:
+        def warning(state, loss, *args):
+            warnings.warn(f"candidate at {loss.a:g}", UserWarning)
+            if loss.a == -2.0:
                 raise NonFiniteTrainingError("failed at -2")
-            return real(state, factor, *args)
+            return real(state, loss, *args)
 
         monkeypatch.setattr(sgd_trainer, "train_candidate", warning)
         monkeypatch.setattr(candidate_workers, "train_candidate", warning)
@@ -583,7 +631,7 @@ class TestCandidateWorkers:
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     with pytest.raises(NonFiniteTrainingError, match="failed at -2"):
-                        train_candidates(state, [-1.0, -2.0, -3.0, -4.0], 0.05,
+                        train_candidates(state, unified(-1.0, -2.0, -3.0, -4.0), 0.05,
                                          RngStream(1, "epoch"), runner)
                 shown.append([str(w.message) for w in caught])
         assert shown == [["candidate at -1", "candidate at -2"]] * 2

@@ -11,7 +11,7 @@ import pytest
 from lfsearch.candidate_workers import CandidateWorkers
 from lfsearch.checkpoint import param_digest
 from lfsearch.contracts import ContractViolation
-from lfsearch.datasets import LabeledDataset, SyntheticSpec, generate_synthetic
+from lfsearch.datasets import SyntheticSpec, generate_synthetic
 from lfsearch.embed_model import (ClassifierHead, EmbeddingModel, flatten, forward, init_model,
                                   unflatten)
 from lfsearch.margin_losses import MarginSpec, batch_loss_and_grad
@@ -32,10 +32,11 @@ def small_problem(seed=0):
     return data, TrainState.fresh(model, head)
 
 
-def in_process(state, factors, data, config, lr, epoch_stream):
-    """train_candidates in this process, each candidate scored 0."""
-    return train_candidates(state, factors, lr, epoch_stream,
-                            CandidateWorkers(1, state, len(factors), data, config,
+def in_process(state, losses, data, config, lr, epoch_stream):
+    """train_candidates of the MarginSpecs `losses` in this process, each
+    candidate scored 0."""
+    return train_candidates(state, losses, lr, epoch_stream,
+                            CandidateWorkers(1, state, len(losses), data, config,
                                              lambda trained, workspace: 0.0))
 
 
@@ -206,8 +207,8 @@ class TestTrainEpoch:
         data, state = small_problem(seed=6)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteTrainingError,
                                                       match=r"epoch 1 at a=-5: mean loss nan"):
-            in_process(state, [-5.0], data, SgdConfig(batch_size=8), 1e300,
-                       RngStream(8, "epoch"))
+            in_process(state, [MarginSpec.unified(-5.0)], data, SgdConfig(batch_size=8),
+                       1e300, RngStream(8, "epoch"))
 
     def test_non_finite_parameters_raise_behind_a_finite_loss(self):
         # One batch: the reported loss is taken before the step that breaks
@@ -259,20 +260,23 @@ class TestTrainCandidates:
     def test_identical_factors_give_identical_results(self):
         data, state = small_problem(seed=6)
         config = SgdConfig(batch_size=8)
-        results = in_process(state, [-5.0, -5.0], data, config, 0.05,
+        results = in_process(state, [MarginSpec.unified(-5.0)] * 2, data, config, 0.05,
                              RngStream(8, "epoch"))
         digests = [param_digest(r.state.model, r.state.head) for r in results]
         assert digests[0] == digests[1]
         assert results[0].mean_loss == results[1].mean_loss
 
-    def test_matches_direct_train_epoch(self):
+    @pytest.mark.parametrize("loss", [MarginSpec.unified(-5.0), MarginSpec.plain(),
+                                      MarginSpec.angular(2), MarginSpec.additive_angular(0.5),
+                                      MarginSpec.additive(0.35)], ids=lambda loss: loss.kind.value)
+    def test_matches_direct_train_epoch(self, loss):
+        """Every margin kind trains through the one candidate runner."""
         data, state = small_problem(seed=7)
         config = SgdConfig(batch_size=8)
-        outcome, = in_process(state, [-5.0], data, config, 0.05,
-                              RngStream(9, "epoch"))
+        outcome, = in_process(state, [loss], data, config, 0.05, RngStream(9, "epoch"))
         cand_state, cand_loss = outcome.state, outcome.mean_loss
-        direct_state, direct_loss = train_epoch(state.copy(), MarginSpec.unified(-5.0),
-                                                data, config, 0.05, RngStream(9, "epoch"))
+        direct_state, direct_loss = train_epoch(state.copy(), loss, data, config, 0.05,
+                                                RngStream(9, "epoch"))
         assert cand_loss == direct_loss
         assert param_digest(cand_state.model, cand_state.head) == \
             param_digest(direct_state.model, direct_state.head)
@@ -280,11 +284,11 @@ class TestTrainCandidates:
     def test_results_follow_input_order(self):
         data, state = small_problem(seed=9)
         config = SgdConfig(batch_size=8)
-        factors = [0.0, -50.0]
-        both = in_process(state, factors, data, config, 0.05,
+        losses = [MarginSpec.unified(0.0), MarginSpec.unified(-50.0), MarginSpec.additive(0.35)]
+        both = in_process(state, losses, data, config, 0.05,
                           RngStream(11, "epoch"))
-        solo = [in_process(state, [a], data, config, 0.05,
-                           RngStream(11, "epoch"))[0] for a in factors]
+        solo = [in_process(state, [loss], data, config, 0.05,
+                           RngStream(11, "epoch"))[0] for loss in losses]
         for got, want in zip(both, solo):
             assert got.mean_loss == want.mean_loss
             assert param_digest(got.state.model, got.state.head) == \
@@ -293,8 +297,8 @@ class TestTrainCandidates:
     def test_input_state_is_untouched(self):
         data, state = small_problem(seed=10)
         before = param_digest(state.model, state.head)
-        in_process(state, [-1.0, -2.0], data, SgdConfig(batch_size=8),
-                   0.05, RngStream(12, "epoch"))
+        in_process(state, [MarginSpec.unified(-1.0), MarginSpec.unified(-2.0)], data,
+                   SgdConfig(batch_size=8), 0.05, RngStream(12, "epoch"))
         assert param_digest(state.model, state.head) == before
 
     def test_validation(self):
@@ -302,5 +306,3 @@ class TestTrainCandidates:
         config = SgdConfig(batch_size=8)
         with pytest.raises(ContractViolation):
             in_process(state, [], data, config, 0.05, RngStream(13, "epoch"))
-        with pytest.raises(ContractViolation):
-            in_process(state, [0.5], data, config, 0.05, RngStream(13, "epoch"))
