@@ -35,15 +35,15 @@ from .eval_protocols import (FarUnresolvableError, embed_all, make_gallery_probe
 from .margin_losses import LOSS_ALIASES, LOSS_KNOBS, MarginKind, modulating_function
 from .numerics import RngStream, blas_environment, one_blas_thread
 from .runio import MetricsWriter, dumps, format_float, run_id, write_xy_csv
-from .search_engine import run_search, search_processes
+from .search_engine import run_search
 from .sgd_trainer import NonFiniteTrainingError, TrainState
 
 DEFAULT_ABLATION_FACTORS = "0,-1,-10,-100,-1000,-10000"
 FAR_LADDER = (0.1, 0.01, 0.001, 0.0001, 1e-05, 1e-06)
-# Every file a run directory's finished run writes, but the resolved config
-# and the environment, which a run writes first.
-RUN_FILES = ("metrics.jsonl", "timings.jsonl", "model.lfs", "best.lfs", "eval.json",
-             "roc.csv", "cmc.csv", "convergence.csv", "mu_trajectory.csv")
+# Every file a run directory's finished run writes, but the resolved config,
+# which a run writes first.
+RUN_FILES = ("environment.json", "metrics.jsonl", "timings.jsonl", "model.lfs", "best.lfs",
+             "eval.json", "roc.csv", "cmc.csv", "convergence.csv", "mu_trajectory.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -163,78 +163,6 @@ def _write_evaluation(out: Path, model, head, val_set, val_pairs, **extra) -> di
     return report
 
 
-class _RunRecorder:
-    """One run directory: the resolved config, the numpy/BLAS environment
-    with the number of processes that train candidates, the metric and
-    timing streams, the epoch clock and convergence curve, then the final
-    checkpoint and evaluation. timings.jsonl holds a start line (opening the
-    run to epoch 1: the model init and any candidate workers' start), one
-    line per epoch and a finish line. A rerun into the same directory first
-    deletes every file an earlier run wrote, and the per-epoch winner
-    checkpoints of searches by earlier builds, so that a rerun that fails
-    leaves no result of the earlier one."""
-
-    def __init__(self, out_dir, config: ExperimentConfig, mode: str, processes: int = 1):
-        self.out = _make_run_dir(out_dir)
-        resolved = config.to_dict()
-        self._run_id = run_id(resolved)
-        self._mode = mode
-        (self.out / "config.json").write_text(dumps(resolved) + "\n", encoding="utf-8")
-        environment = {**blas_environment(), "candidate_processes": processes}
-        (self.out / "environment.json").write_text(dumps(environment) + "\n",
-                                                   encoding="utf-8")
-        for name in RUN_FILES:
-            (self.out / name).unlink(missing_ok=True)
-        for stale in self.out.glob("checkpoints/epoch_*.lfs"):
-            stale.unlink()
-        self._metrics = MetricsWriter(self.out / "metrics.jsonl")
-        self._timings = MetricsWriter(self.out / "timings.jsonl")
-        self._convergence = []
-        self._clock = time.perf_counter()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._metrics.close()
-        self._timings.close()
-        return False
-
-    def _lap(self) -> float:
-        now = time.perf_counter()
-        elapsed, self._clock = now - self._clock, now
-        return elapsed
-
-    def start(self) -> None:
-        """Record the time up to epoch 1 and restart the epoch clock."""
-        self._timings.write({"phase": "start", "seconds": self._lap()})
-
-    def epoch(self, epoch: int, fields: dict, mean_loss: float, **spans) -> None:
-        """Record one epoch: its metric line, its wall time since the last
-        record with any further timing fields, and the mean training loss it
-        adds to the convergence curve."""
-        seconds = self._lap()
-        self._metrics.write({"run_id": self._run_id, "mode": self._mode,
-                             "epoch": epoch, **fields})
-        self._timings.write({"epoch": epoch, "seconds": seconds, **spans})
-        self._convergence.append((float(epoch), mean_loss))
-
-    def finish(self, checkpoint_name: str, state: TrainState, val_set, val_pairs,
-               **extra) -> dict:
-        """Write the final model, the convergence curve and its evaluation,
-        and time them on the finish line."""
-        started = time.perf_counter()
-        write_checkpoint(self.out / checkpoint_name, state.model, state.head)
-        checkpoint_s = time.perf_counter() - started
-        write_xy_csv(self.out / "convergence.csv", self._convergence)
-        started = time.perf_counter()
-        report = _write_evaluation(self.out, state.model, state.head, val_set, val_pairs,
-                                   **extra)
-        self._timings.write({"phase": "finish", "checkpoint_s": checkpoint_s,
-                             "evaluation_s": time.perf_counter() - started})
-        return report
-
-
 def _epoch_fields(config: ExperimentConfig, mode: str, record) -> dict:
     """An epoch's metric line keys after its number: a search's compared record
     fields, in order; else the loss trained, the mean loss and the reward."""
@@ -252,29 +180,69 @@ def _epoch_fields(config: ExperimentConfig, mode: str, record) -> dict:
 def _run(config: ExperimentConfig, mode: str, out_dir, data) -> dict:
     """One run_search run end to end on the prepared (train, val, pairs), in
     mode "fixed" (train-fixed, ablate-a), "random" (random-schedule) or
-    "search". The mode labels the metric lines. A search keeps its best
-    candidate in best.lfs, the other modes the final model in model.lfs."""
+    "search", and the one writer of its run directory: config.json; once
+    the candidate processes have started, environment.json with their
+    count; the metric lines, which the mode labels, and the timing lines (a
+    start line for the time up to epoch 1, one per epoch and a finish line);
+    then the convergence curve, the final model (a search's best candidate
+    in best.lfs, else model.lfs) and its evaluation. It first deletes every
+    file an earlier run wrote there, and the per-epoch winner checkpoints of
+    searches by earlier builds, so a rerun that fails keeps none of them."""
     train, val, pairs = data
-    with _RunRecorder(out_dir, config, mode, search_processes(config, mode)) as run:
+    out = _make_run_dir(out_dir)
+    resolved = config.to_dict()
+    identity = run_id(resolved)
+    (out / "config.json").write_text(dumps(resolved) + "\n", encoding="utf-8")
+    for name in RUN_FILES:
+        (out / name).unlink(missing_ok=True)
+    for stale in out.glob("checkpoints/epoch_*.lfs"):
+        stale.unlink()
+    with (MetricsWriter(out / "metrics.jsonl") as metrics,
+          MetricsWriter(out / "timings.jsonl") as timings):
+        clock = [time.perf_counter()]
 
-        def on_epoch(record, _winner_state):
-            run.epoch(record.epoch, _epoch_fields(config, mode, record),
-                      record.mean_losses[record.winner],
-                      candidates=[{"train_s": train_s, "reward_s": reward_s}
-                                  for train_s, reward_s in zip(record.train_s,
-                                                               record.reward_s)])
+        def lap() -> float:
+            clock.append(time.perf_counter())
+            return clock[-1] - clock[-2]
+
+        def on_start(processes):
+            environment = {**blas_environment(), "candidate_processes": processes}
+            (out / "environment.json").write_text(dumps(environment) + "\n",
+                                                  encoding="utf-8")
+            timings.write({"phase": "start", "seconds": lap()})
+
+        def on_epoch(record):
+            seconds = lap()
+            metrics.write({"run_id": identity, "mode": mode, "epoch": record.epoch,
+                           **_epoch_fields(config, mode, record)})
+            timings.write({"epoch": record.epoch, "seconds": seconds,
+                           "candidates": [{"train_s": train_s, "reward_s": reward_s}
+                                          for train_s, reward_s in zip(record.train_s,
+                                                                       record.reward_s)]})
 
         result = run_search(config, _init_state(config, train), train, val, pairs, mode,
-                            on_start=run.start, on_epoch=on_epoch)
-        if mode != "search":
-            final_reward = result.history[-1].rewards[0] if result.history else None
-            return run.finish("model.lfs", result.final_state, val, pairs,
-                              final_val_reward=final_reward)
-        write_xy_csv(run.out / "mu_trajectory.csv",
-                     [(float(record.epoch), record.mu_after) for record in result.history])
-        return run.finish("best.lfs", result.best_state, val, pairs,
-                          best_reward=result.best_reward, best_epoch=result.best_epoch,
-                          best_candidate=result.best_candidate, final_mu=result.final_mu)
+                            on_epoch=on_epoch, on_start=on_start)
+        if mode == "search":
+            write_xy_csv(out / "mu_trajectory.csv",
+                         [(float(record.epoch), record.mu_after) for record in result.history])
+            checkpoint, state = "best.lfs", result.best_state
+            extra = {"best_reward": result.best_reward, "best_epoch": result.best_epoch,
+                     "best_candidate": result.best_candidate, "final_mu": result.final_mu}
+        else:
+            checkpoint, state = "model.lfs", result.final_state
+            extra = {"final_val_reward": result.history[-1].rewards[0] if result.history
+                     else None}
+        started = time.perf_counter()
+        write_checkpoint(out / checkpoint, state.model, state.head)
+        checkpoint_s = time.perf_counter() - started
+        write_xy_csv(out / "convergence.csv", [(float(record.epoch),
+                                                record.mean_losses[record.winner])
+                                               for record in result.history])
+        started = time.perf_counter()
+        report = _write_evaluation(out, state.model, state.head, val, pairs, **extra)
+        timings.write({"phase": "finish", "checkpoint_s": checkpoint_s,
+                       "evaluation_s": time.perf_counter() - started})
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -299,30 +267,32 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _parse_factor_list(text: str, field: str) -> list:
-    """Comma-separated modulating factors, each finite and <= 0; -0 reads
-    as 0, the factor it names."""
+def _parse_factor_list(text: str, field: str, named: str) -> dict:
+    """Comma-separated modulating factors, each finite and <= 0, keyed by
+    their `{:g}` form, which names ablate-a's run directories and
+    export-curves' columns; -0 reads as 0, the factor it names. Two factors
+    of one form are refused, naming `named` filled in with it."""
     try:
         values = [float(token) for token in text.split(",") if token.strip()]
     except ValueError:
         raise ConfigError(f"{field}: could not parse {text!r} as floats") from None
     if not values:
         raise ConfigError(f"{field}: list is empty")
+    factors = {}
     for value in values:
         if not math.isfinite(value) or value > 0:
             raise ConfigError(f"{field}: {value:g} is not a finite factor <= 0")
-    return [value + 0.0 for value in values]
+        value += 0.0
+        key = f"{value:g}"
+        if key in factors:
+            raise ConfigError(f"{field}: {factors[key]!r} and {value!r} would share "
+                              + named.format(key))
+        factors[key] = value
+    return factors
 
 
 def _cmd_ablate_a(args) -> int:
-    factors = _parse_factor_list(args.factors, "factors")
-    run_dirs = {}
-    for value in factors:
-        name = f"a_{value:g}"
-        if name in run_dirs:
-            raise ConfigError(f"factors: {run_dirs[name]!r} and {value!r} "
-                              f"would share the run directory {name}")
-        run_dirs[name] = value
+    factors = _parse_factor_list(args.factors, "factors", "the run directory a_{}")
     config = _resolve_config(args)
     # Every factor trains on the same data: the loss is all that differs.
     data = _prepare_data(config)
@@ -333,12 +303,12 @@ def _cmd_ablate_a(args) -> int:
             shutil.rmtree(stale)
     (base / "summary.json").unlink(missing_ok=True)
     summary = []
-    for name, value in run_dirs.items():
+    for key, value in factors.items():
         tree = config.to_dict()
         tree["loss"]["kind"] = "unified"
         tree["loss"]["a"] = value
         sub_config = from_dict(tree)
-        report = _run(sub_config, "fixed", base / name, data)
+        report = _run(sub_config, "fixed", base / f"a_{key}", data)
         summary.append({"a": value,
                         "verification_accuracy": report["verification_accuracy"],
                         "rank1": report["rank1"],
@@ -371,17 +341,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export_curves(args) -> int:
-    factors = _parse_factor_list(args.a_list, "a-list")
+    factors = _parse_factor_list(args.a_list, "a-list",
+                                 "the columns h[a={0}] and pm[a={0}]")
     out = _make_run_dir(args.out)
     header = ["p"]
-    for value in factors:
-        header.append(f"h[a={value:g}]")
-        header.append(f"pm[a={value:g}]")
+    for key in factors:
+        header.append(f"h[a={key}]")
+        header.append(f"pm[a={key}]")
     lines = [",".join(header)]
     for i in range(1001):
         p = i / 1000.0
         cells = [f"{p:.3f}"]
-        for value in factors:
+        for value in factors.values():
             h = modulating_function(value, p)
             cells.append(format_float(h))
             cells.append(format_float(h * p))

@@ -40,9 +40,15 @@ def l2_normalize_rows(m: np.ndarray, norms=None, guards=None, unit=None) -> np.n
     zero row stays zero. The row norms (the sums numpy's norm takes along a
     real axis), their guarded values and the unit rows go into the given
     arrays (None: a new one; unit may be m). The squares go to unit first,
-    unless unit is m."""
+    unless unit is m. A finite row whose squares overflow takes its norm
+    over its largest magnitude instead, so it too comes out of unit length;
+    a row with a non-finite entry keeps its non-finite norm."""
     squares = np.multiply(m, m, out=None if unit is m else unit)
     norms = np.sqrt(np.add.reduce(squares, axis=1, out=norms), out=norms)
+    if not np.isfinite(norms.max(initial=0.0)):
+        rows = np.flatnonzero(np.isinf(norms) & np.isfinite(m).all(axis=1))
+        peaks = np.abs(m[rows]).max(axis=1, keepdims=True)
+        norms[rows] = peaks[:, 0] * np.linalg.norm(m[rows] / peaks, axis=1)
     guards = np.maximum(norms, NORM_EPSILON, out=guards)
     return np.divide(m, guards[:, None], out=unit)
 

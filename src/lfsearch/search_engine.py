@@ -1,7 +1,9 @@
-"""The one epoch loop: train each epoch's candidate losses from one start,
-score them and broadcast the winner. The mode picks the losses: the
-configured loss, a unified loss at a random factor, or Gaussian draws of the
-factor whose mean a reward-normalized score-function step moves (search).
+"""The one epoch loop: decide once how many processes train the candidates,
+then each epoch train its candidate losses from one start, score them,
+broadcast the winner and report the epoch's record. The mode picks the
+losses: the configured loss, a unified loss at a random factor, or Gaussian
+draws of the factor whose mean a reward-normalized score-function step
+moves (search).
 """
 
 from __future__ import annotations
@@ -102,14 +104,6 @@ def select_best(raw_rewards) -> int:
     return int(np.argmax(raw_rewards))
 
 
-def search_processes(config: ExperimentConfig, mode: str = "search") -> int:
-    """How many processes train the run's candidates: candidate_processes
-    of its population (the search's; 1 in the other modes), or 1 for a run
-    with no epochs."""
-    population = config.search.population if mode == "search" else 1
-    return candidate_workers.candidate_processes(population) if config.schedule.epochs else 1
-
-
 def epoch_losses(config: ExperimentConfig, mode: str, mu: float, stream: RngStream) -> list:
     """An epoch's candidate losses under `mode`, drawn from the epoch's stream."""
     if mode == "fixed":
@@ -133,12 +127,14 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
     (reinforce_update). The returned best_state is the highest-reward
     candidate across the whole run.
 
-    on_start, when given, is called once the candidate processes have
-    started, just before epoch 1; on_epoch, when given, is called with
-    (record, winner_state) as each epoch completes. Each epoch's candidates
-    train and score in one CandidateWorkers of search_processes processes:
-    in this process for a count of one, else in forked workers; the
-    results are the same bits.
+    The loop decides once how many processes train its candidates:
+    candidate_processes of the search's population (of 1 in the other
+    modes), or 1 for a run with no epochs. Each epoch's candidates train and
+    score in one CandidateWorkers of that many processes: in this process
+    for a count of one, else in forked workers; the results are the same
+    bits. on_start, when given, is called with that count once the
+    processes have started, just before epoch 1; on_epoch, when given, is
+    called with each epoch's record as the epoch completes.
     """
     require(mode in ("fixed", "random", "search"), f"unknown mode {mode!r}")
     require(val_set.sample_count >= 1, "validation set must be non-empty")
@@ -156,11 +152,13 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
         return reward(trained.model, trained.head, val_set, val_pairs,
                       config.reward, workspace)
 
-    with candidate_workers.CandidateWorkers(search_processes(config, mode), state0,
-                                            search.population, train_set, config.sgd,
-                                            score) as runner:
+    population = search.population if mode == "search" else 1
+    processes = (candidate_workers.candidate_processes(population) if config.schedule.epochs
+                 else 1)
+    with candidate_workers.CandidateWorkers(processes, state0, search.population, train_set,
+                                            config.sgd, score) as runner:
         if on_start is not None:
-            on_start()
+            on_start(processes)
         for epoch in range(1, config.schedule.epochs + 1):
             epoch_stream = root.child(f"epoch{epoch}")
             # From epoch 2 the start is the previous winner, already hashed.
@@ -195,7 +193,7 @@ def run_search(config: ExperimentConfig, state0: TrainState, train_set: LabeledD
                 best_state = state
             mu = mu_after
             if on_epoch is not None:
-                on_epoch(record, state)
+                on_epoch(record)
     return SearchResult(best_state=best_state, final_state=state, best_reward=best_reward,
                         best_epoch=best_epoch, best_candidate=best_candidate,
                         final_mu=mu, history=tuple(history))

@@ -660,6 +660,46 @@ class TestSingleModelRuns:
                    for t in timings for c in t["candidates"])
 
 
+class TestProcessCount:
+    @pytest.mark.parametrize("argv, runs, population", [
+        (["search"], ["run"], 2),
+        (["train-fixed"], ["run"], 1),
+        (["random-schedule"], ["run"], 1),
+        (["ablate-a", "--factors", "0,-10"], ["run/a_0", "run/a_-10"], 1)])
+    def test_each_run_asks_once_and_records_the_answer(self, tmp_path, monkeypatch, argv,
+                                                       runs, population):
+        """Each run asks candidate_processes once, for its population, and
+        environment.json records the answer. The answer is 2 for every run,
+        which no run would record without asking."""
+        asked = []
+        monkeypatch.setattr(candidate_workers, "candidate_processes",
+                            lambda population: asked.append(population) or 2)
+        config = write_config(tmp_path, search={"population": 2})
+        assert main([*argv, "--config", config, "--out", str(tmp_path / "run")]) == 0
+        assert asked == [population] * len(runs)
+        for run in runs:
+            environment = json.loads((tmp_path / run / "environment.json").read_text(
+                encoding="utf-8"))
+            assert environment["candidate_processes"] == 2
+
+    def test_a_run_that_fails_before_its_workers_start_records_none(self, tmp_path,
+                                                                   monkeypatch):
+        """environment.json is written once the candidate processes run, so
+        a rerun that fails before then leaves none, the earlier run's
+        included."""
+        def refuse(*args):
+            raise RuntimeError("no workers")
+
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["search", "--config", config, "--out", str(out)]) == 0
+        monkeypatch.setattr(candidate_workers, "CandidateWorkers", refuse)
+        assert main(["search", "--config", config, "--out", str(out)]) == 1
+        assert sorted(path.name for path in out.iterdir()) == [
+            "config.json", "metrics.jsonl", "timings.jsonl"]
+        assert (out / "metrics.jsonl").read_text(encoding="utf-8") == ""
+
+
 class TestEvalCommand:
     def test_reproduces_training_evaluation(self, tmp_path):
         config = write_config(tmp_path)
@@ -1033,8 +1073,9 @@ class TestDataFileCache:
         assert runs[0] == runs[1] == runs[2]
 
 
-class TestPairDrawsBesideTraining:
-    """The verification pairs are drawn in process before the first epoch."""
+class TestPairDrawErrorsComeBeforeTraining:
+    """The verification pairs are drawn before the first epoch, so a pair
+    draw that is refused forks no worker and writes no epoch."""
 
     def test_a_config_error_forks_nothing_and_writes_no_epoch(self, tmp_path, capsys,
                                                               monkeypatch):
@@ -1084,6 +1125,19 @@ class TestExportCurves:
     def test_non_finite_factor_rejected(self, tmp_path):
         assert main(["export-curves", "--out", str(tmp_path / "x"),
                      "--a-list", "0,nan"]) == 2
+
+    @pytest.mark.parametrize("factors, named", [
+        ("-1,-1", "-1.0 and -1.0 would share the columns h[a=-1] and pm[a=-1]"),
+        ("-1e-7,-1.0000001e-7", "-1e-07 and -1.0000001e-07"),
+        ("0,-0", "0.0 and 0.0"),
+    ])
+    def test_factors_sharing_a_column_are_refused(self, tmp_path, capsys, factors, named):
+        # "h[a={value:g}]" prints both factors alike, so the table would
+        # hold two columns of one name.
+        out = tmp_path / "x"
+        assert main(["export-curves", "--out", str(out), f"--a-list={factors}"]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParser:

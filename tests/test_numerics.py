@@ -65,20 +65,45 @@ class TestNormalize:
 
     def test_bit_for_bit_the_guarded_numpy_norm_form(self):
         """The same bytes as numpy's norm over its guard, on random rows, a
-        zero row, subnormal rows and rows near 1e300, and in place."""
+        zero row and subnormal rows, and in place; the rows near 1e300,
+        whose squares overflow, come out of unit length."""
         rng = np.random.default_rng(4)
         m = np.concatenate([rng.normal(size=(50, 7)), np.zeros((1, 7)),
                             rng.normal(size=(4, 7)) * 1e-310,
                             rng.normal(size=(4, 7)) * 1e300])
+        finite = slice(0, 55)
+        shrunk = m[55:] / 1e300
+        norms = np.linalg.norm(m[finite], axis=1, keepdims=True)
+        want = m[finite] / np.maximum(norms, NORM_EPSILON)
         with np.errstate(over="ignore"):
-            norms = np.linalg.norm(m, axis=1, keepdims=True)
-            want = m / np.maximum(norms, NORM_EPSILON)
-            assert l2_normalize_rows(m).tobytes() == want.tobytes()
+            assert l2_normalize_rows(m)[finite].tobytes() == want.tobytes()
             got_norms, guards = np.empty(m.shape[0]), np.empty(m.shape[0])
             assert l2_normalize_rows(m, got_norms, guards, unit=m) is m
-        assert m.tobytes() == want.tobytes()
-        assert got_norms.tobytes() == norms[:, 0].tobytes()
-        assert guards.tobytes() == np.maximum(norms[:, 0], NORM_EPSILON).tobytes()
+        assert m[finite].tobytes() == want.tobytes()
+        assert got_norms[finite].tobytes() == norms[:, 0].tobytes()
+        assert guards[finite].tobytes() == np.maximum(norms[:, 0], NORM_EPSILON).tobytes()
+        assert np.allclose(np.linalg.norm(m[55:], axis=1), 1.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(got_norms[55:] / 1e300, np.linalg.norm(shrunk, axis=1),
+                           rtol=1e-15, atol=0.0)
+        assert np.array_equal(guards[55:], got_norms[55:])
+
+    def test_a_row_whose_squares_overflow_has_unit_length(self):
+        """A (1e200, 1e200) row, and rows near the largest float, normalise
+        to unit length and keep their norms; rows beside them keep their
+        bytes, and a row with a non-finite entry keeps its non-finite norm."""
+        big = np.finfo(np.float64).max / 4
+        m = np.array([[1e200, 1e200], [3.0, 4.0], [big, -big], [np.inf, 1.0],
+                      [np.nan, 1.0]])
+        norms = np.empty(5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            unit = l2_normalize_rows(m, norms)
+        assert np.allclose(unit[[0, 2]], [[0.5 ** 0.5, 0.5 ** 0.5], [0.5 ** 0.5, -0.5 ** 0.5]],
+                           rtol=0.0, atol=1e-15)
+        assert unit[1].tobytes() == np.array([0.6, 0.8]).tobytes()
+        assert norms[:3] == pytest.approx([2 ** 0.5 * 1e200, 5.0, 2 ** 0.5 * big], rel=1e-15)
+        assert norms[3] == np.inf and np.isnan(norms[4])
+        assert np.isnan(unit[3, 0]) and unit[3, 1] == 0.0
+        assert np.isnan(unit[4]).all()
 
 
 class TestRngStream:

@@ -277,22 +277,23 @@ class TestRunSearch:
         train, val, pairs, state = search_fixture(seed=10)
         seen = []
         result = run_search(default_settings(seed=17), state, train, val, pairs,
-                            on_epoch=lambda record, winner: seen.append(
-                                (record, param_digest(winner.model, winner.head))))
-        assert [r for r, _ in seen] == list(result.history)
-        for record, digest in seen:
-            assert digest == record.winner_digest
+                            on_epoch=seen.append)
+        assert seen == list(result.history)
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_on_start_is_called_once_the_workers_run(self, processes):
+        """on_start gets the process count the loop decided, once its
+        workers run (none for a count of one), before the first epoch."""
         train, val, pairs, state = search_fixture(seed=10)
         calls = []
         with processes_forced(processes):
             run_search(default_settings(seed=17), state, train, val, pairs,
-                       on_start=lambda: calls.append(
-                           ("start", len(multiprocessing.active_children()))),
-                       on_epoch=lambda record, winner: calls.append(("epoch", None)))
-        assert calls == [("start", processes if processes > 1 else 0)] + [("epoch", None)] * 3
+                       on_start=lambda count: calls.append(
+                           ("start", count, len(multiprocessing.active_children()))),
+                       on_epoch=lambda record: calls.append(("epoch", record.epoch)))
+        workers = processes if processes > 1 else 0
+        assert calls == [("start", processes, workers), ("epoch", 1), ("epoch", 2),
+                         ("epoch", 3)]
 
     def test_classification_reward_kind(self):
         train, val, pairs, state = search_fixture(seed=11)
@@ -535,7 +536,7 @@ class TestCandidateWorkers:
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
     def test_no_worker_outlives_an_interrupted_epoch(self, error):
-        def interrupt(record, state):
+        def interrupt(record):
             raise error
 
         train, val, pairs, state = search_fixture(seed=2)
